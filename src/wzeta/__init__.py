@@ -10,7 +10,6 @@ from .errors import (
     IncompatibleTerms,
     MonotonicityViolation,
     NonAlternating,
-    NotHypergeometric,
     ParseError,
     SingularGrid,
     StructureError,
@@ -20,7 +19,6 @@ from .errors import (
 from .precision import (
     EvalReport,
     PrecisionContext,
-    block_partial_sum,
     compare_series,
     measure_rate,
     sum_to_digits,
@@ -53,7 +51,6 @@ __all__ = [
     "LinearForm",
     "MonotonicityViolation",
     "NonAlternating",
-    "NotHypergeometric",
     "POSITIVE",
     "ParseError",
     "Polynomial",
@@ -67,7 +64,6 @@ __all__ = [
     "WZPair",
     "WZetaError",
     "accelerate",
-    "block_partial_sum",
     "certificate",
     "compare_series",
     "cross_ratio",

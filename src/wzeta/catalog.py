@@ -28,7 +28,8 @@ _PAIR_NAMES = ("s1", "s2")
 _SERIES_NAMES = ("s1", "s2", "s3", "lhs_s1", "lhs_s2")
 _REQUIRED = ("f_s1", "g_s1", "f_s2", "g_s2") + _SERIES_NAMES
 
-# name -> (start index, sign pattern, limit multiple, digits/term or None)
+# name -> (start index, sign pattern, limit multiple, digits/term or None),
+# in SeriesSpec field order
 _SERIES_META = {
     "s1": (1, ALTERNATING, Fraction(1), 0.602),
     "s2": (1, ALTERNATING, Fraction(1), 1.431),
@@ -207,17 +208,10 @@ def load_catalog(path: str | None = None) -> Catalog:
                 raise
             terms[name] = fallback[name]
 
-    series = {}
-    for name in _SERIES_NAMES:
-        start, pattern, multiple, rate = _SERIES_META[name]
-        series[name] = SeriesSpec(
-            name=name,
-            components=(terms[name],),
-            start_index=start,
-            sign_pattern=pattern,
-            zeta3_multiple=multiple,
-            rate_estimate=rate,
-        )
+    series = {
+        name: SeriesSpec(name, terms[name], *_SERIES_META[name])
+        for name in _SERIES_NAMES
+    }
     pairs = {
         name: WZPair(
             name=name,

@@ -10,6 +10,7 @@ codes: 0 success, 1 a verification ran and failed, 2 bad input
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from . import catalog as catalog_mod
@@ -100,10 +101,8 @@ def _cmd_accelerate(cat, args) -> int:
         raise WZetaError("--terms must be at least 1")
     pair = cat.pair_by_name(args.pair)
     series = wz.accelerate(pair)
-    for position, (n, value) in enumerate(series.terms()):
-        if position >= args.terms:
-            break
-        print(f"{n} {value}")
+    for n, value in itertools.islice(series.terms(), args.terms):
+        print(f"{n} {precision.fraction_text(value)}")
     gap, bound = wz.two_sided_gap(
         pair, lhs_count=_COMPARE_LHS_TERMS, accel_count=args.terms
     )
@@ -126,7 +125,7 @@ def _cmd_rate(cat, args) -> int:
 
 def _cmd_eval(args) -> int:
     term = dsl.parse_term(args.expr)
-    print(term.value_at(args.n, args.k))
+    print(precision.fraction_text(term.value_at(args.n, args.k)))
     return 0
 
 

@@ -15,10 +15,6 @@ class IncompatibleTerms(WZetaError):
     sign structures cannot be aligned)."""
 
 
-class NotHypergeometric(WZetaError):
-    """The series has no single-term model, so no term ratio exists."""
-
-
 class ParseError(WZetaError):
     """Malformed expression text.
 

@@ -1,33 +1,38 @@
 """Certified decimal evaluation of alternating series.
 
-sum_to_digits sums a series until the next term is negligible for the
-requested precision and reports a truncated decimal string together with
-exact rational error bounds: the first omitted term bounds the tail
-(alternation and monotonicity are checked on every term consumed), and in
-scaled mode the per-term fixed-point truncation is charged to a separate
-rounding bound. The certified digit count is cut back whenever the
-partial sum sits too close to a decimal boundary for the bounds to pin
-the truncated digits down.
+sum_to_digits sums a series, through the binary-splitting engine, up to
+the first term negligible for the requested precision and reports a
+truncated decimal string together with exact rational error bounds: the
+first omitted term bounds the tail (every ratio up to the cut is checked
+to lie in (-1, 0): alternation plus strict decrease), and in scaled mode
+the one truncation of the exact sum to a fixed point is charged to a
+separate rounding bound of 1/scale. The certified digit count is cut
+back whenever the partial sum sits too close to a decimal boundary for
+the bounds to pin the truncated digits down.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import (
-    DomainError,
-    MonotonicityViolation,
-    NonAlternating,
-    TailBoundError,
-)
-from .series import SeriesSpec
+from .errors import DomainError, NonAlternating, TailBoundError
+from .series import SeriesSpec, split_ratios
 
 EXACT = "exact"
 SCALED = "scaled"
+
+# one truncation loses under 1/scale whatever the term count; 20 guard
+# digits keep that below terms/10^(D+10+log10(terms)) up to 10^10 terms
+_SCALED_GUARD = 20
+# an index whose float estimate of log10|term| is this close to the
+# threshold is decided with the exact term
+_LOG_SLACK = 1e-3
+# under 4300 digits, CPython's default int-to-str limit
+_STR_BITS = 14_000
 
 
 @dataclass(frozen=True)
@@ -63,8 +68,8 @@ class EvalReport:
             [
                 self.decimal_string,
                 f"terms={self.terms_used}",
-                f"tail_bound={self.tail_bound}",
-                f"rounding_bound={self.rounding_bound}",
+                f"tail_bound={fraction_text(self.tail_bound)}",
+                f"rounding_bound={fraction_text(self.rounding_bound)}",
                 f"certified_digits={self.certified_digits}",
                 f"mode={self.mode}",
                 f"series={self.series}",
@@ -72,113 +77,131 @@ class EvalReport:
         )
 
 
-def _estimated_terms(series: SeriesSpec, digits: int) -> int:
-    if series.rate_estimate:
-        return max(8, math.ceil((digits + 2) / series.rate_estimate) + 8)
-    return 64
+class _Unreduced(NamedTuple):
+    """A partial sum left unreduced: a gcd that changes no digit."""
+
+    numerator: int
+    denominator: int
 
 
 def sum_to_digits(series: SeriesSpec, digits: int, mode: str = EXACT) -> EvalReport:
     """Sum an alternating series to `digits` certified decimal places.
 
-    Raises NonAlternating/MonotonicityViolation if the observed terms
-    break the assumptions behind the first-omitted-term tail bound.
+    Raises NonAlternating/MonotonicityViolation if a ratio up to the cut
+    breaks the assumptions behind the first-omitted-term tail bound, and
+    TailBoundError if the term ratio does not tend to a modulus below 1.
     """
     if mode not in (EXACT, SCALED):
         raise DomainError(f"unknown mode {mode!r}")
     if digits < 1:
         raise DomainError("digits must be at least 1")
 
-    threshold = Fraction(1, 10 ** (digits + 2))
-    estimate = _estimated_terms(series, digits)
-    while True:
-        guard = 10 + max(0, math.ceil(math.log10(estimate)))
-        context = PrecisionContext(digits, guard)
-        partial, terms_used, tail = _accumulate(series, threshold, mode, context)
-        if mode == SCALED and terms_used > estimate:
-            estimate = terms_used  # guard was sized for fewer terms; redo
-            continue
-        break
+    first, steps, tail = _walk_to_cut(series, digits)
+    _, big_q, big_t = split_ratios([(1, 1)] + steps[:-1] if steps else [])
+    partial = _Unreduced(first.numerator * big_t, first.denominator * big_q)
+    rounding = Fraction(0)
+    if mode == SCALED:
+        scale = PrecisionContext(digits, _SCALED_GUARD).scale
+        partial = _Unreduced(partial.numerator * scale // partial.denominator, scale)
+        rounding = Fraction(1, scale)
 
-    rounding = Fraction(0) if mode == EXACT else Fraction(terms_used, context.scale)
+    # partial ± error as (low or high) / common, to certify on integers
     error = tail + rounding
-
+    common = partial.denominator * error.denominator
+    low = partial.numerator * error.denominator - error.numerator * partial.denominator
+    high = low + 2 * error.numerator * partial.denominator
     certified = digits
-    while certified >= 0:
-        unit = 10**certified
-        if math.floor((partial - error) * unit) == math.floor((partial + error) * unit):
-            break
+    while low * 10**certified // common != high * 10**certified // common:
         certified -= 1
-    if certified < 0:
-        raise TailBoundError("error bounds certify no digits at all")
-
+        if certified < 0:
+            raise TailBoundError("error bounds certify no digits at all")
     return EvalReport(
         series=series.name,
         mode=mode,
         decimal_string=truncated_decimal(partial, certified),
-        terms_used=terms_used,
+        terms_used=len(steps),
         tail_bound=tail,
         rounding_bound=rounding,
         certified_digits=certified,
     )
 
 
-def _accumulate(series, threshold, mode, context):
-    """One summation pass; returns (partial sum, terms used, tail bound)."""
-    exact_sum = Fraction(0)
-    scaled_sum = 0
-    terms_used = 0
-    previous = None
-    for n, value in series.terms():
-        if value == 0:
-            raise NonAlternating(f"term at n={n} is zero")
-        if previous is not None:
-            if (value > 0) == (previous > 0):
-                raise NonAlternating(f"terms at n={n - 1} and n={n} share a sign")
-            if abs(value) >= abs(previous):
-                raise MonotonicityViolation(
-                    f"|term| did not decrease from n={n - 1} to n={n}"
-                )
-        if abs(value) < threshold:
-            _check_ratio_sane(series, n)
-            tail = abs(value)
+def _walk_to_cut(series: SeriesSpec, digits: int):
+    """(t(start), steps, |t(N)|) for the first index N with
+    |t(N)| < 10^-(D+2); steps are the checked ratios at start..N-1.
+    log10|t(n)| is tracked in floating point, decided exactly near the
+    threshold, and the cut is confirmed exactly at N-1 and N."""
+    threshold = Fraction(1, 10 ** (digits + 2))
+    n = series.start_index
+    first = series.term_at(n)
+    if first == 0:
+        raise NonAlternating(f"term at n={n} is zero")
+    log_term = math.log10(abs(first.numerator)) - math.log10(first.denominator)
+    steps: list[tuple[int, int]] = []
+    while True:
+        gap = log_term + digits + 2  # estimate of log10(|t(n)| / threshold)
+        if (abs(series.term_at(n)) < threshold) if abs(gap) <= _LOG_SLACK else gap < 0:
             break
-        if mode == EXACT:
-            exact_sum += value
-        else:
-            scaled_sum += math.floor(value * context.scale)
-        terms_used += 1
-        previous = value
-    partial = exact_sum if mode == EXACT else Fraction(scaled_sum, context.scale)
-    return partial, terms_used, tail
+        p, q = series.alternating_step(n)
+        if not steps:  # after the first step, so a concrete violation there wins
+            _require_geometric(series)
+        steps.append((p, q))
+        log_term += math.log10(-p) - math.log10(q)
+        n += 1
+    tail = abs(series.term_at(n))
+    if tail >= threshold or (steps and abs(series.term_at(n - 1)) < threshold):
+        raise TailBoundError(f"stopping index n={n} not confirmed by exact terms")
+    series.alternating_step(n)  # the first omitted term must bound the next
+    return first, steps, tail
 
 
-def _check_ratio_sane(series, n):
-    """At the stopping index the term ratio must have modulus < 1, or the
-    first-omitted-term bound is meaningless."""
-    if len(series.components) != 1:
+def _require_geometric(series: SeriesSpec) -> None:
+    """TailBoundError unless the term ratio tends to a modulus below 1,
+    judged from its leading coefficients in n; otherwise the terms may
+    shrink too slowly for any bounded walk to reach the cut."""
+    ratio = series.term_ratio()
+    (dn, cn), (dd, cd) = (
+        max(((e, c) for (e, k), c in poly.coeffs.items() if k == 0), default=(-1, 0))
+        for poly in (ratio.num, ratio.den)
+    )
+    if dn < dd or (dn == dd and abs(cn) < abs(cd)):
         return
-    try:
-        ratio = series.term_ratio().evaluate(n, 0)
-    except ZeroDivisionError:
-        return
-    if abs(ratio) >= 1:
-        raise MonotonicityViolation(
-            f"term ratio at n={n} has modulus {abs(ratio)} >= 1"
-        )
+    modulus = "infinity" if dn > dd else Fraction(abs(cn), abs(cd))
+    raise TailBoundError(
+        f"term ratio of series {series.name!r} tends to modulus {modulus}, "
+        "not below 1: the series does not converge geometrically"
+    )
 
 
-def truncated_decimal(value: Fraction, places: int) -> str:
+def truncated_decimal(value, places: int) -> str:
     """Decimal string of value truncated (toward zero) to `places`
-    fractional digits."""
-    sign = "-" if value < 0 else ""
-    magnitude = abs(value)
-    integer = magnitude.numerator // magnitude.denominator
+    fractional digits; value is any rational with integer numerator and
+    positive denominator, not necessarily in lowest terms."""
+    sign = "-" if value.numerator < 0 else ""
+    scaled = abs(value.numerator) * 10**places // value.denominator
     if places == 0:
-        return f"{sign}{integer}"
-    scaled = magnitude.numerator * 10**places // magnitude.denominator
-    fractional = scaled - integer * 10**places
-    return f"{sign}{integer}.{fractional:0{places}d}"
+        return sign + int_text(scaled)
+    integer, fractional = divmod(scaled, 10**places)
+    return f"{sign}{int_text(integer)}.{int_text(fractional).zfill(places)}"
+
+
+def int_text(value: int) -> str:
+    """str(value) at any length: an int past CPython's int-to-str limit
+    is split by a power of ten instead of raising ValueError."""
+    if value.bit_length() < _STR_BITS:
+        return str(value)
+    if value < 0:
+        return "-" + int_text(-value)
+    half = math.ceil(value.bit_length() * 0.30103 / 2)
+    high, low = divmod(value, 10**half)
+    return int_text(high) + int_text(low).zfill(half)
+
+
+def fraction_text(value: Fraction) -> str:
+    """str(value), "p/q" or "p", at any length; see int_text."""
+    if value.denominator == 1:
+        return int_text(value.numerator)
+    return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
 
 
 def measure_rate(series: SeriesSpec, n_lo: int, n_hi: int) -> float:
@@ -223,32 +246,3 @@ def compare_series(a: SeriesSpec, b: SeriesSpec, digits: int) -> int:
             break
         agree += 1
     return min(agree, report_a.certified_digits, report_b.certified_digits)
-
-
-def block_partial_sum(series: SeriesSpec, count: int, workers: int = 4) -> Fraction:
-    """Exact partial sum of the first `count` terms, computed as disjoint
-    contiguous index blocks summed concurrently and combined in order.
-    Exact rational addition is associative, so this equals the sequential
-    sum bit-for-bit."""
-    if count < 0:
-        raise DomainError("count must be nonnegative")
-    if workers < 1:
-        raise DomainError("workers must be positive")
-
-    edges = [count * i // workers for i in range(workers + 1)]
-
-    def block(lo: int, hi: int) -> Fraction:
-        total = Fraction(0)
-        if lo == hi:
-            return total
-        for consumed, (_, value) in enumerate(
-            series.terms(first_index=series.start_index + lo)
-        ):
-            if consumed >= hi - lo:
-                break
-            total += value
-        return total
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(block, edges[i], edges[i + 1]) for i in range(workers)]
-        return sum((f.result() for f in futures), Fraction(0))

@@ -1,15 +1,17 @@
-"""Single-variable series built from hypergeometric terms.
-
-A SeriesSpec is a list of one-variable HyperTerm components sharing an
-index n; the series term is the sum of the component values. Catalog
-series have a single component; series produced by telescoping-sum
-rearrangement have two (see wz.accelerate / wz.lhs_series).
+"""Single-variable series of one hypergeometric term t(n), whose ratio
+t(n+1)/t(n) is a rational function of n, and the binary-splitting engine
+(Haible & Papanikolaou, "Fast multiprecision evaluation of series of
+rational numbers", 1998) that sums them: for the steps (1, 1), then the
+ratio at a, ..., b-2 as integers p/q, split_ratios gives
+T/Q = (t(a) + ... + t(b-1))/t(a).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 from .algebra import Polynomial, RationalFunction
@@ -17,7 +19,6 @@ from .errors import (
     DomainError,
     MonotonicityViolation,
     NonAlternating,
-    NotHypergeometric,
     TailBoundError,
 )
 from .terms import HyperTerm
@@ -26,23 +27,39 @@ ALTERNATING = "alternating"
 POSITIVE = "positive"
 
 # how many consecutive terms past the cut to spot-check when using the
-# first-omitted-term bound (a runtime sanity check, not a proof; the
-# summation loop re-checks every term it consumes)
+# first-omitted-term bound (a runtime sanity check, not a proof;
+# precision.sum_to_digits checks every ratio up to the cut)
 _SPOT_CHECK = 8
+
+
+def split_ratios(steps: list[tuple[int, int]]) -> tuple[int, int, int]:
+    """(P, Q, T) for ratio steps (p_i, q_i), q_i > 0: P/Q is the product
+    of all p_i/q_i and T/Q = Σ_i Π_{m≤i} p_m/q_m. Halves combine as
+    P = P1·P2, Q = Q1·Q2, T = T1·Q2 + P1·T2. Nothing is reduced, so the
+    result does not depend on where the tree splits."""
+    if not steps:
+        return 1, 1, 0
+    if len(steps) == 1:
+        p, q = steps[0]
+        return p, q, p
+    mid = len(steps) // 2
+    p1, q1, t1 = split_ratios(steps[:mid])
+    p2, q2, t2 = split_ratios(steps[mid:])
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """A concrete series Σ_{n≥start_index} term_at(n).
+    """A concrete series Σ_{n≥start_index} term(n).
 
     zeta3_multiple records what multiple of the common limit the series
     converges to, so differently normalized series can be compared.
     rate_estimate is the expected asymptotic decimal-digits-per-term
-    (None when unknown).
+    (None when unknown); summation does not use it.
     """
 
     name: str
-    components: tuple[HyperTerm, ...]
+    term: HyperTerm
     start_index: int = 0
     sign_pattern: str = ALTERNATING
     zeta3_multiple: Fraction = Fraction(1)
@@ -53,51 +70,75 @@ class SeriesSpec:
             raise DomainError(
                 f"series {self.name!r} starts at index {self.start_index}, got {n}"
             )
-        return sum((c.value_at(n, 0) for c in self.components), Fraction(0))
+        return self.term.value_at(n, 0)
+
+    @cached_property
+    def _ratio(self) -> RationalFunction:
+        return self.term.shift_ratio(1, 0)
 
     def term_ratio(self) -> RationalFunction:
-        """term_at(n+1)/term_at(n) as a rational function of n.
+        """term_at(n+1)/term_at(n) as a rational function of n."""
+        return self._ratio
 
-        Only defined when the series is a single hypergeometric term.
-        """
-        if len(self.components) != 1:
-            raise NotHypergeometric(
-                f"series {self.name!r} is a sum of {len(self.components)} "
-                "hypergeometric terms; the term ratio is not rational"
+    def ratio_step(self, n: int) -> tuple[int, int]:
+        """The term ratio at n as integers (p, q) in lowest terms with
+        q > 0, or q = 0 where its denominator vanishes (a zero term at n,
+        or a removable singularity)."""
+        p = self._ratio.num.evaluate(n, 0)
+        q = self._ratio.den.evaluate(n, 0)
+        g = math.gcd(p, q) or 1
+        return (-p // g, -q // g) if q < 0 else (p // g, q // g)
+
+    def alternating_step(self, n: int) -> tuple[int, int]:
+        """ratio_step(n) checked to satisfy -q < p < 0 (alternation and
+        strict decrease); needs t(n) != 0."""
+        p, q = self.ratio_step(n)
+        if q == 0:
+            p, q = (self.term_at(n + 1) / self.term_at(n)).as_integer_ratio()
+        if p == 0:
+            raise NonAlternating(f"term at n={n + 1} is zero")
+        if p > 0:
+            raise NonAlternating(f"terms at n={n} and n={n + 1} share a sign")
+        if -p >= q:
+            raise MonotonicityViolation(
+                f"|term| did not decrease from n={n} to n={n + 1}"
             )
-        return self.components[0].shift_ratio(1, 0)
+        return p, q
 
     def terms(self, first_index: int | None = None) -> Iterator[tuple[int, Fraction]]:
         """Yield (index, term value) from first_index (default: the start
-        of the series) onward, forever, via the first-order term
-        recurrences of the components (one rational-function evaluation
-        and one multiply per component per step)."""
+        of the series) onward, forever, via the term ratio; after a zero
+        term or where the ratio is undefined, from term_at."""
         n = self.start_index if first_index is None else first_index
-        if n < self.start_index:
-            raise DomainError(
-                f"series {self.name!r} starts at index {self.start_index}, got {n}"
-            )
-        values = [c.value_at(n, 0) for c in self.components]
-        ratios = [c.shift_ratio(1, 0) for c in self.components]
+        value = self.term_at(n)
         while True:
-            yield n, sum(values, Fraction(0))
-            for i, comp in enumerate(self.components):
-                if values[i] == 0:
-                    values[i] = comp.value_at(n + 1, 0)
-                    continue
-                try:
-                    values[i] *= ratios[i].evaluate(n, 0)
-                except ZeroDivisionError:
-                    values[i] = comp.value_at(n + 1, 0)
+            yield n, value
+            p, q = self.ratio_step(n)
             n += 1
+            value = value * Fraction(p, q) if value and q else self.term_at(n)
 
-    def partial_sum(self, count: int) -> Fraction:
-        """Sum of the first `count` terms."""
+    def partial_sum(self, count: int, first_index: int | None = None) -> Fraction:
+        """Exact sum of `count` terms from first_index (default: the
+        start) by split_ratios; a zero term or an undefined ratio ends a
+        run of steps, and the next run starts from term_at."""
+        if count < 0:
+            raise DomainError("count must be nonnegative")
+        n = self.start_index if first_index is None else first_index
+        end = n + count
         total = Fraction(0)
-        for consumed, (_, value) in enumerate(self.terms()):
-            if consumed >= count:
-                break
-            total += value
+        while n < end:
+            first, steps = self.term_at(n), [(1, 1)]
+            while first and n + 1 < end:
+                p, q = self.ratio_step(n)
+                if q == 0:
+                    break
+                steps.append((p, q))
+                n += 1
+                if p == 0:
+                    break
+            _, big_q, big_t = split_ratios(steps)
+            total += Fraction(first.numerator * big_t, first.denominator * big_q)
+            n += 1
         return total
 
     def tail_bound(self, count: int) -> Fraction:
@@ -113,28 +154,15 @@ class SeriesSpec:
             raise DomainError("tail_bound requires at least one summed term")
         cut = self.start_index + count
         if self.sign_pattern == ALTERNATING:
-            self._check_alternating_window(cut)
-            return abs(self.term_at(cut))
+            first = self.term_at(cut)
+            if first == 0:
+                raise NonAlternating(f"term at n={cut} is zero")
+            for n in range(cut, cut + _SPOT_CHECK - 1):
+                self.alternating_step(n)
+            return abs(first)
         if self.sign_pattern == POSITIVE:
             return self._positive_tail_bound(cut)
         raise TailBoundError(f"unknown sign pattern {self.sign_pattern!r}")
-
-    def _check_alternating_window(self, cut: int) -> None:
-        previous = None
-        for n in range(cut, cut + _SPOT_CHECK):
-            value = self.term_at(n)
-            if value == 0:
-                raise NonAlternating(f"term at n={n} is zero")
-            if previous is not None:
-                if (previous > 0) == (value > 0):
-                    raise NonAlternating(
-                        f"terms at n={n - 1} and n={n} share a sign"
-                    )
-                if abs(value) >= abs(previous):
-                    raise MonotonicityViolation(
-                        f"|term| did not decrease from n={n - 1} to n={n}"
-                    )
-            previous = value
 
     def _positive_tail_bound(self, cut: int) -> Fraction:
         """Compare against C/(n(n+1)...(n+d-1)) for the largest d whose
@@ -145,7 +173,7 @@ class SeriesSpec:
         then by induction t(n) ≤ C/(n···(n+d−1)) with equality at n=cut,
         and the tail telescopes to t(cut)·(cut+d−1)/(d−1).
         """
-        ratio = self.term_ratio()  # NotHypergeometric for multi-term series
+        ratio = self.term_ratio()
         first = self.term_at(cut)
         if first < 0:
             raise TailBoundError(f"term at n={cut} is negative")
@@ -173,21 +201,3 @@ def _shifted_coeffs_nonneg(poly: Polynomial, shift: int) -> bool:
     """True if poly(n + shift) has only nonnegative coefficients — a
     sufficient certificate that poly ≥ 0 for all n ≥ shift."""
     return all(c >= 0 for c in poly.shifted(shift, 0).coeffs.values())
-
-
-def single_term_series(
-    name: str,
-    term: HyperTerm,
-    start_index: int = 0,
-    sign_pattern: str = ALTERNATING,
-    zeta3_multiple: Fraction = Fraction(1),
-    rate_estimate: float | None = None,
-) -> SeriesSpec:
-    return SeriesSpec(
-        name=name,
-        components=(term,),
-        start_index=start_index,
-        sign_pattern=sign_pattern,
-        zeta3_multiple=zeta3_multiple,
-        rate_estimate=rate_estimate,
-    )

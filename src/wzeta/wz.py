@@ -178,15 +178,25 @@ def _zero_free_grid(denominators, need_n: int, need_k: int):
 def accelerate(pair: WZPair) -> SeriesSpec:
     """The diagonal series Σ_{n≥1} b_n, b_n = F(n, n-1) + G(n-1, n-1).
 
-    For a verified pair this has the same limit as Σ_{n≥0} G(n, 0);
+    b_n is built as one hypergeometric term, F(n, n-1)·(1 + R) with the
+    rational R = G(n-1, n-1)/F(n, n-1) (IncompatibleTerms otherwise).
+    For a verified pair the series has the same limit as Σ_{n≥0} G(n, 0);
     for the bundled pairs that limit is 2ζ(3), hence zeta3_multiple=2.
     Verification is the caller's responsibility.
     """
     f_diag = pair.f.specialized((1, 0), (1, -1), n_min=1)  # F(n, n-1)
     g_diag = pair.g.specialized((1, -1), (1, -1), n_min=1)  # G(n-1, n-1)
+    r = cross_ratio(g_diag, f_diag)
     return SeriesSpec(
         name=f"accel({pair.name})",
-        components=(f_diag, g_diag),
+        term=HyperTerm(
+            f_diag.sign_exponent,
+            f_diag.factorials,
+            f_diag.poly_num * (r.den + r.num),
+            f_diag.poly_den * r.den,
+            f_diag.constant,
+            Domain(1, f_diag.domain.constraints + g_diag.domain.constraints),
+        ),
         start_index=1,
         sign_pattern=ALTERNATING,
         zeta3_multiple=Fraction(2),
@@ -199,7 +209,7 @@ def lhs_series(pair: WZPair) -> SeriesSpec:
     g_column = pair.g.specialized((1, 0), (0, 0), n_min=0)  # G(n, 0)
     return SeriesSpec(
         name=f"lhs({pair.name})",
-        components=(g_column,),
+        term=g_column,
         start_index=0,
         sign_pattern=POSITIVE,
         zeta3_multiple=Fraction(2),

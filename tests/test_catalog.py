@@ -1,3 +1,4 @@
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ def test_bundled_entries_agree_pointwise():
     built = catalog.handbuilt_terms()
     for name, text in catalog.parse_entries(catalog.bundled_text()).items():
         parsed = parse_term(text)
-        for n, k in valid_points(parsed, 100, seed=hash(name) % 1000):
+        for n, k in valid_points(parsed, 100, seed=zlib.crc32(name.encode())):
             assert parsed.value_at(n, k) == built[name].value_at(n, k)
 
 

@@ -1,5 +1,13 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath
 import pytest
 
+import wzeta
 from wzeta.catalog import bundled_text
 from wzeta.cli import main
 
@@ -230,3 +238,84 @@ def test_case_insensitive_names(capsys):
     assert out == "1.437\n"
     code, _, _ = run(capsys, "verify", "--pair", "S1", "--nmax", "3")
     assert code == 0
+
+
+# sha256 of stdout, recorded from the term-by-term Fraction summation
+# that binary splitting replaced; exact-mode output must not change
+GOLDEN = {
+    "list": "2dcba1224c2f2ba447862d67e3f4f99784e546802b833f007b0367c6c1c4a2bf",
+    "digits --series s1 --digits 1": "b404add3d53c96e15deadfa3913fbf24a52d24f2c6c2cec626206509118c5848",
+    "digits --series s1 --digits 30": "d2800454de7bd51ee070292bfbb529b0ade5a8e77c966652b3be05fcaa2f67c0",
+    "digits --series s1 --digits 200": "f984439c67e4e30bb66501c3891438fc510c2e8268bb696a1af276a26ac28de0",
+    "digits --series s1 --digits 1000": "65b7418a131ba1fa6678babef2cd51ad61b0e2d0b3ea055f1dd68f2f18f26080",
+    "digits --series s2 --digits 1": "02b5ca34be6203e86ee9d156e4cb330ef50d250f952f1a4aba4ac8935a1ebe69",
+    "digits --series s2 --digits 30": "0419ac4001732b2b25e826b47bc2fee53685f62924b6d837b90e445b1d751613",
+    "digits --series s2 --digits 200": "34c053bd5e6dc98048e804bf3d41bfcb95f829dfb1454e64e3f88e88495f0a5e",
+    "digits --series s2 --digits 1000": "b4eb3b27ac644eacfcee9d7caa5a0b2772f6b028613a0ef2c48e20519fd5e6f7",
+    "digits --series s3 --digits 1": "a483ff81b89fef121c706203b51f6a293ee953f8208ccbf13106d49320921719",
+    "digits --series s3 --digits 30": "fc9dcaa89d9a7550b4cf609a7509c17ce865188978f523774a8355eb39e29ed4",
+    "digits --series s3 --digits 200": "9d8fe4e1e46c9386921c742ed687a97dbdc5ade9dd55590054c0f0b7ca20cc83",
+    "digits --series s3 --digits 1000": "ac89a42a9ee40dd2c45f7b5b1a0faaef073529dca6d47c11fd466c56fd7a0e5f",
+    "accelerate --pair s1 --terms 50": "7f04c7c538dc3d3fe154bd970b17a8532f377e4b537b306ee5ece27ee0d83df6",
+    "verify --pair s2 --symbolic": "a80921ef25a2ef70988a0fe9aa2142db89ef3c17f7375c2b47fae652607161b5",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_stdout(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
+
+def test_digits_past_the_int_str_limit(capsys):
+    # the decimal string and tail_bound= both have more digits than
+    # CPython's default int-to-str limit of 4300
+    assert sys.get_int_max_str_digits() in (0, 4300)
+    code, out, err = run(capsys, "digits", "--series", "s3", "--digits", "4400")
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    with mpmath.workdps(4420):
+        reference = mpmath.nstr(mpmath.zeta(3), 4410, strip_zeros=False)
+    assert lines[0] == reference[:4402]
+    assert lines[4] == "certified_digits=4400"
+
+
+def test_accelerate_past_the_int_str_limit(capsys):
+    # from term 2996 on, the denominators have more than 4300 digits
+    from wzeta import accelerate, load_catalog
+
+    code, out, err = run(capsys, "accelerate", "--pair", "s2", "--terms", "3000")
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 3001
+    value = accelerate(load_catalog().pair_by_name("s2")).term_at(3000)
+    n, text = lines[2999].split()
+    num, den = text.split("/")
+    assert n == "3000" and int(num) == value.numerator and len(den) > 4300
+    head, low = divmod(value.denominator, 10 ** (len(den) - 100))
+    assert den[:100] == str(head)
+    assert den[-100:] == str(low % 10**100).zfill(100)
+    assert lines[-1].endswith("status=ok")
+
+
+def test_non_geometric_series_exits_2_promptly(tmp_path):
+    # terms alternate and decrease, but only like 1/n: no geometric rate
+    text = bundled_text()
+    start = text.index("\ns1 = ") + 1
+    end = text.index("\n", start)
+    path = tmp_path / "slow.txt"
+    path.write_text(text[:start] + "s1 = (-1)^(n+1) / n" + text[end:])
+    env = dict(os.environ, PYTHONPATH=str(Path(wzeta.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "wzeta.cli", "--catalog", str(path),
+         "digits", "--series", "s1", "--digits", "30"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: ") and "modulus 1" in done.stderr

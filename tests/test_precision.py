@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -6,8 +7,13 @@ import pytest
 
 from wzeta import precision
 from wzeta.dsl import parse_term
-from wzeta.errors import DomainError, MonotonicityViolation, NonAlternating
-from wzeta.series import single_term_series
+from wzeta.errors import (
+    DomainError,
+    MonotonicityViolation,
+    NonAlternating,
+    TailBoundError,
+)
+from wzeta.series import SeriesSpec
 
 
 def reference_digits(count):
@@ -62,14 +68,20 @@ def test_scaled_mode_agrees_with_exact(cat):
         assert scaled.rounding_bound > 0
 
 
-def test_scaled_rounding_bound_is_terms_over_scale(cat):
-    series = cat.series_by_name("s1")
-    report = precision.sum_to_digits(series, 30, mode="scaled")
-    estimate = precision._estimated_terms(series, 30)
-    assert report.terms_used <= estimate  # rate estimate was adequate
-    guard = 10 + math.ceil(math.log10(estimate))
-    assert report.rounding_bound == Fraction(report.terms_used, 10 ** (30 + guard))
-    assert report.rounding_bound < Fraction(1, 10**35)
+def test_scaled_rounding_bound_is_one_over_scale(cat):
+    for name in ("s1", "s2", "s3"):
+        series = cat.series_by_name(name)
+        report = precision.sum_to_digits(series, 30, mode="scaled")
+        scale = 1 / report.rounding_bound
+        assert scale.denominator == 1
+        assert scale.numerator >= 10 ** (30 + 10)
+        assert str(scale.numerator).rstrip("0") == "1"  # a power of ten
+        exact = series.partial_sum(report.terms_used)
+        scaled = Fraction(math.floor(exact * scale), scale)
+        assert scaled <= exact < scaled + report.rounding_bound
+        assert report.decimal_string == precision.truncated_decimal(
+            scaled, report.certified_digits
+        )
 
 
 def test_monotone_refinement(cat):
@@ -82,16 +94,18 @@ def test_monotone_refinement(cat):
         previous = report
 
 
-def test_guard_recompute_on_unknown_rate(cat):
-    # a series with no rate estimate starts from a 64-term guess; at 60
-    # digits the fast series needs more, forcing the scaled path to re-run
+def test_accelerated_series_certifies_in_both_modes(cat):
+    # the merged diagonal series has no rate estimate; summation needs none
     from wzeta import accelerate
 
     fast = accelerate(cat.pair_by_name("s1"))
     assert fast.rate_estimate is None
-    report = precision.sum_to_digits(fast, 60, mode="scaled")
-    assert report.terms_used > 64
-    assert report.decimal_string[:22] == "2.40411380631918857079"  # 2*zeta(3)
+    with mpmath.workdps(80):
+        twice = mpmath.nstr(2 * mpmath.zeta(3), 70, strip_zeros=False)
+    for mode in ("exact", "scaled"):
+        report = precision.sum_to_digits(fast, 60, mode=mode)
+        assert report.certified_digits == 60
+        assert report.decimal_string == twice[:62]
 
 
 def test_report_serialization(cat):
@@ -123,13 +137,29 @@ def test_rejects_non_alternating_series(cat):
 
 
 def test_rejects_growing_terms():
-    series = single_term_series("grow", parse_term("(-1)^n * (n+1)"))
+    series = SeriesSpec("grow", parse_term("(-1)^n * (n+1)"))
     with pytest.raises(MonotonicityViolation):
         precision.sum_to_digits(series, 5)
 
 
+def test_rejects_non_geometric_series():
+    # alternating and decreasing at every index, but the ratio tends to -1
+    series = SeriesSpec("slow", parse_term("(-1)^(n+1) / n"), start_index=1)
+    with pytest.raises(TailBoundError, match="modulus 1"):
+        precision.sum_to_digits(series, 30)
+
+
+def test_checks_cover_every_index_before_the_cut():
+    # terms alternate and decrease up to n=50, then t(50), t(51) are both
+    # negative; the cut at 80 digits lies past n=60
+    series = SeriesSpec("late", parse_term("(-1)^n * (2*n-101) / n!"))
+    with pytest.raises(NonAlternating, match="n=50 and n=51"):
+        precision.sum_to_digits(series, 80)
+
+
 def test_truncated_decimal():
     assert precision.truncated_decimal(Fraction(1999, 1000), 3) == "1.999"
+    assert precision.truncated_decimal(precision._Unreduced(3998, 2000), 3) == "1.999"
     assert precision.truncated_decimal(Fraction(19999, 10000), 3) == "1.999"
     assert precision.truncated_decimal(Fraction(-1, 3), 4) == "-0.3333"
     assert precision.truncated_decimal(Fraction(7), 0) == "7"
@@ -168,12 +198,20 @@ def test_measure_rate_bad_range(cat):
         precision.measure_rate(series, 10, 10)
 
 
-def test_block_partial_sum_matches_sequential(cat):
-    series = cat.series_by_name("s1")
-    for count, workers in ((50, 4), (37, 5), (3, 8), (0, 2)):
-        assert precision.block_partial_sum(series, count, workers) == (
-            series.partial_sum(count)
-        )
+@pytest.mark.parametrize(
+    "value",
+    [0, 7, -7, 10**4299, 10**4300 - 1, 3**20000, -(7**9000), 10**12000],
+    ids=["0", "7", "-7", "10^4299", "10^4300-1", "3^20000", "-7^9000", "10^12000"],
+)
+def test_int_text_matches_str_past_the_limit(value):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the reference only; restored below
+    try:
+        expected = str(value), str(Fraction(value, 3))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert precision.int_text(value) == expected[0]
+    assert precision.fraction_text(Fraction(value, 3)) == expected[1]
 
 
 def test_precision_context_invariants():

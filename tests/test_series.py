@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,15 +10,20 @@ from wzeta.errors import (
     DomainError,
     MonotonicityViolation,
     NonAlternating,
-    NotHypergeometric,
     TailBoundError,
 )
-from wzeta.series import ALTERNATING, POSITIVE, SeriesSpec, single_term_series
+from wzeta.series import ALTERNATING, POSITIVE, SeriesSpec, split_ratios
 from wzeta import accelerate
 
 
 def alt_series(text, start=0, **kwargs):
-    return single_term_series("t", parse_term(text), start_index=start, **kwargs)
+    return SeriesSpec("t", parse_term(text), start_index=start, **kwargs)
+
+
+def sequential_sum(series, count, first_index=None):
+    """Reference: one exact Fraction addition per term."""
+    first = series.start_index if first_index is None else first_index
+    return sum((series.term_at(n) for n in range(first, first + count)), Fraction(0))
 
 
 @pytest.mark.parametrize("name", ["s1", "s2", "s3", "lhs_s1", "lhs_s2"])
@@ -67,16 +73,56 @@ def test_partial_sum(cat):
     series = cat.series_by_name("s1")
     assert series.partial_sum(2) == Fraction(5, 4) - Fraction(5, 96)
     assert series.partial_sum(0) == 0
+    with pytest.raises(DomainError):
+        series.partial_sum(-1)
 
 
-def test_multi_component_series_has_no_single_ratio(cat):
-    fast = accelerate(cat.pair_by_name("s1"))
-    assert len(fast.components) == 2
-    with pytest.raises(NotHypergeometric):
-        fast.term_ratio()
-    # but terms still come from per-component recurrences
-    for n, value in itertools.islice(fast.terms(), 30):
-        assert value == fast.term_at(n)
+def test_partial_sum_matches_sequential(cat):
+    for name in ("s1", "s2", "s3", "lhs_s1", "lhs_s2"):
+        series = cat.series_by_name(name)
+        for count in (1, 2, 3, 17, 64, 129):
+            assert series.partial_sum(count) == sequential_sum(series, count)
+        first = series.start_index + 11
+        assert series.partial_sum(40, first_index=first) == (
+            sequential_sum(series, 40, first_index=first)
+        )
+
+
+def test_split_ratios_matches_a_left_fold():
+    rng = random.Random(7)
+    steps = [(rng.randrange(-50, 50), rng.randrange(1, 50)) for _ in range(45)]
+    for size in range(len(steps) + 1):
+        total, running = Fraction(0), Fraction(1)
+        for p, q in steps[:size]:
+            running *= Fraction(p, q)
+            total += running
+        big_p, big_q, big_t = split_ratios(steps[:size])
+        assert Fraction(big_p, big_q) == running
+        assert Fraction(big_t, big_q) == total
+
+
+def test_partial_sum_restarts_at_a_zero_term():
+    # t(5) = 0, so the ratio is undefined at n=5 and the product chain
+    # must restart from t(6)
+    series = alt_series("(-1)^n * (n-5) / n!")
+    assert series.term_at(5) == 0 and series.term_at(6) != 0
+    assert series.ratio_step(5)[1] == 0
+    for count in (5, 6, 7, 12, 30):
+        assert series.partial_sum(count) == sequential_sum(series, count)
+    assert series.partial_sum(4, first_index=5) == sequential_sum(series, 4, 5)
+
+
+def test_accelerated_term_is_the_diagonal_sum(cat):
+    for name in ("s1", "s2"):
+        pair = cat.pair_by_name(name)
+        f, g = pair.f, pair.g
+        fast = accelerate(pair)
+        for n in range(1, 201):
+            assert fast.term_at(n) == f.value_at(n, n - 1) + g.value_at(n - 1, n - 1)
+        ratio = fast.term_ratio()  # exists: the series is one term
+        for n, value in itertools.islice(fast.terms(), 40):
+            assert value == fast.term_at(n)
+            assert fast.term_at(n + 1) == ratio.evaluate(n, 0) * value
 
 
 def test_alternating_tail_bound_is_first_omitted_term(cat):
