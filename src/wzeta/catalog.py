@@ -1,9 +1,8 @@
 """Named, ready-to-use series and pairs.
 
 The definitions live as expression text in data/catalog.txt and are
-parsed at load time; hand-built equivalents below guard against parser
-regressions (the bundled load silently falls back to them, a user-supplied
-file never does). Series metadata — start index, sign pattern, limit
+parsed at load time; a parse failure is raised, for the bundled file as
+for a replacement. Series metadata — start index, sign pattern, limit
 multiple and the measured digits-per-term rate — is code, not data.
 """
 
@@ -14,15 +13,12 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .algebra import LinearForm, Polynomial
-from .errors import CatalogError, ParseError, StructureError
+from .algebra import LinearForm
+from .errors import CatalogError
 from .series import ALTERNATING, POSITIVE, SeriesSpec
-from .terms import Domain, HyperTerm
+from .terms import Domain
 from .wz import WZPair
 from . import dsl
-
-_N = LinearForm(1, 0, 0)
-_K = LinearForm(0, 1, 0)
 
 _PAIR_NAMES = ("s1", "s2")
 _SERIES_NAMES = ("s1", "s2", "s3", "lhs_s1", "lhs_s2")
@@ -43,82 +39,6 @@ _PAIR_S = {"s1": 1, "s2": 2}
 def pair_domain(s: int) -> Domain:
     """Verification region for a family-s pair: n ≥ 1, 0 ≤ k ≤ s·n − 1."""
     return Domain(n_min=1, constraints=(LinearForm(0, 1, 0), LinearForm(s, -1, -1)))
-
-
-def _forms_product(*factors: tuple[LinearForm, int]) -> Polynomial:
-    result = Polynomial.const(1)
-    for form, power in factors:
-        result = result * form.to_polynomial() ** power
-    return result
-
-
-def handbuilt_terms() -> dict[str, HyperTerm]:
-    """The catalog entries built directly from the term model (no parser)."""
-    k_plus_1 = LinearForm(0, 1, 1).to_polynomial()
-    return {
-        "f_s1": HyperTerm(
-            _K,
-            ((_K, 2), (LinearForm(1, -1, -1), 1), (LinearForm(1, 1, 1), -1)),
-            poly_den=k_plus_1,
-        ),
-        "g_s1": HyperTerm(
-            _K,
-            ((_K, 2), (LinearForm(1, -1, 0), 1), (LinearForm(1, 1, 1), -1)),
-            poly_den=_forms_product((LinearForm(1, 0, 1), 2)),
-            constant=Fraction(2),
-        ),
-        "f_s2": HyperTerm(
-            _K,
-            ((_K, 2), (LinearForm(2, -1, -1), 1), (LinearForm(2, 1, 1), -1)),
-            poly_den=k_plus_1,
-        ),
-        "g_s2": HyperTerm(
-            _K,
-            ((_K, 2), (LinearForm(2, -1, 0), 1), (LinearForm(2, 1, 2), -1)),
-            poly_num=_forms_product((LinearForm(4, 0, 3), 1))
-            * Polynomial({(2, 0): 4, (1, 0): 6, (0, 1): 1, (0, 0): 3}),
-            poly_den=_forms_product((LinearForm(1, 0, 1), 2), (LinearForm(2, 0, 1), 2)),
-            constant=Fraction(1, 2),
-        ),
-        "s1": HyperTerm(
-            LinearForm(1, 0, 1),
-            ((_N, 2), (LinearForm(2, 0, 0), -1)),
-            poly_den=_forms_product((_N, 3)),
-            constant=Fraction(5, 2),
-        ),
-        "s2": HyperTerm(
-            LinearForm(1, 0, 1),
-            ((_N, 3), (LinearForm(3, 0, 0), -1)),
-            poly_num=Polynomial({(2, 0): 56, (1, 0): -32, (0, 0): 5}),
-            poly_den=_forms_product((LinearForm(2, 0, -1), 2), (_N, 3)),
-            constant=Fraction(1, 4),
-        ),
-        "s3": HyperTerm(
-            _N,
-            ((_N, 2), (LinearForm(2, 0, 0), 1), (LinearForm(4, 0, 0), -1)),
-            poly_num=Polynomial(
-                {(4, 0): 5265, (3, 0): 13878, (2, 0): 13761, (1, 0): 6120, (0, 0): 1040}
-            ),
-            poly_den=_forms_product(
-                (LinearForm(4, 0, 1), 1),
-                (LinearForm(4, 0, 3), 1),
-                (LinearForm(1, 0, 1), 1),
-                (LinearForm(3, 0, 1), 2),
-                (LinearForm(3, 0, 2), 2),
-            ),
-            constant=Fraction(1, 72),
-        ),
-        "lhs_s1": HyperTerm(
-            poly_den=_forms_product((LinearForm(1, 0, 1), 3)),
-            constant=Fraction(2),
-        ),
-        "lhs_s2": HyperTerm(
-            poly_num=_forms_product((LinearForm(4, 0, 3), 1))
-            * Polynomial({(2, 0): 4, (1, 0): 6, (0, 0): 3}),
-            poly_den=_forms_product((LinearForm(1, 0, 1), 3), (LinearForm(2, 0, 1), 3)),
-            constant=Fraction(1, 4),
-        ),
-    }
 
 
 @dataclass(frozen=True)
@@ -183,11 +103,8 @@ def load_catalog(path: str | None = None) -> Catalog:
     """Build the catalog from the bundled data file or a replacement.
 
     A replacement file must define exactly the bundled entry names (the
-    metadata attached to each name is fixed). Parse failures in a user
-    file are raised; in the bundled file they fall back to the hand-built
-    terms so a parser bug cannot take the catalog down.
+    metadata attached to each name is fixed). Parse failures are raised.
     """
-    lenient = path is None
     text = bundled_text() if path is None else Path(path).read_text()
     entries = parse_entries(text)
 
@@ -198,15 +115,7 @@ def load_catalog(path: str | None = None) -> Catalog:
     if unknown:
         raise CatalogError(f"catalog has unknown entries: {', '.join(unknown)}")
 
-    fallback = handbuilt_terms() if lenient else {}
-    terms: dict[str, HyperTerm] = {}
-    for name, expr in entries.items():
-        try:
-            terms[name] = dsl.parse_term(expr)
-        except (ParseError, StructureError):
-            if not lenient:
-                raise
-            terms[name] = fallback[name]
+    terms = {name: dsl.parse_term(expr) for name, expr in entries.items()}
 
     series = {
         name: SeriesSpec(name, terms[name], *_SERIES_META[name])

@@ -19,6 +19,9 @@ from .errors import WZetaError
 
 _COMPARE_DECIMALS = 30
 _COMPARE_LHS_TERMS = 300
+# largest grid `verify` checks; s2, the slower pair, takes 32 to 38 s at
+# this size (n <= 386) on a 2-vCPU machine
+_MAX_GRID_POINTS = 150_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,7 +48,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check the pair identity")
     p_verify.add_argument("--pair", required=True, help="pair name (s1 or s2)")
-    p_verify.add_argument("--nmax", type=int, default=30, metavar="N")
+    p_verify.add_argument(
+        "--nmax",
+        type=int,
+        default=30,
+        metavar="N",
+        help=f"check every point with n <= N (default 30); grids of more "
+        f"than {_MAX_GRID_POINTS} points are refused",
+    )
     p_verify.add_argument(
         "--symbolic",
         action="store_true",
@@ -53,7 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_accel = sub.add_parser(
-        "accelerate", help="print the diagonal series of a pair"
+        "accelerate",
+        help="prove a pair symbolically, then print its diagonal series",
     )
     p_accel.add_argument("--pair", required=True)
     p_accel.add_argument("--terms", required=True, type=int, metavar="T")
@@ -90,6 +101,12 @@ def _cmd_verify(cat, args) -> int:
     if args.symbolic:
         report = wz.verify_symbolic(pair)
     else:
+        points = wz.grid_points(pair, args.nmax, stop_above=_MAX_GRID_POINTS)
+        if points > _MAX_GRID_POINTS:
+            raise WZetaError(
+                f"--nmax {args.nmax} gives a grid of more than "
+                f"{_MAX_GRID_POINTS} points (the limit)"
+            )
         report = wz.verify_grid(pair, args.nmax)
     print(report.serialize())
     print("PASS" if report.outcome == "pass" else "FAIL")
@@ -100,6 +117,15 @@ def _cmd_accelerate(cat, args) -> int:
     if args.terms < 1:
         raise WZetaError("--terms must be at least 1")
     pair = cat.pair_by_name(args.pair)
+    proof = wz.verify_symbolic(pair)
+    if proof.outcome != "pass":
+        bad = proof.first_failure
+        print(
+            f"error: pair {pair.name} is refuted: the symbolic check fails "
+            f"at (n={bad.n}, k={bad.k}), so it is not accelerated",
+            file=sys.stderr,
+        )
+        return 1
     series = wz.accelerate(pair)
     for n, value in itertools.islice(series.terms(), args.terms):
         print(f"{n} {precision.fraction_text(value)}")

@@ -97,7 +97,7 @@ def sum_to_digits(series: SeriesSpec, digits: int, mode: str = EXACT) -> EvalRep
         raise DomainError("digits must be at least 1")
 
     first, steps, tail = _walk_to_cut(series, digits)
-    _, big_q, big_t = split_ratios([(1, 1)] + steps[:-1] if steps else [])
+    big_q, big_t = split_ratios([(1, 1)] + steps[:-1] if steps else [])
     partial = _Unreduced(first.numerator * big_t, first.denominator * big_q)
     rounding = Fraction(0)
     if mode == SCALED:

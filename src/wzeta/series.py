@@ -32,20 +32,28 @@ POSITIVE = "positive"
 _SPOT_CHECK = 8
 
 
-def split_ratios(steps: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """(P, Q, T) for ratio steps (p_i, q_i), q_i > 0: P/Q is the product
-    of all p_i/q_i and T/Q = Σ_i Π_{m≤i} p_m/q_m. Halves combine as
+def split_ratios(steps: list[tuple[int, int]]) -> tuple[int, int]:
+    """(Q, T) for ratio steps (p_i, q_i), q_i > 0: Q is the product of
+    all q_i and T/Q = Σ_i Π_{m≤i} p_m/q_m. Halves combine as
     P = P1·P2, Q = Q1·Q2, T = T1·Q2 + P1·T2. Nothing is reduced, so the
     result does not depend on where the tree splits."""
+    _, big_q, big_t = _split(steps, need_p=False)
+    return big_q, big_t
+
+
+def _split(steps, need_p: bool):
+    """(P, Q, T) of split_ratios, with P = Π p_i left as None unless
+    need_p: only left halves feed their P into a merge, so the P of the
+    whole and of every right half below it is never formed."""
     if not steps:
         return 1, 1, 0
     if len(steps) == 1:
         p, q = steps[0]
         return p, q, p
     mid = len(steps) // 2
-    p1, q1, t1 = split_ratios(steps[:mid])
-    p2, q2, t2 = split_ratios(steps[mid:])
-    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+    p1, q1, t1 = _split(steps[:mid], need_p=True)
+    p2, q2, t2 = _split(steps[mid:], need_p)
+    return (p1 * p2 if need_p else None), q1 * q2, t1 * q2 + p1 * t2
 
 
 @dataclass(frozen=True)
@@ -136,7 +144,7 @@ class SeriesSpec:
                 n += 1
                 if p == 0:
                     break
-            _, big_q, big_t = split_ratios(steps)
+            big_q, big_t = split_ratios(steps)
             total += Fraction(first.numerator * big_t, first.denominator * big_q)
             n += 1
         return total

@@ -36,11 +36,6 @@ class Domain:
     n_min: int | None = None
     constraints: tuple[LinearForm, ...] = ()
 
-    def contains(self, n: int, k: int = 0) -> bool:
-        if self.n_min is not None and n < self.n_min:
-            return False
-        return all(form.value(n, k) >= 0 for form in self.constraints)
-
     def k_range(self, n: int) -> tuple[int, int] | None:
         """Inclusive k interval at fixed n, or None if empty.
 
@@ -88,7 +83,7 @@ class HyperTerm:
     """
 
     __slots__ = ("sign_exponent", "factorials", "poly_num", "poly_den",
-                 "constant", "domain", "_key")
+                 "constant", "domain", "_key", "_plan")
 
     def __init__(
         self,
@@ -146,6 +141,18 @@ class HyperTerm:
         object.__setattr__(
             self, "_key", (sign, tuple(kept), poly_num, poly_den, constant)
         )
+        # value_at's inputs as plain integers: domain bounds, factorial
+        # forms with exponents, sign form, polynomial terms, constant
+        object.__setattr__(self, "_plan", (
+            domain.n_min,
+            tuple((f.a, f.b, f.c) for f in domain.constraints),
+            tuple((f, f.a, f.b, f.c, e) for f, e in kept),
+            (sign.a, sign.b, sign.c),
+            _poly_terms(poly_num),
+            _poly_terms(poly_den),
+            constant.numerator,
+            constant.denominator,
+        ))
 
     def __setattr__(self, name, value):
         raise AttributeError("HyperTerm is immutable")
@@ -162,25 +169,33 @@ class HyperTerm:
 
     def value_at(self, n: int, k: int = 0) -> Fraction:
         """Exact value at an integer point; DomainError outside the domain."""
-        if not self.domain.contains(n, k):
+        n_min, bounds, factorials, sign, num_terms, den_terms, c_num, c_den = self._plan
+        if n_min is not None and n < n_min:
             raise DomainError(f"(n={n}, k={k}) outside term domain")
-        numerator = 1
-        denominator = 1
-        for form, exp in self.factorials:
-            arg = form.value(n, k)
+        for a, b, c in bounds:
+            if a * n + b * k + c < 0:
+                raise DomainError(f"(n={n}, k={k}) outside term domain")
+        numerator = c_num
+        denominator = c_den
+        for form, a, b, c, exp in factorials:
+            arg = a * n + b * k + c
             if arg < 0:
                 raise DomainError(f"factorial argument {form} = {arg} < 0 at (n={n}, k={k})")
             if exp > 0:
                 numerator *= math.factorial(arg) ** exp
             else:
                 denominator *= math.factorial(arg) ** (-exp)
-        den_val = self.poly_den.evaluate(n, k)
+        den_val = 0
+        for coef, en, ek in den_terms:
+            den_val += coef * n**en * k**ek
         if den_val == 0:
             raise DomainError(f"denominator polynomial vanishes at (n={n}, k={k})")
-        numerator *= self.poly_num.evaluate(n, k)
-        if self.sign_exponent.value(n, k) % 2:
-            numerator = -numerator
-        return self.constant * Fraction(numerator, denominator * den_val)
+        num_val = 0
+        for coef, en, ek in num_terms:
+            num_val += coef * n**en * k**ek
+        if (sign[0] * n + sign[1] * k + sign[2]) % 2:
+            num_val = -num_val
+        return Fraction(numerator * num_val, denominator * den_val)
 
     def shifted(self, dn: int, dk: int) -> "HyperTerm":
         return HyperTerm(
@@ -220,6 +235,11 @@ class HyperTerm:
         from .dsl import render_term
 
         return f"HyperTerm({render_term(self)!r})"
+
+
+def _poly_terms(poly: Polynomial) -> tuple[tuple[int, int, int], ...]:
+    """(coefficient, deg_n, deg_k) per monomial."""
+    return tuple((c, en, ek) for (en, ek), c in poly.coeffs.items())
 
 
 def _factorial_quotient(num_factorials, den_factorials):

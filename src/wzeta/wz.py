@@ -75,26 +75,62 @@ class VerifyReport:
 
 def verify_grid(pair: WZPair, n_max: int) -> VerifyReport:
     """Check the pair identity exactly at every point of check_domain
-    with n ≤ n_max."""
+    with n ≤ n_max.
+
+    The grid is swept row by row, and each F and G value is computed
+    once: the F(n+1, k) of row n are row n+1's F(n, k), and G(n, k+1) at
+    one point is G(n, k) at the next. Values are requested in the order
+    F(n+1,k), F(n,k), G(n,k+1), G(n,k), skipping those already known, so
+    a DomainError names the same point as a point-by-point check would.
+    """
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
+    f, g = pair.f, pair.g
     domain = pair.check_domain
     n_start = domain.n_min if domain.n_min is not None else 0
     checked = 0
     failures = []
+    f_row: dict[int, Fraction] = {}  # k -> F(n, k), kept from row n-1
     for n in range(n_start, n_max + 1):
         k_range = domain.k_range(n)
         if k_range is None:
+            f_row = {}
             continue
         lo, hi = k_range
+        f_next = {}
         for k in range(lo, hi + 1):
-            lhs = pair.f.value_at(n + 1, k) - pair.f.value_at(n, k)
-            rhs = pair.g.value_at(n, k + 1) - pair.g.value_at(n, k)
+            f_up = f_next[k] = f.value_at(n + 1, k)
+            f_here = f_row.pop(k, None)
+            if f_here is None:
+                f_here = f.value_at(n, k)
+            g_up = g.value_at(n, k + 1)
+            if k == lo:
+                g_here = g.value_at(n, k)
+            lhs = f_up - f_here
+            rhs = g_up - g_here
             checked += 1
             if lhs != rhs:
                 failures.append(FailurePoint(n, k, lhs, rhs))
+            g_here = g_up
+        f_row = f_next
     outcome = "pass" if not failures else "fail"
     return VerifyReport("grid", outcome, checked, failures=tuple(failures))
+
+
+def grid_points(pair: WZPair, n_max: int, stop_above: int) -> int:
+    """How many points verify_grid(pair, n_max) checks, counted from
+    check_domain.k_range without evaluating a term. Counting ends as soon
+    as the count passes stop_above, so a huge n_max returns promptly."""
+    domain = pair.check_domain
+    n_start = domain.n_min if domain.n_min is not None else 0
+    count = 0
+    for n in range(n_start, n_max + 1):
+        k_range = domain.k_range(n)
+        if k_range is not None:
+            count += k_range[1] - k_range[0] + 1
+            if count > stop_above:
+                break
+    return count
 
 
 def certificate(pair: WZPair) -> RationalFunction:

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import valid_points
+from handbuilt import handbuilt_terms
 
 from wzeta import (
     accelerate,
@@ -22,7 +23,7 @@ from wzeta import (
     verify_symbolic,
 )
 from wzeta.algebra import LinearForm, Polynomial, RationalFunction
-from wzeta.catalog import bundled_text, handbuilt_terms, parse_entries
+from wzeta.catalog import bundled_text, parse_entries
 from wzeta.errors import ParseError
 
 CAT = load_catalog()

@@ -8,10 +8,11 @@ from wzeta.dsl import parse_term
 from wzeta.errors import CatalogError, ParseError
 
 from conftest import valid_points
+from handbuilt import handbuilt_terms
 
 
 def test_bundled_entries_parse_to_handbuilt_terms():
-    built = catalog.handbuilt_terms()
+    built = handbuilt_terms()
     entries = catalog.parse_entries(catalog.bundled_text())
     assert set(entries) == set(built)
     for name, text in entries.items():
@@ -19,7 +20,7 @@ def test_bundled_entries_parse_to_handbuilt_terms():
 
 
 def test_bundled_entries_agree_pointwise():
-    built = catalog.handbuilt_terms()
+    built = handbuilt_terms()
     for name, text in catalog.parse_entries(catalog.bundled_text()).items():
         parsed = parse_term(text)
         for n, k in valid_points(parsed, 100, seed=zlib.crc32(name.encode())):
@@ -96,7 +97,6 @@ def test_replacement_catalog_unknown_entry(tmp_path):
 
 
 def test_replacement_catalog_parse_error_is_loud(tmp_path):
-    # parse failures fall back to hand-built terms only for the bundled file
     text = catalog.bundled_text().replace("lhs_s1 = 2 / (n+1)^3", "lhs_s1 = 2n")
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -108,3 +108,11 @@ def test_pair_domains(cat):
     assert cat.pair_by_name("s1").check_domain.k_range(4) == (0, 3)
     assert cat.pair_by_name("s2").check_domain.k_range(4) == (0, 7)
     assert cat.pair_by_name("s2").s == 2
+
+
+def test_bundled_catalog_parse_error_is_loud(monkeypatch):
+    # no fallback: a parse failure in the bundled file is raised too
+    broken = catalog.bundled_text().replace("lhs_s1 = 2 / (n+1)^3", "lhs_s1 = 2n")
+    monkeypatch.setattr(catalog, "bundled_text", lambda: broken)
+    with pytest.raises(ParseError):
+        catalog.load_catalog()

@@ -107,6 +107,36 @@ def test_verify_failure_reports_points_and_exits_1(capsys, broken_catalog):
     assert first_bad[:2] == ["1", "0"] and first_bad[-1] == "fail"
 
 
+def test_verify_grid_over_the_cap_exits_2_promptly(cat):
+    # for each pair, the smallest --nmax whose grid passes the cap
+    from wzeta.cli import _MAX_GRID_POINTS
+    from wzeta.wz import grid_points
+
+    env = dict(os.environ, PYTHONPATH=str(Path(wzeta.__file__).parents[1]))
+    for name in ("s1", "s2"):
+        pair = cat.pair_by_name(name)
+        n_max = 1
+        while grid_points(pair, n_max, _MAX_GRID_POINTS) <= _MAX_GRID_POINTS:
+            n_max += 1
+        assert grid_points(pair, n_max - 1, _MAX_GRID_POINTS) > 0.99 * _MAX_GRID_POINTS
+        done = subprocess.run(
+            [sys.executable, "-m", "wzeta.cli", "verify", "--pair", name,
+             "--nmax", str(n_max)],
+            capture_output=True, text=True, env=env, timeout=5,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: ") and str(_MAX_GRID_POINTS) in done.stderr
+
+
+def test_verify_grid_with_a_huge_nmax_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--pair", "s2", "--nmax", str(10**18))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_symbolic_failure_exits_1(capsys, broken_catalog):
     code, out, _ = run(
         capsys, "--catalog", broken_catalog, "verify", "--pair", "s1", "--symbolic"
@@ -140,6 +170,16 @@ def test_accelerate_term_values_match_library(capsys):
         assert line == f"{n} {value}"
     assert lines[0] == "1 29/12"
     assert lines[-1].endswith("status=ok")
+
+
+def test_accelerate_refuses_a_refuted_pair(capsys, broken_catalog):
+    code, out, err = run(
+        capsys, "--catalog", broken_catalog, "accelerate", "--pair", "s1", "--terms", "3"
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: pair s1 is refuted")
 
 
 def test_accelerate_rejects_zero_terms(capsys):
@@ -214,6 +254,18 @@ def test_malformed_catalog_file_exits_2(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+def test_bundled_catalog_parse_error_exits_2(capsys, monkeypatch):
+    from wzeta import catalog
+
+    broken = bundled_text().replace("lhs_s1 = 2 / (n+1)^3", "lhs_s1 = 2n")
+    monkeypatch.setattr(catalog, "bundled_text", lambda: broken)
+    code, out, err = run(capsys, "list")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "offset" in err
+
+
 def test_replacement_catalog_is_used(capsys, tmp_path):
     path = tmp_path / "same.txt"
     path.write_text(bundled_text())
@@ -241,7 +293,9 @@ def test_case_insensitive_names(capsys):
 
 
 # sha256 of stdout, recorded from the term-by-term Fraction summation
-# that binary splitting replaced; exact-mode output must not change
+# that binary splitting replaced and from the point-by-point grid check
+# that the row sweep replaced; the output must not change. {broken} is
+# the broken_catalog file, and its grid check exits 1.
 GOLDEN = {
     "list": "2dcba1224c2f2ba447862d67e3f4f99784e546802b833f007b0367c6c1c4a2bf",
     "digits --series s1 --digits 1": "b404add3d53c96e15deadfa3913fbf24a52d24f2c6c2cec626206509118c5848",
@@ -258,13 +312,16 @@ GOLDEN = {
     "digits --series s3 --digits 1000": "ac89a42a9ee40dd2c45f7b5b1a0faaef073529dca6d47c11fd466c56fd7a0e5f",
     "accelerate --pair s1 --terms 50": "7f04c7c538dc3d3fe154bd970b17a8532f377e4b537b306ee5ece27ee0d83df6",
     "verify --pair s2 --symbolic": "a80921ef25a2ef70988a0fe9aa2142db89ef3c17f7375c2b47fae652607161b5",
+    "verify --pair s1 --nmax 60": "42ca185fd8d69911d0939fb8e15af09e05e49641ae19c6d64e940f9ddec53b7f",
+    "verify --pair s2 --nmax 40": "2f4322ee31d4fb077c0cf1556cd53031629e811737e495f2e0c1bc6e7dcf4a58",
+    "--catalog {broken} verify --pair s1 --nmax 12": "846d07a59499459204e1d43e8570d6ded4a744713fa05fbee16941325f871dd3",
 }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_golden_stdout(capsys, command):
-    code, out, err = run(capsys, *command.split())
-    assert code == 0
+def test_golden_stdout(capsys, broken_catalog, command):
+    code, out, err = run(capsys, *command.format(broken=broken_catalog).split())
+    assert code == (1 if "{broken}" in command else 0)
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
 

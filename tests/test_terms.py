@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wzeta.algebra import LinearForm, Polynomial
 from wzeta.errors import DomainError, IncompatibleTerms
@@ -185,9 +187,8 @@ def test_domain_k_range():
     dom = Domain(n_min=1, constraints=(LinearForm(0, 1, 0), LinearForm(2, -1, -1)))
     assert dom.k_range(1) == (0, 1)
     assert dom.k_range(3) == (0, 5)
-    assert dom.contains(2, 3)
-    assert not dom.contains(2, 4)
-    assert not dom.contains(0, 0)
+    assert dom.k_range(2) == (0, 3)
+    assert dom.k_range(0) is None  # below n_min
 
 
 def test_domain_k_range_unbounded():
@@ -206,3 +207,96 @@ def test_term_equality_and_hash():
     b = f_term(1)
     assert a == b and hash(a) == hash(b)
     assert a != f_term(2)
+
+
+@st.composite
+def term_cases(draw):
+    """(term inputs, point): random sign form, factorials with exponents
+    of either sign, polynomials in n and k, a rational constant and a
+    domain that may omit some factorial arguments."""
+    small = st.integers(-2, 2)
+    sign = LinearForm(draw(small), draw(small), draw(small))
+    factorials = []
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.integers(0, 2)), draw(small)
+        c = draw(st.integers(0 if a == b == 0 else -3, 3))
+        factorials.append((LinearForm(a, b, c), draw(st.integers(-3, 3))))
+    monomials = st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-6, 6), max_size=3
+    )
+    num = draw(monomials)
+    den = draw(monomials.filter(lambda coeffs: any(coeffs.values())))
+    constant = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+    kept = [form for form, _ in factorials if not form.is_constant and draw(st.booleans())]
+    n_min = draw(st.none() | st.integers(-1, 3))
+    point = (draw(st.integers(-2, 9)), draw(st.integers(-2, 9)))
+    return sign, factorials, num, den, constant, Domain(n_min, tuple(kept)), point
+
+
+def poly_at(coeffs, n, k):
+    return sum(c * n**en * k**ek for (en, ek), c in coeffs.items())
+
+
+def formula(sign, factorials, num, den, constant, domain, n, k):
+    """The term's value straight from its definition, or the DomainError
+    message value_at must raise: domain first, then the first negative
+    factorial argument in sorted form order, then a zero denominator."""
+    if domain.n_min is not None and n < domain.n_min or any(
+        form.value(n, k) < 0 for form in domain.constraints
+    ):
+        return f"(n={n}, k={k}) outside term domain"
+    merged = {}  # x!^0 is 1 even where x! is undefined
+    for form, exp in factorials:
+        merged[form] = merged.get(form, 0) + exp
+    merged = {form: exp for form, exp in merged.items() if exp}
+    for form in sorted(f for f in merged if not f.is_constant):
+        if form.value(n, k) < 0:
+            arg = form.value(n, k)
+            return f"factorial argument {form} = {arg} < 0 at (n={n}, k={k})"
+    if poly_at(den, n, k) == 0:
+        return f"denominator polynomial vanishes at (n={n}, k={k})"
+    value = constant * Fraction(poly_at(num, n, k), poly_at(den, n, k))
+    for form, exp in merged.items():
+        value *= Fraction(math.factorial(form.value(n, k))) ** exp
+    return -value if sign.value(n, k) % 2 else value
+
+
+def test_value_at_matches_the_formula():
+    seen = set()
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(term_cases())
+    def check(case):
+        sign, factorials, num, den, constant, domain, (n, k) = case
+        term = HyperTerm(sign, tuple(factorials), Polynomial(num), Polynomial(den),
+                         constant, domain)
+        expected = formula(sign, factorials, num, den, constant, domain, n, k)
+        if isinstance(expected, str):
+            with pytest.raises(DomainError) as raised:
+                term.value_at(n, k)
+            assert str(raised.value) == expected
+            seen.add(next(w for w in ("outside", "factorial", "vanishes") if w in expected))
+            return
+        value = term.value_at(n, k)
+        assert type(value) is Fraction and value == expected
+        seen.add("value")
+        if value:
+            seen.update(
+                feature
+                for feature, present in (
+                    ("sign in k", sign.b % 2),
+                    ("negative exponent", any(e < 0 and not f.is_constant
+                                              for f, e in factorials)),
+                    ("numerator in k", any(ek for (_, ek), c in num.items() if c)),
+                    ("denominator in k", any(ek for (_, ek), c in den.items() if c)),
+                    ("non-integer constant", constant.denominator > 1),
+                )
+                if present
+            )
+
+    check()
+    assert seen == {
+        "value", "sign in k", "negative exponent", "numerator in k",
+        "denominator in k", "non-integer constant",
+        "outside", "factorial", "vanishes",
+    }

@@ -162,3 +162,76 @@ def test_domain_respected_by_grid(cat):
     report = wz.verify_grid(shrunk, 10)
     assert report.outcome == "pass"
     assert report.points_checked == sum(n - 1 for n in range(2, 11))
+
+
+def reference_grid(pair, n_max):
+    """Point-by-point grid check: four value_at calls at every point."""
+    checked = 0
+    failures = []
+    domain = pair.check_domain
+    for n in range(domain.n_min, n_max + 1):
+        k_range = domain.k_range(n)
+        if k_range is None:
+            continue
+        for k in range(k_range[0], k_range[1] + 1):
+            lhs = pair.f.value_at(n + 1, k) - pair.f.value_at(n, k)
+            rhs = pair.g.value_at(n, k + 1) - pair.g.value_at(n, k)
+            checked += 1
+            if lhs != rhs:
+                failures.append(wz.FailurePoint(n, k, lhs, rhs))
+    outcome = "pass" if not failures else "fail"
+    return wz.VerifyReport("grid", outcome, checked, failures=tuple(failures))
+
+
+@pytest.mark.parametrize("name", ["s1", "s2"])
+def test_row_sweep_matches_reference_grid(cat, name):
+    pair = cat.pair_by_name(name)
+    assert wz.verify_grid(pair, 40).serialize() == reference_grid(pair, 40).serialize()
+
+
+def test_row_sweep_matches_reference_failures(broken_pair):
+    swept = wz.verify_grid(broken_pair, 12)
+    reference = reference_grid(broken_pair, 12)
+    assert swept.serialize() == reference.serialize()
+    assert swept.failures == reference.failures
+    assert len(swept.failures) == swept.points_checked == 78
+
+
+@pytest.mark.parametrize(
+    "f_bound,g_bound,check_bounds",
+    [
+        # F(n+1, k) leaves F's domain (n + k <= 7) at (n=4, k=3), mid-row
+        (LinearForm(-1, -1, 7), None, None),
+        # F(n+1, k) leaves F's domain (n <= 5) at the start of row n=5
+        (LinearForm(-1, 0, 5), None, None),
+        # rows n < 4 are empty (3 <= k <= n-1); then F(n+1, k) leaves
+        # F's domain (n + k <= 9) at (n=5, k=4)
+        (LinearForm(-1, -1, 9), None, (LinearForm(0, 1, -3), LinearForm(1, -1, -1))),
+        # 0 <= k <= n reaches past F's k <= n-1: F(n, k) fails at (1, 1)
+        (None, None, (LinearForm(0, 1, 0), LinearForm(1, -1, 0))),
+        # G's domain ends at n = 5: G(n, k+1) fails before G(n, k)
+        (None, LinearForm(-1, 0, 5), None),
+    ],
+    ids=["f-up-mid-row", "f-up-row-start", "f-up-after-empty-rows", "f-here", "g-up"],
+)
+def test_row_sweep_raises_the_reference_domain_error(cat, f_bound, g_bound, check_bounds):
+    from wzeta.terms import Domain
+
+    def narrowed(term, bound):
+        if bound is None:
+            return term
+        return term.with_domain(Domain(None, term.domain.constraints + (bound,)))
+
+    good = cat.pair_by_name("s1")
+    check = good.check_domain
+    if check_bounds is not None:
+        check = Domain(check.n_min, check_bounds)
+    pair = wz.WZPair(
+        "leaky", narrowed(good.f, f_bound), narrowed(good.g, g_bound), 1, check
+    )
+    with pytest.raises(DomainError) as expected:
+        reference_grid(pair, 10)
+    with pytest.raises(DomainError) as swept:
+        wz.verify_grid(pair, 10)
+    assert str(swept.value) == str(expected.value)
+    assert str(swept.value).endswith("outside term domain")
