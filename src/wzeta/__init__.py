@@ -18,7 +18,6 @@ from .errors import (
 )
 from .precision import (
     EvalReport,
-    PrecisionContext,
     compare_series,
     measure_rate,
     sum_to_digits,
@@ -54,7 +53,6 @@ __all__ = [
     "POSITIVE",
     "ParseError",
     "Polynomial",
-    "PrecisionContext",
     "RationalFunction",
     "SeriesSpec",
     "SingularGrid",

@@ -117,14 +117,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def is_const(self) -> bool:
-        return all(key == (0, 0) for key in self._coeffs)
-
-    def const_value(self) -> int:
-        if not self.is_const():
-            raise ValueError("polynomial is not constant")
-        return self._coeffs.get((0, 0), 0)
-
     def as_linear_form(self) -> LinearForm | None:
         """This polynomial as a linear form, or None if degree > 1."""
         if any(en + ek > 1 for en, ek in self._coeffs):
@@ -268,14 +260,6 @@ class RationalFunction:
             den = -den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    @staticmethod
-    def one() -> "RationalFunction":
-        return RationalFunction(Polynomial.const(1), Polynomial.const(1))
-
-    @staticmethod
-    def from_fraction(q: Fraction) -> "RationalFunction":
-        return RationalFunction(Polynomial.const(q.numerator), Polynomial.const(q.denominator))
 
     def evaluate(self, n, k=0) -> Fraction:
         den = self.den.evaluate(n, k)

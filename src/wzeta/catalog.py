@@ -2,8 +2,8 @@
 
 The definitions live as expression text in data/catalog.txt and are
 parsed at load time; a parse failure is raised, for the bundled file as
-for a replacement. Series metadata — start index, sign pattern, limit
-multiple and the measured digits-per-term rate — is code, not data.
+for a replacement. Series metadata is code, not data: only the start
+index and the limit multiple, which the term ratio cannot tell.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .algebra import LinearForm
 from .errors import CatalogError
-from .series import ALTERNATING, POSITIVE, SeriesSpec
+from .series import SeriesSpec
 from .terms import Domain
 from .wz import WZPair
 from . import dsl
@@ -24,14 +24,13 @@ _PAIR_NAMES = ("s1", "s2")
 _SERIES_NAMES = ("s1", "s2", "s3", "lhs_s1", "lhs_s2")
 _REQUIRED = ("f_s1", "g_s1", "f_s2", "g_s2") + _SERIES_NAMES
 
-# name -> (start index, sign pattern, limit multiple, digits/term or None),
-# in SeriesSpec field order
+# name -> (start index, limit multiple), in SeriesSpec field order
 _SERIES_META = {
-    "s1": (1, ALTERNATING, Fraction(1), 0.602),
-    "s2": (1, ALTERNATING, Fraction(1), 1.431),
-    "s3": (0, ALTERNATING, Fraction(1), 1.806),
-    "lhs_s1": (0, POSITIVE, Fraction(2), None),
-    "lhs_s2": (0, POSITIVE, Fraction(2), None),
+    "s1": (1, Fraction(1)),
+    "s2": (1, Fraction(1)),
+    "s3": (0, Fraction(1)),
+    "lhs_s1": (0, Fraction(2)),
+    "lhs_s2": (0, Fraction(2)),
 }
 _PAIR_S = {"s1": 1, "s2": 2}
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 
 from . import catalog as catalog_mod
@@ -22,6 +23,9 @@ _COMPARE_LHS_TERMS = 300
 # largest grid `verify` checks; s2, the slower pair, takes 32 to 38 s at
 # this size (n <= 386) on a 2-vCPU machine
 _MAX_GRID_POINTS = 150_000
+# largest `eval` value, in estimated bits of unreduced numerator plus
+# denominator; n! at n = 128,767 takes about 5 s on a 2-vCPU machine
+_MAX_EVAL_BITS = 2_000_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,13 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a term expression exactly")
     p_eval.add_argument("--expr", required=True, metavar="TEXT")
-    p_eval.add_argument("--n", required=True, type=int)
+    p_eval.add_argument("--n", required=True, type=int, help="values over "
+                        f"{_MAX_EVAL_BITS} bits (Stirling estimate) are refused")
     p_eval.add_argument("--k", type=int, default=0)
 
     return parser
 
 
-def _cmd_list(cat) -> int:
+def _cmd_list(cat, args) -> int:
     for name, kind, start, rate in cat.listing():
         rate_text = "-" if rate is None else f"{rate:.3f}"
         print(f"{name} {kind} {start} {rate_text}")
@@ -151,8 +156,25 @@ def _cmd_rate(cat, args) -> int:
 
 def _cmd_eval(args) -> int:
     term = dsl.parse_term(args.expr)
+    bits = _value_bits(term, args.n, args.k)
+    if bits > _MAX_EVAL_BITS:
+        raise WZetaError(f"eval needs about {bits:.3g} bits, over the limit of {_MAX_EVAL_BITS}")
     print(precision.fraction_text(term.value_at(args.n, args.k)))
     return 0
+
+
+def _value_bits(term, n: int, k: int) -> float:
+    """Bits of value_at(n, k)'s unreduced numerator plus denominator, by
+    Stirling's log2 m! ≈ m·log2(m/e) + log2(2πm)/2 per factorial (negative
+    m is left to value_at) plus polynomial degrees times bits of n and k."""
+    bits = 0.0
+    for form, exp in term.factorials:
+        m = form.value(n, k)
+        if m > 1:
+            bits += abs(exp) * (m * math.log2(m / math.e) + math.log2(2 * math.pi * m) / 2)
+    for poly in (term.poly_num, term.poly_den):
+        bits += poly.degree("n") * n.bit_length() + poly.degree("k") * k.bit_length()
+    return bits
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -162,21 +184,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eval":
             return _cmd_eval(args)
         cat = catalog_mod.load_catalog(args.catalog)
-        if args.command == "list":
-            return _cmd_list(cat)
-        if args.command == "digits":
-            return _cmd_digits(cat, args)
-        if args.command == "verify":
-            return _cmd_verify(cat, args)
-        if args.command == "accelerate":
-            return _cmd_accelerate(cat, args)
-        if args.command == "rate":
-            return _cmd_rate(cat, args)
-        raise WZetaError(f"unhandled command {args.command!r}")
-    except WZetaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        commands = dict(list=_cmd_list, digits=_cmd_digits, verify=_cmd_verify,
+                        accelerate=_cmd_accelerate, rate=_cmd_rate)
+        return commands[args.command](cat, args)
+    except (WZetaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,14 +1,12 @@
 """Certified decimal evaluation of alternating series.
 
 sum_to_digits sums a series, through the binary-splitting engine, up to
-the first term negligible for the requested precision and reports a
-truncated decimal string together with exact rational error bounds: the
-first omitted term bounds the tail (every ratio up to the cut is checked
-to lie in (-1, 0): alternation plus strict decrease), and in scaled mode
-the one truncation of the exact sum to a fixed point is charged to a
-separate rounding bound of 1/scale. The certified digit count is cut
-back whenever the partial sum sits too close to a decimal boundary for
-the bounds to pin the truncated digits down.
+the first term negligible for the requested precision, checking that
+every ratio up to the cut lies in (-1, 0), and reports a truncated
+decimal string with exact rational error bounds: SeriesSpec.tail_bound,
+the first omitted term, proved past the cut by the ratio's certificate,
+and in scaled mode 1/scale for the one truncation to a fixed point. The
+certified digit count drops while the bounds straddle a decimal boundary.
 """
 
 from __future__ import annotations
@@ -33,24 +31,6 @@ _SCALED_GUARD = 20
 _LOG_SLACK = 1e-3
 # under 4300 digits, CPython's default int-to-str limit
 _STR_BITS = 14_000
-
-
-@dataclass(frozen=True)
-class PrecisionContext:
-    """Working precision for one summation run."""
-
-    target_digits: int
-    guard_digits: int
-
-    def __post_init__(self):
-        if self.target_digits < 1:
-            raise DomainError("target_digits must be at least 1")
-        if self.guard_digits < 10:
-            raise DomainError("guard_digits must be at least 10")
-
-    @property
-    def scale(self) -> int:
-        return 10 ** (self.target_digits + self.guard_digits)
 
 
 @dataclass(frozen=True)
@@ -88,8 +68,8 @@ def sum_to_digits(series: SeriesSpec, digits: int, mode: str = EXACT) -> EvalRep
     """Sum an alternating series to `digits` certified decimal places.
 
     Raises NonAlternating/MonotonicityViolation if a ratio up to the cut
-    breaks the assumptions behind the first-omitted-term tail bound, and
-    TailBoundError if the term ratio does not tend to a modulus below 1.
+    or before its certificate is not in (-1, 0), and TailBoundError if the
+    term ratio does not tend to a modulus below 1 or has no certificate.
     """
     if mode not in (EXACT, SCALED):
         raise DomainError(f"unknown mode {mode!r}")
@@ -97,11 +77,11 @@ def sum_to_digits(series: SeriesSpec, digits: int, mode: str = EXACT) -> EvalRep
         raise DomainError("digits must be at least 1")
 
     first, steps, tail = _walk_to_cut(series, digits)
-    big_q, big_t = split_ratios([(1, 1)] + steps[:-1] if steps else [])
+    big_q, big_t = split_ratios([(1, 1)] + steps[:-1])
     partial = _Unreduced(first.numerator * big_t, first.denominator * big_q)
     rounding = Fraction(0)
     if mode == SCALED:
-        scale = PrecisionContext(digits, _SCALED_GUARD).scale
+        scale = 10 ** (digits + _SCALED_GUARD)
         partial = _Unreduced(partial.numerator * scale // partial.denominator, scale)
         rounding = Fraction(1, scale)
 
@@ -127,7 +107,7 @@ def sum_to_digits(series: SeriesSpec, digits: int, mode: str = EXACT) -> EvalRep
 
 
 def _walk_to_cut(series: SeriesSpec, digits: int):
-    """(t(start), steps, |t(N)|) for the first index N with
+    """(t(start), steps, |t(N)|) for the first index N > start with
     |t(N)| < 10^-(D+2); steps are the checked ratios at start..N-1.
     log10|t(n)| is tracked in floating point, decided exactly near the
     threshold, and the cut is confirmed exactly at N-1 and N."""
@@ -139,38 +119,19 @@ def _walk_to_cut(series: SeriesSpec, digits: int):
     log_term = math.log10(abs(first.numerator)) - math.log10(first.denominator)
     steps: list[tuple[int, int]] = []
     while True:
-        gap = log_term + digits + 2  # estimate of log10(|t(n)| / threshold)
-        if (abs(series.term_at(n)) < threshold) if abs(gap) <= _LOG_SLACK else gap < 0:
-            break
         p, q = series.alternating_step(n)
         if not steps:  # after the first step, so a concrete violation there wins
-            _require_geometric(series)
+            series.require_geometric()
         steps.append((p, q))
         log_term += math.log10(-p) - math.log10(q)
         n += 1
-    tail = abs(series.term_at(n))
-    if tail >= threshold or (steps and abs(series.term_at(n - 1)) < threshold):
+        gap = log_term + digits + 2  # estimate of log10(|t(n)| / threshold)
+        if (abs(series.term_at(n)) < threshold) if abs(gap) <= _LOG_SLACK else gap < 0:
+            break
+    tail = series.tail_bound(len(steps))
+    if tail >= threshold or (len(steps) > 1 and abs(series.term_at(n - 1)) < threshold):
         raise TailBoundError(f"stopping index n={n} not confirmed by exact terms")
-    series.alternating_step(n)  # the first omitted term must bound the next
     return first, steps, tail
-
-
-def _require_geometric(series: SeriesSpec) -> None:
-    """TailBoundError unless the term ratio tends to a modulus below 1,
-    judged from its leading coefficients in n; otherwise the terms may
-    shrink too slowly for any bounded walk to reach the cut."""
-    ratio = series.term_ratio()
-    (dn, cn), (dd, cd) = (
-        max(((e, c) for (e, k), c in poly.coeffs.items() if k == 0), default=(-1, 0))
-        for poly in (ratio.num, ratio.den)
-    )
-    if dn < dd or (dn == dd and abs(cn) < abs(cd)):
-        return
-    modulus = "infinity" if dn > dd else Fraction(abs(cn), abs(cd))
-    raise TailBoundError(
-        f"term ratio of series {series.name!r} tends to modulus {modulus}, "
-        "not below 1: the series does not converge geometrically"
-    )
 
 
 def truncated_decimal(value, places: int) -> str:

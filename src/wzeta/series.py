@@ -26,10 +26,8 @@ from .terms import HyperTerm
 ALTERNATING = "alternating"
 POSITIVE = "positive"
 
-# how many consecutive terms past the cut to spot-check when using the
-# first-omitted-term bound (a runtime sanity check, not a proof;
-# precision.sum_to_digits checks every ratio up to the cut)
-_SPOT_CHECK = 8
+# most indices past the cut checked one by one before the certificate
+_MAX_UNCERTIFIED = 10_000
 
 
 def split_ratios(steps: list[tuple[int, int]]) -> tuple[int, int]:
@@ -62,16 +60,14 @@ class SeriesSpec:
 
     zeta3_multiple records what multiple of the common limit the series
     converges to, so differently normalized series can be compared.
-    rate_estimate is the expected asymptotic decimal-digits-per-term
-    (None when unknown); summation does not use it.
+    The rest is derived from the term ratio: sign_pattern, rate_estimate,
+    geometric convergence and the certificate behind tail_bound.
     """
 
     name: str
     term: HyperTerm
     start_index: int = 0
-    sign_pattern: str = ALTERNATING
     zeta3_multiple: Fraction = Fraction(1)
-    rate_estimate: float | None = None
 
     def term_at(self, n: int) -> Fraction:
         if n < self.start_index:
@@ -82,11 +78,62 @@ class SeriesSpec:
 
     @cached_property
     def _ratio(self) -> RationalFunction:
-        return self.term.shift_ratio(1, 0)
+        return self.term.specialized((1, 0), (0, 0)).shift_ratio(1, 0)  # k = 0
 
     def term_ratio(self) -> RationalFunction:
         """term_at(n+1)/term_at(n) as a rational function of n."""
         return self._ratio
+
+    @cached_property
+    def _lead(self) -> tuple[int, Fraction]:
+        """(e, c) with term ratio ~ c·n^e for large n: the one reading of
+        its leading coefficients."""
+        num, den = self._ratio.num, self._ratio.den
+        lead = Fraction(num.leading_coefficient(), den.leading_coefficient())
+        return num.degree("n") - den.degree("n"), lead
+
+    @property
+    def sign_pattern(self) -> str:
+        """ALTERNATING if the term ratio is negative for large n."""
+        return ALTERNATING if self._lead[1] < 0 else POSITIVE
+
+    @property
+    def rate_estimate(self) -> float | None:
+        """Digits gained per term, log10(1/|limit|), if the term ratio
+        tends to a nonzero modulus below 1; None otherwise."""
+        excess, lead = self._lead
+        if excess or not 0 < abs(lead) < 1:
+            return None
+        return math.log10(lead.denominator) - math.log10(abs(lead.numerator))
+
+    def require_geometric(self) -> None:
+        """TailBoundError unless the term ratio tends to a modulus below 1."""
+        excess, lead = self._lead
+        if excess > 0 or (excess == 0 and abs(lead) >= 1):
+            raise TailBoundError(f"term ratio of series {self.name!r} tends to modulus "
+                                 f"{'infinity' if excess else abs(lead)}, not below 1: "
+                                 "the series does not converge geometrically")
+
+    @cached_property
+    def _certified_from(self) -> int | None:
+        """Smallest c ≥ start_index (None past 2^64) such that, for ratio
+        -A/B, A(n+c), B(n+c) and (B-A)(n+c) have nonnegative coefficients
+        and positive constant terms: then 0 < A(n) < B(n), -1 < ratio < 0,
+        for all n ≥ c. Holding at c, this holds at every larger c."""
+        a, b = -self._ratio.num, self._ratio.den
+
+        def holds(c):
+            return all(p.evaluate(c) > 0 and _shifted_coeffs_nonneg(p, c) for p in (a, b, b - a))
+
+        lo, hi = self.start_index - 1, self.start_index  # holds(lo) is false
+        while not holds(hi):
+            if hi - lo > 2**64:
+                return None
+            lo, hi = hi, hi + 2 * (hi - lo)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+        return hi
 
     def ratio_step(self, n: int) -> tuple[int, int]:
         """The term ratio at n as integers (p, q) in lowest terms with
@@ -153,24 +200,28 @@ class SeriesSpec:
         """Exact rational upper bound on |sum of all terms after the
         first `count`|.
 
-        Alternating series use the first-omitted-term bound (with a
-        spot check that signs keep alternating and magnitudes keep
-        decreasing just past the cut). Positive series use a telescoping
-        comparison certified by a polynomial-coefficient check.
+        Alternating series: the first omitted term, with each ratio from
+        the cut up to _certified_from checked to lie in (-1, 0), the
+        certificate for the rest, and geometric convergence. Positive
+        series: a telescoping comparison certified by coefficient checks.
         """
         if count < 1:
             raise DomainError("tail_bound requires at least one summed term")
         cut = self.start_index + count
-        if self.sign_pattern == ALTERNATING:
-            first = self.term_at(cut)
-            if first == 0:
-                raise NonAlternating(f"term at n={cut} is zero")
-            for n in range(cut, cut + _SPOT_CHECK - 1):
-                self.alternating_step(n)
-            return abs(first)
         if self.sign_pattern == POSITIVE:
             return self._positive_tail_bound(cut)
-        raise TailBoundError(f"unknown sign pattern {self.sign_pattern!r}")
+        first = self.term_at(cut)
+        if first == 0:
+            raise NonAlternating(f"term at n={cut} is zero")
+        self.alternating_step(cut)  # a concrete violation at the cut wins
+        self.require_geometric()
+        certified = self._certified_from
+        if certified is None or certified - cut > _MAX_UNCERTIFIED:
+            raise TailBoundError(f"no alternation certificate for series {self.name!r} "
+                                 f"within {_MAX_UNCERTIFIED} indices past n={cut}")
+        for n in range(cut + 1, certified):
+            self.alternating_step(n)
+        return abs(first)
 
     def _positive_tail_bound(self, cut: int) -> Fraction:
         """Compare against C/(n(n+1)...(n+d-1)) for the largest d whose
@@ -181,15 +232,12 @@ class SeriesSpec:
         then by induction t(n) ≤ C/(n···(n+d−1)) with equality at n=cut,
         and the tail telescopes to t(cut)·(cut+d−1)/(d−1).
         """
-        ratio = self.term_ratio()
         first = self.term_at(cut)
-        if first < 0:
-            raise TailBoundError(f"term at n={cut} is negative")
-        if first == 0:
-            raise TailBoundError(f"term at n={cut} is zero")
+        if first <= 0:
+            raise TailBoundError(f"term at n={cut} is {'zero' if first == 0 else 'negative'}")
         if cut < 1:
             raise TailBoundError("comparison bound needs a positive cut index")
-        p, q = ratio.num, ratio.den
+        p, q = self._ratio.num, self._ratio.den
         if not (_shifted_coeffs_nonneg(p, cut) and _shifted_coeffs_nonneg(q, cut)):
             raise TailBoundError(
                 "term ratio is not certifiably positive past the cut"

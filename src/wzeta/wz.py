@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .algebra import RationalFunction
 from .errors import DomainError, SingularGrid
-from .series import ALTERNATING, POSITIVE, SeriesSpec
+from .series import SeriesSpec
 from .terms import Domain, HyperTerm, cross_ratio
 
 
@@ -234,7 +234,6 @@ def accelerate(pair: WZPair) -> SeriesSpec:
             Domain(1, f_diag.domain.constraints + g_diag.domain.constraints),
         ),
         start_index=1,
-        sign_pattern=ALTERNATING,
         zeta3_multiple=Fraction(2),
     )
 
@@ -247,7 +246,6 @@ def lhs_series(pair: WZPair) -> SeriesSpec:
         name=f"lhs({pair.name})",
         term=g_column,
         start_index=0,
-        sign_pattern=POSITIVE,
         zeta3_multiple=Fraction(2),
     )
 

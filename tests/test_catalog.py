@@ -1,3 +1,4 @@
+import math
 import zlib
 from fractions import Fraction
 
@@ -49,8 +50,8 @@ def test_unknown_names_raise(cat):
 
 def test_listing_shape(cat):
     rows = cat.listing()
-    assert ("s1", "series", 1, 0.602) in rows
-    assert ("s3", "series", 0, 1.806) in rows
+    assert ("s1", "series", 1, math.log10(4)) in rows
+    assert ("s3", "series", 0, math.log10(64)) in rows
     assert ("lhs_s1", "series", 0, None) in rows
     assert ("s2", "pair", 1, None) in rows
     assert len(rows) == 7

@@ -221,6 +221,33 @@ def test_eval_domain_error_exits_2(capsys):
     assert err.startswith("error: ")
 
 
+def test_eval_of_a_huge_value_exits_2_promptly():
+    # 10^8! has about 2.5e9 bits; refused before any factorial is formed
+    from wzeta.cli import _MAX_EVAL_BITS
+
+    env = dict(os.environ, PYTHONPATH=str(Path(wzeta.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "wzeta.cli", "eval", "--expr", "n!", "--n", "100000000"],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: ") and str(_MAX_EVAL_BITS) in done.stderr
+
+
+def test_eval_just_under_the_cap_prints(capsys):
+    # n!/(n-1)! is formed unreduced: about 1,999,982 bits at n = 68403,
+    # 2,000,014 at n = 68404, against a cap of 2,000,000
+    from wzeta.cli import _MAX_EVAL_BITS
+
+    assert _MAX_EVAL_BITS == 2_000_000
+    code, out, err = run(capsys, "eval", "--expr", "n!/(n-1)!", "--n", "68403")
+    assert (code, out, err) == (0, "68403\n", "")
+    code, out, err = run(capsys, "eval", "--expr", "n!/(n-1)!", "--n", "68404")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_unknown_series_exits_2(capsys):
     code, out, err = run(capsys, "digits", "--series", "s9", "--digits", "5")
     assert code == 2

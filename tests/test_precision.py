@@ -95,11 +95,11 @@ def test_monotone_refinement(cat):
 
 
 def test_accelerated_series_certifies_in_both_modes(cat):
-    # the merged diagonal series has no rate estimate; summation needs none
+    # the merged diagonal series has s1's ratio limit, so its rate
     from wzeta import accelerate
 
     fast = accelerate(cat.pair_by_name("s1"))
-    assert fast.rate_estimate is None
+    assert fast.rate_estimate == cat.series_by_name("s1").rate_estimate
     with mpmath.workdps(80):
         twice = mpmath.nstr(2 * mpmath.zeta(3), 70, strip_zeros=False)
     for mode in ("exact", "scaled"):
@@ -157,6 +157,17 @@ def test_checks_cover_every_index_before_the_cut():
         precision.sum_to_digits(series, 80)
 
 
+def test_first_term_below_the_threshold():
+    # |t(0)| < 10^-(D+2) already: at least one term is summed, so the
+    # tail bound is the first omitted term's |t(1)|
+    series = SeriesSpec("tiny", parse_term("(-1)^n / 10^40 / (n+1)!"))
+    report = precision.sum_to_digits(series, 5)
+    assert report.terms_used == 1
+    assert report.tail_bound == abs(series.term_at(1))
+    assert report.decimal_string == "0.00000"
+    assert report.certified_digits == 5
+
+
 def test_truncated_decimal():
     assert precision.truncated_decimal(Fraction(1999, 1000), 3) == "1.999"
     assert precision.truncated_decimal(precision._Unreduced(3998, 2000), 3) == "1.999"
@@ -186,8 +197,19 @@ def test_compare_series_rejects_mismatched_limits(cat):
     "name,expected", [("s1", 0.602), ("s2", 1.431), ("s3", 1.806)]
 )
 def test_measure_rate(cat, name, expected):
-    rate = precision.measure_rate(cat.series_by_name(name), 100, 200)
+    series = cat.series_by_name(name)
+    rate = precision.measure_rate(series, 100, 200)
     assert abs(rate - expected) <= 0.02
+    assert abs(series.rate_estimate - rate) <= 0.02
+
+
+@pytest.mark.parametrize("name", ["s1", "s2"])
+def test_measure_rate_of_accelerated_series(cat, name):
+    from wzeta import accelerate
+
+    fast = accelerate(cat.pair_by_name(name))
+    rate = precision.measure_rate(fast, 100, 200)
+    assert abs(fast.rate_estimate - rate) <= 0.02
 
 
 def test_measure_rate_bad_range(cat):
@@ -213,9 +235,3 @@ def test_int_text_matches_str_past_the_limit(value):
     assert precision.int_text(value) == expected[0]
     assert precision.fraction_text(Fraction(value, 3)) == expected[1]
 
-
-def test_precision_context_invariants():
-    with pytest.raises(DomainError):
-        precision.PrecisionContext(10, 9)
-    context = precision.PrecisionContext(10, 10)
-    assert context.scale == 10**20

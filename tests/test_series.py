@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -17,8 +18,8 @@ from wzeta.series import ALTERNATING, POSITIVE, SeriesSpec, split_ratios
 from wzeta import accelerate
 
 
-def alt_series(text, start=0, **kwargs):
-    return SeriesSpec("t", parse_term(text), start_index=start, **kwargs)
+def alt_series(text, start=0):
+    return SeriesSpec("t", parse_term(text), start_index=start)
 
 
 def sequential_sum(series, count, first_index=None):
@@ -171,7 +172,8 @@ def test_positive_tail_bound_soundness(cat):
 
 
 def test_positive_tail_bound_rejects_negative_terms():
-    series = alt_series("(-1)^n / (n+1)^3", sign_pattern=POSITIVE)
+    series = alt_series("(-1)^(2*n+1) / (n+1)^3")  # positive ratio, negative terms
+    assert series.sign_pattern == POSITIVE
     with pytest.raises(TailBoundError):
         series.tail_bound(1)
 
@@ -181,10 +183,46 @@ def test_tail_bound_requires_summed_terms(cat):
         cat.series_by_name("s1").tail_bound(0)
 
 
-def test_alternating_spot_check_catches_same_sign():
-    series = alt_series("1 / (n+1)^3")  # positive but declared alternating
-    with pytest.raises(NonAlternating):
-        series.tail_bound(2)
+def test_alternating_tail_checks_every_index_before_the_certificate():
+    # terms alternate and decrease up to n=50, then t(50), t(51) are both
+    # negative; the certificate holds only from n=51, far past the cut
+    series = alt_series("(-1)^n * (2*n-101) / n!")
+    with pytest.raises(NonAlternating, match="n=50 and n=51"):
+        series.tail_bound(10)
+    assert series.sign_pattern == ALTERNATING
+    assert series._certified_from == 51
+
+
+def test_alternating_tail_bound_rejects_a_divergent_series():
+    # each step alternates and shrinks, but the ratio tends to -1 and the
+    # partial sums swing between about 0.65 and 1.74 forever
+    series = alt_series("(-1)^n * (n+2) / (n+1)")
+    with pytest.raises(TailBoundError, match="modulus 1"):
+        series.tail_bound(10)
+    assert series.sign_pattern == ALTERNATING
+
+
+def test_alternating_tail_bound_refuses_a_far_certificate():
+    # the ratio alternates only from n = 10^30 on
+    series = alt_series("(-1)^n * (n - 10^30) / n!")
+    with pytest.raises(TailBoundError, match="certificate"):
+        series.tail_bound(10)
+
+
+@pytest.mark.parametrize(
+    "name,accelerated",
+    [("s1", False), ("s2", False), ("s3", False), ("s1", True), ("s2", True)],
+)
+def test_certificate_starts_at_the_first_index(cat, name, accelerated):
+    if accelerated:
+        series = accelerate(cat.pair_by_name(name))
+    else:
+        series = cat.series_by_name(name)
+    assert series._certified_from == series.start_index
+    # what the certificate claims, checked at concrete indices
+    for n in range(series.start_index, series.start_index + 200):
+        p, q = series.ratio_step(n)
+        assert -q < p < 0
 
 
 def test_alternating_spot_check_catches_growth():
@@ -193,14 +231,35 @@ def test_alternating_spot_check_catches_growth():
         series.tail_bound(2)
 
 
-def test_unknown_sign_pattern():
-    series = alt_series("1 / (n+1)^3", sign_pattern="mystery")
-    with pytest.raises(TailBoundError):
-        series.tail_bound(2)
-
-
 def test_zero_multiplier_metadata(cat):
     assert cat.series_by_name("s1").zeta3_multiple == 1
     assert cat.series_by_name("lhs_s1").zeta3_multiple == 2
     assert cat.series_by_name("s3").sign_pattern == ALTERNATING
     assert cat.series_by_name("lhs_s2").sign_pattern == POSITIVE
+
+
+def test_only_what_the_ratio_cannot_tell_is_a_field(cat):
+    assert [f.name for f in dataclasses.fields(SeriesSpec)] == [
+        "name", "term", "start_index", "zeta3_multiple"
+    ]
+    series = cat.series_by_name("s2")
+    with pytest.raises(AttributeError):
+        series.sign_pattern = POSITIVE
+    with pytest.raises(AttributeError):
+        series.rate_estimate = 1.0
+
+
+@pytest.mark.parametrize(
+    "text,sign,rate",
+    [
+        ("(-1)^n * n!^3 / (3*n)!", ALTERNATING, math.log10(27)),  # ratio -> -1/27
+        ("n!^2 / (2*n)!", POSITIVE, math.log10(4)),  # ratio -> 1/4
+        ("(-1)^n / n!", ALTERNATING, None),  # ratio -> 0
+        ("1 / (n+1)^2", POSITIVE, None),  # ratio -> 1
+        ("(-1)^n * n!", ALTERNATING, None),  # ratio -> -infinity
+    ],
+)
+def test_sign_and_rate_are_read_from_the_ratio(text, sign, rate):
+    series = alt_series(text)
+    assert series.sign_pattern == sign
+    assert series.rate_estimate == rate
