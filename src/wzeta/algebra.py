@@ -188,8 +188,9 @@ class Polynomial:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def substituted(self, n_poly: "Polynomial", k_poly: "Polynomial") -> "Polynomial":

@@ -20,9 +20,16 @@ from .errors import WZetaError
 
 _COMPARE_DECIMALS = 30
 _COMPARE_LHS_TERMS = 300
-# largest grid `verify` checks; s2, the slower pair, takes 32 to 38 s at
-# this size (n <= 386) on a 2-vCPU machine
+# largest grid `verify` checks; s2, the slower pair, takes about 19 s
+# in-process and 21 s through the CLI at this size (n <= 386) on a 2-vCPU
+# machine, s1 about 10 s (n <= 547)
 _MAX_GRID_POINTS = 150_000
+# largest `digits --digits`; s1, the slowest catalog series at this size,
+# takes about 23 s in-process on a 2-vCPU machine (s3 21 s, s2 17 s)
+_MAX_DIGITS = 60_000
+# largest `accelerate --terms`; s2, the slower pair, takes about 13.5 s
+# through the CLI at this size on a 2-vCPU machine and prints 72 MB
+_MAX_TERMS = 10_000
 # largest `eval` value, in estimated bits of unreduced numerator plus
 # denominator; n! at n = 128,767 takes about 5 s on a 2-vCPU machine
 _MAX_EVAL_BITS = 2_000_000
@@ -45,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_digits = sub.add_parser("digits", help="sum a series to certified digits")
     p_digits.add_argument("--series", required=True, help="series name (e.g. s2)")
-    p_digits.add_argument("--digits", required=True, type=int, metavar="D")
+    p_digits.add_argument("--digits", required=True, type=int, metavar="D",
+                          help=f"certified decimal places, at most {_MAX_DIGITS}")
     p_digits.add_argument(
         "--mode", choices=(precision.EXACT, precision.SCALED), default=precision.EXACT
     )
@@ -71,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="prove a pair symbolically, then print its diagonal series",
     )
     p_accel.add_argument("--pair", required=True)
-    p_accel.add_argument("--terms", required=True, type=int, metavar="T")
+    p_accel.add_argument("--terms", required=True, type=int, metavar="T",
+                         help=f"terms to print, 1 to {_MAX_TERMS}")
 
     p_rate = sub.add_parser("rate", help="measure decimal digits gained per term")
     p_rate.add_argument("--series", required=True)
@@ -95,6 +104,8 @@ def _cmd_list(cat, args) -> int:
 
 
 def _cmd_digits(cat, args) -> int:
+    if args.digits > _MAX_DIGITS:
+        raise WZetaError(f"--digits {args.digits} is over the limit of {_MAX_DIGITS}")
     series = cat.series_by_name(args.series)
     report = precision.sum_to_digits(series, args.digits, mode=args.mode)
     print(report.serialize())
@@ -121,6 +132,8 @@ def _cmd_verify(cat, args) -> int:
 def _cmd_accelerate(cat, args) -> int:
     if args.terms < 1:
         raise WZetaError("--terms must be at least 1")
+    if args.terms > _MAX_TERMS:
+        raise WZetaError(f"--terms {args.terms} is over the limit of {_MAX_TERMS}")
     pair = cat.pair_by_name(args.pair)
     proof = wz.verify_symbolic(pair)
     if proof.outcome != "pass":

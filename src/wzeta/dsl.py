@@ -9,6 +9,9 @@ Allowed factors are unsigned integer literals, the variables n and k,
 factorials of linear forms, and parenthesized integer polynomials in n and
 k; every factor may carry an integer power written with ``^``. ``*`` and
 ``/`` associate left and ``^`` binds tighter. Whitespace never matters.
+Integer exponents are at most 999 in size, and a product or power whose
+polynomial part could have more than 1000 coefficients, counted as
+(degree in n + 1)·(degree in k + 1), is refused before it is expanded.
 
 Inside parentheses the conventional algebraic notation is accepted, so
 polynomials can be pasted verbatim ("56n^2-32n+5"); outside parentheses
@@ -31,6 +34,11 @@ from .errors import ParseError, StructureError
 from .terms import HyperTerm
 
 _MAX_EXPONENT = 999
+# most coefficients, (deg_n + 1)·(deg_k + 1), that a polynomial factor may
+# expand to; checked from the operands' degrees before any product or
+# power is formed. (n+1)^999 fits and takes about 0.5 s to parse;
+# (n+k+1)^250 would take minutes.
+_MAX_COEFFICIENTS = _MAX_EXPONENT + 1
 
 _ATOM_STARTS = ("integer", "n", "k", "(")
 
@@ -96,8 +104,8 @@ class _Product:
         return _Product(
             self.sign + other.sign,
             self.factorials + other.factorials,
-            self.num * other.num,
-            self.den * other.den,
+            _times(self.num, other.num),
+            _times(self.den, other.den),
         )
 
     def over(self, other: "_Product") -> "_Product":
@@ -106,8 +114,8 @@ class _Product:
         return _Product(
             self.sign - other.sign,
             self.factorials + [(f, -e) for f, e in other.factorials],
-            self.num * other.den,
-            self.den * other.num,
+            _times(self.num, other.den),
+            _times(self.den, other.num),
         )
 
     def negated(self) -> "_Product":
@@ -121,12 +129,36 @@ class _Product:
         return _Product(
             base.sign.scaled(e),
             [(f, x * e) for f, x in base.factorials],
-            base.num**e,
-            base.den**e,
+            _power(base.num, e),
+            _power(base.den, e),
         )
 
     def to_term(self) -> HyperTerm:
         return HyperTerm(self.sign, tuple(self.factorials), self.num, self.den)
+
+
+def _degrees(poly: Polynomial) -> tuple[int, int]:
+    return max(poly.degree("n"), 0), max(poly.degree("k"), 0)
+
+
+def _require_size(deg_n: int, deg_k: int) -> None:
+    if (deg_n + 1) * (deg_k + 1) > _MAX_COEFFICIENTS:
+        raise StructureError(
+            f"polynomial of degree {deg_n} in n and {deg_k} in k is too large "
+            f"(over {_MAX_COEFFICIENTS} coefficients)"
+        )
+
+
+def _times(a: Polynomial, b: Polynomial) -> Polynomial:
+    (an, ak), (bn, bk) = _degrees(a), _degrees(b)
+    _require_size(an + bn, ak + bk)
+    return a * b
+
+
+def _power(a: Polynomial, e: int) -> Polynomial:
+    an, ak = _degrees(a)
+    _require_size(an * e, ak * e)
+    return a**e
 
 
 class _Parser:

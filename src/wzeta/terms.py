@@ -167,8 +167,13 @@ class HyperTerm:
         return HyperTerm(self.sign_exponent, self.factorials, self.poly_num,
                          self.poly_den, self.constant, domain)
 
-    def value_at(self, n: int, k: int = 0) -> Fraction:
-        """Exact value at an integer point; DomainError outside the domain."""
+    def value_at(self, n: int, k: int = 0, factorial=math.factorial) -> Fraction:
+        """Exact value at an integer point; DomainError outside the domain.
+
+        factorial(m) supplies m! for every factorial argument m, which is
+        checked to be nonnegative first; a caller that evaluates many
+        points can pass a factorial_ladder() instead of math.factorial.
+        """
         n_min, bounds, factorials, sign, num_terms, den_terms, c_num, c_den = self._plan
         if n_min is not None and n < n_min:
             raise DomainError(f"(n={n}, k={k}) outside term domain")
@@ -182,9 +187,9 @@ class HyperTerm:
             if arg < 0:
                 raise DomainError(f"factorial argument {form} = {arg} < 0 at (n={n}, k={k})")
             if exp > 0:
-                numerator *= math.factorial(arg) ** exp
+                numerator *= factorial(arg) ** exp
             else:
-                denominator *= math.factorial(arg) ** (-exp)
+                denominator *= factorial(arg) ** (-exp)
         den_val = 0
         for coef, en, ek in den_terms:
             den_val += coef * n**en * k**ek
@@ -235,6 +240,24 @@ class HyperTerm:
         from .dsl import render_term
 
         return f"HyperTerm({render_term(self)!r})"
+
+
+def factorial_ladder():
+    """A function m ↦ m! for m ≥ 0, to pass to HyperTerm.value_at. It
+    keeps every factorial it has reached in one list, so a new entry
+    costs one multiplication and a repeated one a lookup; the list lives
+    as long as the function."""
+    ladder = [1]
+
+    def factorial(m: int) -> int:
+        if m >= len(ladder):
+            value = ladder[-1]
+            for i in range(len(ladder), m + 1):
+                value *= i
+                ladder.append(value)
+        return ladder[m]
+
+    return factorial
 
 
 def _poly_terms(poly: Polynomial) -> tuple[tuple[int, int, int], ...]:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .algebra import RationalFunction
 from .errors import DomainError, SingularGrid
 from .series import SeriesSpec
-from .terms import Domain, HyperTerm, cross_ratio
+from .terms import Domain, HyperTerm, cross_ratio, factorial_ladder
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,23 @@ def verify_grid(pair: WZPair, n_max: int) -> VerifyReport:
     one point is G(n, k) at the next. Values are requested in the order
     F(n+1,k), F(n,k), G(n,k+1), G(n,k), skipping those already known, so
     a DomainError names the same point as a point-by-point check would.
+
+    Every value is a direct evaluation of F or G by value_at, which reads
+    its factorials from one factorial_ladder built for this call. A point
+    with values F(n+1,k) = a1/b1, F(n,k) = a0/b0, G(n,k+1) = c1/d1 and
+    G(n,k) = c0/d0 passes iff
+
+        (a1·b0 − a0·b1)·(d1·d0) == (c1·d0 − c0·d1)·(b1·b0),
+
+    which is the identity multiplied by the nonzero b1·b0·d1·d0 and is
+    decided in integers; the two sides are formed as Fractions only at a
+    failing point.
     """
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     f, g = pair.f, pair.g
     domain = pair.check_domain
+    factorial = factorial_ladder()
     n_start = domain.n_min if domain.n_min is not None else 0
     checked = 0
     failures = []
@@ -99,18 +111,20 @@ def verify_grid(pair: WZPair, n_max: int) -> VerifyReport:
         lo, hi = k_range
         f_next = {}
         for k in range(lo, hi + 1):
-            f_up = f_next[k] = f.value_at(n + 1, k)
+            f_up = f_next[k] = f.value_at(n + 1, k, factorial)
             f_here = f_row.pop(k, None)
             if f_here is None:
-                f_here = f.value_at(n, k)
-            g_up = g.value_at(n, k + 1)
+                f_here = f.value_at(n, k, factorial)
+            g_up = g.value_at(n, k + 1, factorial)
             if k == lo:
-                g_here = g.value_at(n, k)
-            lhs = f_up - f_here
-            rhs = g_up - g_here
+                g_here = g.value_at(n, k, factorial)
+            a1, b1 = f_up.numerator, f_up.denominator
+            a0, b0 = f_here.numerator, f_here.denominator
+            c1, d1 = g_up.numerator, g_up.denominator
+            c0, d0 = g_here.numerator, g_here.denominator
             checked += 1
-            if lhs != rhs:
-                failures.append(FailurePoint(n, k, lhs, rhs))
+            if (a1 * b0 - a0 * b1) * (d1 * d0) != (c1 * d0 - c0 * d1) * (b1 * b0):
+                failures.append(FailurePoint(n, k, f_up - f_here, g_up - g_here))
             g_here = g_up
         f_row = f_next
     outcome = "pass" if not failures else "fail"

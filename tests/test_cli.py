@@ -28,6 +28,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_subprocess(*argv, timeout=5):
+    """The CLI in a child process of this checkout, killed after timeout s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(wzeta.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "wzeta.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def assert_refused(done, *fragments):
+    """Exit 2 with nothing on stdout and one error line naming fragments."""
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: ")
+    assert all(fragment in done.stderr for fragment in fragments)
+
+
 def test_list(capsys):
     code, out, err = run(capsys, "list")
     assert code == 0
@@ -112,22 +128,14 @@ def test_verify_grid_over_the_cap_exits_2_promptly(cat):
     from wzeta.cli import _MAX_GRID_POINTS
     from wzeta.wz import grid_points
 
-    env = dict(os.environ, PYTHONPATH=str(Path(wzeta.__file__).parents[1]))
     for name in ("s1", "s2"):
         pair = cat.pair_by_name(name)
         n_max = 1
         while grid_points(pair, n_max, _MAX_GRID_POINTS) <= _MAX_GRID_POINTS:
             n_max += 1
         assert grid_points(pair, n_max - 1, _MAX_GRID_POINTS) > 0.99 * _MAX_GRID_POINTS
-        done = subprocess.run(
-            [sys.executable, "-m", "wzeta.cli", "verify", "--pair", name,
-             "--nmax", str(n_max)],
-            capture_output=True, text=True, env=env, timeout=5,
-        )
-        assert done.returncode == 2
-        assert done.stdout == ""
-        assert len(done.stderr.splitlines()) == 1
-        assert done.stderr.startswith("error: ") and str(_MAX_GRID_POINTS) in done.stderr
+        done = run_subprocess("verify", "--pair", name, "--nmax", str(n_max))
+        assert_refused(done, str(_MAX_GRID_POINTS))
 
 
 def test_verify_grid_with_a_huge_nmax_exits_2(capsys):
@@ -225,15 +233,41 @@ def test_eval_of_a_huge_value_exits_2_promptly():
     # 10^8! has about 2.5e9 bits; refused before any factorial is formed
     from wzeta.cli import _MAX_EVAL_BITS
 
-    env = dict(os.environ, PYTHONPATH=str(Path(wzeta.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "wzeta.cli", "eval", "--expr", "n!", "--n", "100000000"],
-        capture_output=True, text=True, env=env, timeout=5,
-    )
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert len(done.stderr.splitlines()) == 1
-    assert done.stderr.startswith("error: ") and str(_MAX_EVAL_BITS) in done.stderr
+    done = run_subprocess("eval", "--expr", "n!", "--n", "100000000")
+    assert_refused(done, str(_MAX_EVAL_BITS))
+
+
+@pytest.mark.parametrize("expr", ["((n+1)^999)^2", "(n+1)^999*(n+1)^999"])
+def test_eval_of_a_huge_polynomial_exits_2_promptly(expr):
+    # degree 1998 in n, refused from the operand degrees before expanding
+    assert_refused(run_subprocess("eval", "--expr", expr, "--n", "1"), "coefficients")
+
+
+def test_huge_digits_exits_2_promptly():
+    from wzeta.cli import _MAX_DIGITS
+
+    done = run_subprocess("digits", "--series", "s1", "--digits", "1000000000")
+    assert_refused(done, str(_MAX_DIGITS))
+
+
+def test_huge_terms_exits_2_promptly():
+    from wzeta.cli import _MAX_TERMS
+
+    done = run_subprocess("accelerate", "--pair", "s2", "--terms", "100000000")
+    assert_refused(done, str(_MAX_TERMS))
+
+
+def test_digits_and_terms_caps(capsys):
+    from wzeta.cli import _MAX_DIGITS, _MAX_TERMS
+
+    # the largest requests of the tests and of bench/run.py fit
+    assert _MAX_DIGITS >= 4500 and _MAX_TERMS >= 4000
+    code, out, err = run(capsys, "digits", "--series", "s3",
+                         "--digits", str(_MAX_DIGITS + 1))
+    assert (code, out) == (2, "") and str(_MAX_DIGITS) in err
+    code, out, err = run(capsys, "accelerate", "--pair", "s1",
+                         "--terms", str(_MAX_TERMS + 1))
+    assert (code, out) == (2, "") and str(_MAX_TERMS) in err
 
 
 def test_eval_just_under_the_cap_prints(capsys):
@@ -320,9 +354,11 @@ def test_case_insensitive_names(capsys):
 
 
 # sha256 of stdout, recorded from the term-by-term Fraction summation
-# that binary splitting replaced and from the point-by-point grid check
-# that the row sweep replaced; the output must not change. {broken} is
-# the broken_catalog file, and its grid check exits 1.
+# that binary splitting replaced, from the point-by-point grid check
+# that the row sweep replaced and, for n <= 200 and n <= 120, from the
+# Fraction-subtracting row sweep that the integer cross-multiplication
+# replaced; the output must not change. {broken} is the broken_catalog
+# file, and its grid check exits 1.
 GOLDEN = {
     "list": "2dcba1224c2f2ba447862d67e3f4f99784e546802b833f007b0367c6c1c4a2bf",
     "digits --series s1 --digits 1": "b404add3d53c96e15deadfa3913fbf24a52d24f2c6c2cec626206509118c5848",
@@ -341,6 +377,8 @@ GOLDEN = {
     "verify --pair s2 --symbolic": "a80921ef25a2ef70988a0fe9aa2142db89ef3c17f7375c2b47fae652607161b5",
     "verify --pair s1 --nmax 60": "42ca185fd8d69911d0939fb8e15af09e05e49641ae19c6d64e940f9ddec53b7f",
     "verify --pair s2 --nmax 40": "2f4322ee31d4fb077c0cf1556cd53031629e811737e495f2e0c1bc6e7dcf4a58",
+    "verify --pair s1 --nmax 200": "c12084b117761761bcdbaffce4d5646fa57df200dfa7c47677c19d1722073521",
+    "verify --pair s2 --nmax 120": "764d3e0746fc60a0011c6a15b4e60364284945be589c78b58e1279d29171115f",
     "--catalog {broken} verify --pair s1 --nmax 12": "846d07a59499459204e1d43e8570d6ded4a744713fa05fbee16941325f871dd3",
 }
 
@@ -393,13 +431,6 @@ def test_non_geometric_series_exits_2_promptly(tmp_path):
     end = text.index("\n", start)
     path = tmp_path / "slow.txt"
     path.write_text(text[:start] + "s1 = (-1)^(n+1) / n" + text[end:])
-    env = dict(os.environ, PYTHONPATH=str(Path(wzeta.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "wzeta.cli", "--catalog", str(path),
-         "digits", "--series", "s1", "--digits", "30"],
-        capture_output=True, text=True, env=env, timeout=10,
-    )
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert len(done.stderr.splitlines()) == 1
-    assert done.stderr.startswith("error: ") and "modulus 1" in done.stderr
+    done = run_subprocess("--catalog", str(path), "digits", "--series", "s1",
+                          "--digits", "30", timeout=10)
+    assert_refused(done, "modulus 1")

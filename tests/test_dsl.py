@@ -100,6 +100,27 @@ def test_structure_errors(text):
         parse_term(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "((n+1)^999)^2",  # degree 1998 in n
+        "(n+1)^999*(n+1)^999",
+        "(n+1)^999/(n+1)^-999",
+        "n^999*k",  # 1000 * 2 coefficients
+        "(n+k+1)^250",  # degree 250 in n and in k
+    ],
+)
+def test_polynomials_past_the_coefficient_cap_are_refused(text):
+    with pytest.raises(StructureError, match="over 1000 coefficients"):
+        parse_term(text)
+
+
+def test_polynomials_at_the_coefficient_cap_are_accepted():
+    assert parse_term("(n+1)^999").value_at(1) == 2**999
+    assert parse_term("n^500*n^499/k^0").value_at(2) == 2**999
+    assert parse_term("(n+k+1)^15*(n+k+1)^15").value_at(1, 1) == 3**30
+
+
 def test_top_level_factorial_only_on_atoms():
     # fine at top level on variables and after ')' anywhere
     parse_term("n! * k!")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wzeta.algebra import LinearForm, Polynomial
 from wzeta.errors import DomainError, IncompatibleTerms
-from wzeta.terms import Domain, HyperTerm, cross_ratio
+from wzeta.terms import Domain, HyperTerm, cross_ratio, factorial_ladder
 
 from conftest import valid_points
 
@@ -300,3 +300,30 @@ def test_value_at_matches_the_formula():
         "denominator in k", "non-integer constant",
         "outside", "factorial", "vanishes",
     }
+
+
+def test_value_at_with_a_ladder_matches_math_factorial():
+    # one ladder for every example, so entries are both added and reused
+    ladder = factorial_ladder()
+    outcomes = set()
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(term_cases())
+    def check(case):
+        sign, factorials, num, den, constant, domain, (n, k) = case
+        term = HyperTerm(sign, tuple(factorials), Polynomial(num), Polynomial(den),
+                         constant, domain)
+        try:
+            expected = term.value_at(n, k)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as raised:
+                term.value_at(n, k, ladder)
+            assert str(raised.value) == str(exc)
+            outcomes.add("error")
+            return
+        value = term.value_at(n, k, ladder)
+        assert type(value) is Fraction and value == expected
+        outcomes.add("value" if term.factorials else "no factorial")
+
+    check()
+    assert outcomes == {"value", "no factorial", "error"}

@@ -6,6 +6,7 @@ import pytest
 from wzeta.algebra import LinearForm, Polynomial, RationalFunction
 from wzeta.dsl import parse_term
 from wzeta.errors import DomainError
+from wzeta.terms import HyperTerm
 from wzeta import wz
 
 
@@ -235,3 +236,53 @@ def test_row_sweep_raises_the_reference_domain_error(cat, f_bound, g_bound, chec
         wz.verify_grid(pair, 10)
     assert str(swept.value) == str(expected.value)
     assert str(swept.value).endswith("outside term domain")
+
+
+def with_factor(term, num, den=Polynomial.const(1)):
+    """term · num/den, the polynomials kept unreduced."""
+    return HyperTerm(term.sign_exponent, term.factorials, term.poly_num * num,
+                     term.poly_den * den, term.constant, term.domain)
+
+
+def one_except_at_zero(form, count):
+    """1 + (form−1)(form−2)…(form−count): 1 wherever form is one of
+    1..count, and 1 ± count! where form is 0."""
+    poly = Polynomial.const(1)
+    for j in range(1, count + 1):
+        poly = poly * LinearForm(form.a, form.b, form.c - j).to_polynomial()
+    return poly + Polynomial.const(1)
+
+
+def test_failures_in_the_last_row_and_at_the_top_k(cat):
+    # F changes only at n = 13, which row 12 reads as F(n+1, k); G only
+    # at k = n, which the point k = n-1 (the top of s1's row) reads as
+    # G(n, k+1)
+    good = cat.pair_by_name("s1")
+    f = with_factor(good.f, one_except_at_zero(LinearForm(-1, 0, 13), 12))
+    g = with_factor(good.g, one_except_at_zero(LinearForm(1, -1, 0), 12))
+    pair = wz.WZPair("deep", f, g, 1, good.check_domain)
+    swept = wz.verify_grid(pair, 12)
+    reference = reference_grid(pair, 12)
+    assert swept.serialize() == reference.serialize()
+    assert swept.failures == reference.failures
+    assert [(p.n, p.k) for p in swept.failures] == (
+        [(n, n - 1) for n in range(1, 12)] + [(12, k) for k in range(12)]
+    )
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "broken"])
+def test_negative_polynomial_denominators(cat, broken_pair, name):
+    # F and G times (4k-2n-1)/(4k-2n-1): the same values, from a
+    # denominator polynomial that is negative wherever 4k < 2n+1
+    pair = broken_pair if name == "broken" else cat.pair_by_name(name)
+    q = LinearForm(-2, 4, -1).to_polynomial()
+    f, g = with_factor(pair.f, q, q), with_factor(pair.g, q, q)
+    signs = {g.poly_den.evaluate(n, k) > 0 for n in range(1, 13) for k in range(n)}
+    assert signs == {True, False}
+    scaled = wz.WZPair("scaled", f, g, pair.s, pair.check_domain)
+    swept = wz.verify_grid(scaled, 12)
+    reference = reference_grid(scaled, 12)
+    assert swept.serialize() == reference.serialize()
+    assert swept.failures == reference.failures
+    assert swept.serialize() == wz.verify_grid(pair, 12).serialize()
+    assert swept.outcome == ("fail" if name == "broken" else "pass")
