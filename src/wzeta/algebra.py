@@ -279,9 +279,6 @@ class RationalFunction:
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * other.num, self.den * other.den)
 
-    def is_one(self) -> bool:
-        return self.num == self.den
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented

@@ -1,14 +1,16 @@
 """Named, ready-to-use series and pairs.
 
-The definitions live as expression text in data/catalog.txt and are
-parsed at load time; a parse failure is raised, for the bundled file as
-for a replacement. Series metadata is code, not data: only the start
-index and the limit multiple, which the term ratio cannot tell.
+The pairs' terms and s3 live as expression text in data/catalog.txt and
+are parsed at load time; a parse failure is raised, for the bundled file
+as for a replacement. Every other series is derived from a pair: sN is
+its accelerated diagonal divided by the pair's limit multiple, so that
+it sums to ζ(3), and lhs_sN is its column Σ G(n, 0). What the terms
+cannot tell is code: each pair's family s and limit multiple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -16,23 +18,13 @@ from pathlib import Path
 from .algebra import LinearForm
 from .errors import CatalogError
 from .series import SeriesSpec
-from .terms import Domain
-from .wz import WZPair
+from .terms import Domain, HyperTerm
+from .wz import WZPair, accelerate, lhs_series
 from . import dsl
 
-_PAIR_NAMES = ("s1", "s2")
-_SERIES_NAMES = ("s1", "s2", "s3", "lhs_s1", "lhs_s2")
-_REQUIRED = ("f_s1", "g_s1", "f_s2", "g_s2") + _SERIES_NAMES
-
-# name -> (start index, limit multiple), in SeriesSpec field order
-_SERIES_META = {
-    "s1": (1, Fraction(1)),
-    "s2": (1, Fraction(1)),
-    "s3": (0, Fraction(1)),
-    "lhs_s1": (0, Fraction(2)),
-    "lhs_s2": (0, Fraction(2)),
-}
-_PAIR_S = {"s1": 1, "s2": 2}
+# pair name -> (family s, multiple of ζ(3) that Σ G(n, 0) sums to)
+_PAIRS = {"s1": (1, Fraction(2)), "s2": (2, Fraction(2))}
+_REQUIRED = tuple(f"{side}_{name}" for name in _PAIRS for side in "fg") + ("s3",)
 
 
 def pair_domain(s: int) -> Domain:
@@ -101,8 +93,8 @@ def bundled_text() -> str:
 def load_catalog(path: str | None = None) -> Catalog:
     """Build the catalog from the bundled data file or a replacement.
 
-    A replacement file must define exactly the bundled entry names (the
-    metadata attached to each name is fixed). Parse failures are raised.
+    A replacement file must define exactly the bundled entry names; the
+    series come from its pairs and s3. Parse failures are raised.
     """
     text = bundled_text() if path is None else Path(path).read_text()
     entries = parse_entries(text)
@@ -116,18 +108,20 @@ def load_catalog(path: str | None = None) -> Catalog:
 
     terms = {name: dsl.parse_term(expr) for name, expr in entries.items()}
 
-    series = {
-        name: SeriesSpec(name, terms[name], *_SERIES_META[name])
-        for name in _SERIES_NAMES
-    }
     pairs = {
-        name: WZPair(
-            name=name,
-            f=terms[f"f_{name}"],
-            g=terms[f"g_{name}"],
-            s=_PAIR_S[name],
-            check_domain=pair_domain(_PAIR_S[name]),
-        )
-        for name in _PAIR_NAMES
+        name: WZPair(name, terms[f"f_{name}"], terms[f"g_{name}"], multiple, pair_domain(s))
+        for name, (s, multiple) in _PAIRS.items()
     }
+    series = {name: _per_zeta3(accelerate(pair), name) for name, pair in pairs.items()}
+    series["s3"] = SeriesSpec("s3", terms["s3"])
+    for name, pair in pairs.items():
+        series[f"lhs_{name}"] = replace(lhs_series(pair), name=f"lhs_{name}")
     return Catalog(series=series, pairs=pairs)
+
+
+def _per_zeta3(series: SeriesSpec, name: str) -> SeriesSpec:
+    """The series renamed and divided by its limit multiple: it sums to ζ(3)."""
+    t = series.term
+    term = HyperTerm(t.sign_exponent, t.factorials, t.poly_num, t.poly_den,
+                     t.constant / series.zeta3_multiple, t.domain)
+    return SeriesSpec(name, term, series.start_index)

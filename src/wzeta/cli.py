@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import sys
 
 from . import catalog as catalog_mod
 from . import dsl, precision, wz
 from .errors import WZetaError
+from .terms import factorial_bits
 
 _COMPARE_DECIMALS = 30
 _COMPARE_LHS_TERMS = 300
@@ -30,6 +30,10 @@ _MAX_DIGITS = 60_000
 # largest `accelerate --terms`; s2, the slower pair, takes about 13.5 s
 # through the CLI at this size on a 2-vCPU machine and prints 72 MB
 _MAX_TERMS = 10_000
+# largest `rate --lo`/`--hi`; s3, the slowest catalog series, takes about
+# 3.8 s through the CLI from lo = 0 to this index on a 2-vCPU machine,
+# and 1.1 s for its last two terms (s2 2.7 s and 0.5 s in-process)
+_MAX_RATE_INDEX = 20_000
 # largest `eval` value, in estimated bits of unreduced numerator plus
 # denominator; n! at n = 128,767 takes about 5 s on a 2-vCPU machine
 _MAX_EVAL_BITS = 2_000_000
@@ -85,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rate = sub.add_parser("rate", help="measure decimal digits gained per term")
     p_rate.add_argument("--series", required=True)
     p_rate.add_argument("--lo", required=True, type=int)
-    p_rate.add_argument("--hi", required=True, type=int)
+    p_rate.add_argument("--hi", required=True, type=int,
+                        help=f"last index; --lo and --hi are at most {_MAX_RATE_INDEX}")
 
     p_eval = sub.add_parser("eval", help="evaluate a term expression exactly")
     p_eval.add_argument("--expr", required=True, metavar="TEXT")
@@ -161,6 +166,9 @@ def _cmd_accelerate(cat, args) -> int:
 
 
 def _cmd_rate(cat, args) -> int:
+    index = max(args.lo, args.hi)
+    if index > _MAX_RATE_INDEX:
+        raise WZetaError(f"--lo/--hi {index} is over the limit of {_MAX_RATE_INDEX}")
     series = cat.series_by_name(args.series)
     rate = precision.measure_rate(series, args.lo, args.hi)
     print(f"{rate:.3f}")
@@ -177,16 +185,16 @@ def _cmd_eval(args) -> int:
 
 
 def _value_bits(term, n: int, k: int) -> float:
-    """Bits of value_at(n, k)'s unreduced numerator plus denominator, by
-    Stirling's log2 m! ≈ m·log2(m/e) + log2(2πm)/2 per factorial (negative
-    m is left to value_at) plus polynomial degrees times bits of n and k."""
-    bits = 0.0
+    """Bits of value_at(n, k)'s unreduced numerator plus denominator: the
+    folded constant's, Stirling's log2 m! per factorial (negative m is
+    left to value_at), and per polynomial the bits of its coefficient sum
+    plus its degrees times the bits of n and k."""
+    bits = float(term.constant.numerator.bit_length() + term.constant.denominator.bit_length())
     for form, exp in term.factorials:
-        m = form.value(n, k)
-        if m > 1:
-            bits += abs(exp) * (m * math.log2(m / math.e) + math.log2(2 * math.pi * m) / 2)
+        bits += abs(exp) * factorial_bits(form.value(n, k))
     for poly in (term.poly_num, term.poly_den):
-        bits += poly.degree("n") * n.bit_length() + poly.degree("k") * k.bit_length()
+        norm = sum(abs(c) for c in poly.coeffs.values())
+        bits += norm.bit_length() + poly.degree("n") * n.bit_length() + poly.degree("k") * k.bit_length()
     return bits
 
 

@@ -12,6 +12,12 @@ k; every factor may carry an integer power written with ``^``. ``*`` and
 Integer exponents are at most 999 in size, and a product or power whose
 polynomial part could have more than 1000 coefficients, counted as
 (degree in n + 1)·(degree in k + 1), is refused before it is expanded.
+Sizes are bounded too, before anything is formed: integer literals have
+at most 4300 digits; a product or power may not give a polynomial of
+more than 2,000,000 bits, counted as its coefficient slots times log2 of
+the sum of its coefficients' magnitudes; and the factorials of integers,
+which the term folds into its constant, may not come to more than
+2,000,000 bits (Stirling's estimate, net of exponents).
 
 Inside parentheses the conventional algebraic notation is accepted, so
 polynomials can be pasted verbatim ("56n^2-32n+5"); outside parentheses
@@ -26,12 +32,14 @@ at every point, factor order and polynomial expansion may differ).
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LinearForm, Polynomial
 from .errors import ParseError, StructureError
-from .terms import HyperTerm
+from .terms import HyperTerm, factorial_bits
 
 _MAX_EXPONENT = 999
 # most coefficients, (deg_n + 1)·(deg_k + 1), that a polynomial factor may
@@ -39,6 +47,14 @@ _MAX_EXPONENT = 999
 # power is formed. (n+1)^999 fits and takes about 0.5 s to parse;
 # (n+k+1)^250 would take minutes.
 _MAX_COEFFICIENTS = _MAX_EXPONENT + 1
+# most bits, estimated from the operands, of a polynomial formed by a
+# product or power and of the factorials of integers that a term folds
+# into its constant. (n+1)^999 counts 999,000 bits and (3*n+1)^999
+# 1,998,000, which takes about 0.7 s to parse; (1000*n+1)^999 took 2.7 s,
+# and (10^999)^999 or (200000)! took seconds to parse and print.
+_MAX_BITS = 2_000_000
+# longest integer literal, CPython's default int-from-str limit
+_MAX_LITERAL_DIGITS = 4300
 
 _ATOM_STARTS = ("integer", "n", "k", "(")
 
@@ -134,6 +150,12 @@ class _Product:
         )
 
     def to_term(self) -> HyperTerm:
+        net: dict[int, int] = defaultdict(int)
+        for form, exp in self.factorials:
+            if form.is_constant:
+                net[form.c] += exp
+        bits = sum(abs(exp) * factorial_bits(c) for c, exp in net.items() if exp)
+        _require_bits(bits, "factorials of integers")
         return HyperTerm(self.sign, tuple(self.factorials), self.num, self.den)
 
 
@@ -141,23 +163,36 @@ def _degrees(poly: Polynomial) -> tuple[int, int]:
     return max(poly.degree("n"), 0), max(poly.degree("k"), 0)
 
 
-def _require_size(deg_n: int, deg_k: int) -> None:
-    if (deg_n + 1) * (deg_k + 1) > _MAX_COEFFICIENTS:
+def _norm_bits(poly: Polynomial) -> float:
+    """log2 of the sum of |coefficients|: it bounds every coefficient, and
+    it is at most the operands' sum for a product, e times for a power."""
+    return math.log2(max(sum(abs(c) for c in poly.coeffs.values()), 1))
+
+
+def _require_size(deg_n: int, deg_k: int, norm_bits: float) -> None:
+    slots = (deg_n + 1) * (deg_k + 1)
+    if slots > _MAX_COEFFICIENTS:
         raise StructureError(
             f"polynomial of degree {deg_n} in n and {deg_k} in k is too large "
             f"(over {_MAX_COEFFICIENTS} coefficients)"
         )
+    _require_bits(slots * norm_bits, "polynomial")
+
+
+def _require_bits(bits: float, what: str) -> None:
+    if bits > _MAX_BITS:
+        raise StructureError(f"{what} of about {bits:.3g} bits, over {_MAX_BITS} bits")
 
 
 def _times(a: Polynomial, b: Polynomial) -> Polynomial:
     (an, ak), (bn, bk) = _degrees(a), _degrees(b)
-    _require_size(an + bn, ak + bk)
+    _require_size(an + bn, ak + bk, _norm_bits(a) + _norm_bits(b))
     return a * b
 
 
 def _power(a: Polynomial, e: int) -> Polynomial:
     an, ak = _degrees(a)
-    _require_size(an * e, ak * e)
+    _require_size(an * e, ak * e, _norm_bits(a) * e)
     return a**e
 
 
@@ -257,6 +292,10 @@ class _Parser:
     def atom(self, depth: int) -> tuple[_Product, bool]:
         token = self.peek()
         if token.kind == "int":
+            if len(token.text) > _MAX_LITERAL_DIGITS:
+                raise StructureError(
+                    f"integer literal at offset {token.offset} has over {_MAX_LITERAL_DIGITS} digits"
+                )
             self.advance()
             return _Product.from_poly(Polynomial.const(int(token.text))), False
         if token.kind == "var":

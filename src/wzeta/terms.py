@@ -163,10 +163,6 @@ class HyperTerm:
     def __hash__(self) -> int:
         return hash(self._key)
 
-    def with_domain(self, domain: Domain) -> "HyperTerm":
-        return HyperTerm(self.sign_exponent, self.factorials, self.poly_num,
-                         self.poly_den, self.constant, domain)
-
     def value_at(self, n: int, k: int = 0, factorial=math.factorial) -> Fraction:
         """Exact value at an integer point; DomainError outside the domain.
 
@@ -231,11 +227,6 @@ class HyperTerm:
         """R(n,k) with term(n+dn, k+dk) = R(n,k) * term(n,k) where defined."""
         return cross_ratio(self.shifted(dn, dk), self)
 
-    def as_rational_function(self) -> RationalFunction:
-        """The term as a rational function of (n,k), if its factorial and
-        sign factors cancel; raises IncompatibleTerms otherwise."""
-        return cross_ratio(self, HyperTerm())
-
     def __repr__(self) -> str:
         from .dsl import render_term
 
@@ -258,6 +249,16 @@ def factorial_ladder():
         return ladder[m]
 
     return factorial
+
+
+def factorial_bits(m: int) -> float:
+    """Stirling's estimate of log2 m!, m·log2(m/e) + log2(2πm)/2; 0 for
+    m < 2 and infinity past the float range."""
+    if m < 2:
+        return 0.0
+    if m.bit_length() > 1000:
+        return math.inf
+    return m * math.log2(m / math.e) + math.log2(2 * math.pi * m) / 2
 
 
 def _poly_terms(poly: Polynomial) -> tuple[tuple[int, int, int], ...]:

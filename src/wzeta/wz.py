@@ -28,15 +28,15 @@ from .terms import Domain, HyperTerm, cross_ratio, factorial_ladder
 class WZPair:
     """A candidate pair for the discrete telescoping identity.
 
-    check_domain is the (n, k) region on which all four values in the
-    identity are defined; s tags which family the pair came from and is
-    informational only.
+    zeta3_multiple is the multiple of ζ(3) that Σ_{n≥0} G(n, 0) sums to,
+    the one fact the terms cannot tell; check_domain is the (n, k) region
+    on which all four values in the identity are defined.
     """
 
     name: str
     f: HyperTerm
     g: HyperTerm
-    s: int
+    zeta3_multiple: Fraction
     check_domain: Domain
 
 
@@ -230,9 +230,9 @@ def accelerate(pair: WZPair) -> SeriesSpec:
 
     b_n is built as one hypergeometric term, F(n, n-1)·(1 + R) with the
     rational R = G(n-1, n-1)/F(n, n-1) (IncompatibleTerms otherwise).
-    For a verified pair the series has the same limit as Σ_{n≥0} G(n, 0);
-    for the bundled pairs that limit is 2ζ(3), hence zeta3_multiple=2.
-    Verification is the caller's responsibility.
+    For a verified pair the series has the same limit as Σ_{n≥0} G(n, 0),
+    the pair's zeta3_multiple times ζ(3). Verification is the caller's
+    responsibility.
     """
     f_diag = pair.f.specialized((1, 0), (1, -1), n_min=1)  # F(n, n-1)
     g_diag = pair.g.specialized((1, -1), (1, -1), n_min=1)  # G(n-1, n-1)
@@ -248,20 +248,16 @@ def accelerate(pair: WZPair) -> SeriesSpec:
             Domain(1, f_diag.domain.constraints + g_diag.domain.constraints),
         ),
         start_index=1,
-        zeta3_multiple=Fraction(2),
+        zeta3_multiple=pair.zeta3_multiple,
     )
 
 
 def lhs_series(pair: WZPair) -> SeriesSpec:
-    """The column series Σ_{n≥0} G(n, 0) (the slow side for the bundled
-    pairs, with positive terms and polynomial-rate decay)."""
+    """The column series Σ_{n≥0} G(n, 0), summing to the pair's
+    zeta3_multiple times ζ(3) (the slow side for the bundled pairs, with
+    positive terms and polynomial-rate decay)."""
     g_column = pair.g.specialized((1, 0), (0, 0), n_min=0)  # G(n, 0)
-    return SeriesSpec(
-        name=f"lhs({pair.name})",
-        term=g_column,
-        start_index=0,
-        zeta3_multiple=Fraction(2),
-    )
+    return SeriesSpec(f"lhs({pair.name})", g_column, 0, pair.zeta3_multiple)
 
 
 def two_sided_gap(

@@ -1,5 +1,6 @@
-"""The bundled catalog entries built directly from the term model, with
-no parser: the oracle that the parsed catalog is checked against."""
+"""The bundled catalog built directly from the term model, with no parser
+and no pair: handbuilt_terms is the oracle for the parsed entries,
+handbuilt_series for the series that the catalog derives from its pairs."""
 
 from fractions import Fraction
 
@@ -45,19 +46,6 @@ def handbuilt_terms() -> dict[str, HyperTerm]:
             poly_den=_forms_product((LinearForm(1, 0, 1), 2), (LinearForm(2, 0, 1), 2)),
             constant=Fraction(1, 2),
         ),
-        "s1": HyperTerm(
-            LinearForm(1, 0, 1),
-            ((_N, 2), (LinearForm(2, 0, 0), -1)),
-            poly_den=_forms_product((_N, 3)),
-            constant=Fraction(5, 2),
-        ),
-        "s2": HyperTerm(
-            LinearForm(1, 0, 1),
-            ((_N, 3), (LinearForm(3, 0, 0), -1)),
-            poly_num=Polynomial({(2, 0): 56, (1, 0): -32, (0, 0): 5}),
-            poly_den=_forms_product((LinearForm(2, 0, -1), 2), (_N, 3)),
-            constant=Fraction(1, 4),
-        ),
         "s3": HyperTerm(
             _N,
             ((_N, 2), (LinearForm(2, 0, 0), 1), (LinearForm(4, 0, 0), -1)),
@@ -72,6 +60,26 @@ def handbuilt_terms() -> dict[str, HyperTerm]:
                 (LinearForm(3, 0, 2), 2),
             ),
             constant=Fraction(1, 72),
+        ),
+    }
+
+
+def handbuilt_series() -> dict[str, HyperTerm]:
+    """The terms of the catalog series derived from the pairs: sN sums to
+    ζ(3) and lhs_sN to 2ζ(3)."""
+    return {
+        "s1": HyperTerm(
+            LinearForm(1, 0, 1),
+            ((_N, 2), (LinearForm(2, 0, 0), -1)),
+            poly_den=_forms_product((_N, 3)),
+            constant=Fraction(5, 2),
+        ),
+        "s2": HyperTerm(
+            LinearForm(1, 0, 1),
+            ((_N, 3), (LinearForm(3, 0, 0), -1)),
+            poly_num=Polynomial({(2, 0): 56, (1, 0): -32, (0, 0): 5}),
+            poly_den=_forms_product((LinearForm(2, 0, -1), 2), (_N, 3)),
+            constant=Fraction(1, 4),
         ),
         "lhs_s1": HyperTerm(
             poly_den=_forms_product((LinearForm(1, 0, 1), 3)),

@@ -9,11 +9,12 @@ from fractions import Fraction
 
 import pytest
 from conftest import valid_points
-from handbuilt import handbuilt_terms
+from handbuilt import handbuilt_series, handbuilt_terms
 
 from wzeta import (
     accelerate,
     certificate,
+    lhs_series,
     load_catalog,
     measure_rate,
     parse_term,
@@ -229,6 +230,33 @@ def test_criterion_11_deterministic_block_summation():
         f"binary-splitting sums at {len(counts)} counts and sub-range sums "
         f"combined at {len(splits)} split sets over {count} terms == "
         "sequential Fraction sums, exact equality",
+    )
+
+
+def test_criterion_12_series_derived_from_pairs():
+    built = handbuilt_series() | {"s3": handbuilt_terms()["s3"]}
+    sources = {"s3": (None, 0, Fraction(1))}  # name -> (source, start, multiple)
+    for name in ("s1", "s2"):
+        pair = CAT.pair_by_name(name)
+        sources[name] = (accelerate(pair), 1, Fraction(1))
+        sources[f"lhs_{name}"] = (lhs_series(pair), 0, pair.zeta3_multiple)
+    ok = set(CAT.series) == set(built) == set(sources)
+    checks = 0
+    for name, series in CAT.series.items():
+        source, start, multiple = sources[name]
+        ok = ok and (series.start_index, series.zeta3_multiple) == (start, multiple)
+        for n in range(start, 201):
+            value = series.term_at(n)
+            ok = ok and value == built[name].value_at(n)
+            if source is not None:
+                scale = source.zeta3_multiple / multiple
+                ok = ok and source.start_index == start and value * scale == source.term_at(n)
+            checks += 1
+    report(
+        12,
+        ok,
+        f"{len(built)} catalog series == hand-built terms at {checks} indices "
+        "n <= 200; s1, s2 == accelerate(pair)/2, lhs_s1, lhs_s2 == lhs_series(pair)",
     )
 
 

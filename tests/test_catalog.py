@@ -68,19 +68,23 @@ def test_parse_entries_rejects_bad_lines():
 
 
 def test_replacement_catalog_file(tmp_path):
-    # same entries, some written differently; values must be unchanged
-    text = catalog.bundled_text().replace(
-        "s1 = 5/2 * (-1)^(n+1) * n!^2 / ((2*n)! * n^3)",
-        "s1 = 5 * (-1)^(n+1) * n!^2 / (2 * (2*n)! * n^3)",
-    )
+    # same entries, g_s1 written differently; the pair and the series
+    # derived from it must be unchanged
+    good = "g_s1 = 2 * (-1)^k * k!^2 * (n-k)! / ((n+k+1)! * (n+1)^2)"
+    text = catalog.bundled_text()
+    assert good in text
     path = tmp_path / "alt.txt"
-    path.write_text(text)
+    path.write_text(text.replace(
+        good, "g_s1 = 4 * (-1)^k * k!^2 * (n-k)! / (2 * (n+k+1)! * (n+1)^2)"
+    ))
     alt = catalog.load_catalog(str(path))
     bundled = catalog.load_catalog()
-    for n in range(1, 30):
-        assert alt.series_by_name("s1").term_at(n) == bundled.series_by_name(
-            "s1"
-        ).term_at(n)
+    assert alt.pair_by_name("s1").g == bundled.pair_by_name("s1").g
+    for name in ("s1", "lhs_s1"):
+        for n in range(1, 30):
+            assert alt.series_by_name(name).term_at(n) == bundled.series_by_name(
+                name
+            ).term_at(n)
 
 
 def test_replacement_catalog_missing_entry(tmp_path):
@@ -98,9 +102,10 @@ def test_replacement_catalog_unknown_entry(tmp_path):
 
 
 def test_replacement_catalog_parse_error_is_loud(tmp_path):
-    text = catalog.bundled_text().replace("lhs_s1 = 2 / (n+1)^3", "lhs_s1 = 2n")
+    good = "g_s1 = 2 * (-1)^k"
+    assert good in catalog.bundled_text()
     path = tmp_path / "bad.txt"
-    path.write_text(text)
+    path.write_text(catalog.bundled_text().replace(good, "g_s1 = 2n * (-1)^k"))
     with pytest.raises(ParseError):
         catalog.load_catalog(str(path))
 
@@ -108,12 +113,14 @@ def test_replacement_catalog_parse_error_is_loud(tmp_path):
 def test_pair_domains(cat):
     assert cat.pair_by_name("s1").check_domain.k_range(4) == (0, 3)
     assert cat.pair_by_name("s2").check_domain.k_range(4) == (0, 7)
-    assert cat.pair_by_name("s2").s == 2
+    assert cat.pair_by_name("s2").zeta3_multiple == 2
 
 
 def test_bundled_catalog_parse_error_is_loud(monkeypatch):
     # no fallback: a parse failure in the bundled file is raised too
-    broken = catalog.bundled_text().replace("lhs_s1 = 2 / (n+1)^3", "lhs_s1 = 2n")
+    good = "g_s1 = 2 * (-1)^k"
+    assert good in catalog.bundled_text()
+    broken = catalog.bundled_text().replace(good, "g_s1 = 2n * (-1)^k")
     monkeypatch.setattr(catalog, "bundled_text", lambda: broken)
     with pytest.raises(ParseError):
         catalog.load_catalog()

@@ -257,6 +257,47 @@ def test_huge_terms_exits_2_promptly():
     assert_refused(done, str(_MAX_TERMS))
 
 
+@pytest.mark.parametrize("bounds", [("1", "1000000000"), ("100000", "100001")])
+def test_huge_rate_index_exits_2_promptly(bounds):
+    from wzeta.cli import _MAX_RATE_INDEX
+
+    lo, hi = bounds
+    done = run_subprocess("rate", "--series", "s3", "--lo", lo, "--hi", hi)
+    assert_refused(done, hi, str(_MAX_RATE_INDEX))
+
+
+def test_rate_index_cap(capsys):
+    from wzeta.cli import _MAX_RATE_INDEX
+
+    for lo, hi in ((1, _MAX_RATE_INDEX + 1), (_MAX_RATE_INDEX + 1, _MAX_RATE_INDEX + 2)):
+        code, out, err = run(capsys, "rate", "--series", "s1", "--lo", str(lo), "--hi", str(hi))
+        assert (code, out) == (2, "") and str(_MAX_RATE_INDEX) in err
+    code, out, err = run(capsys, "rate", "--series", "s1", "--lo", str(_MAX_RATE_INDEX - 1),
+                         "--hi", str(_MAX_RATE_INDEX))
+    assert (code, out, err) == (0, "0.602\n", "")
+
+
+@pytest.mark.parametrize(
+    "expr", ["(200000)!", "((3)!^999)^999", "(3000000)!", "((10^999)^999)^3"]
+)
+def test_eval_of_a_huge_constant_exits_2_promptly(expr):
+    # each was over 12 s, or still running after 10 s, before constants
+    # were bounded at parse time
+    assert_refused(run_subprocess("eval", "--expr", expr, "--n", "1"), "bits")
+
+
+def test_eval_counts_the_constant(capsys):
+    # constant factorials that cancel are never formed
+    code, out, err = run(capsys, "eval", "--expr", "(1000)!^300/(1000)!^300", "--n", "1")
+    assert (code, out, err) == (0, "1\n", "")
+    # 2^998001 is under the parse-time bound but, with n!^2 at
+    # n = 68000 (about 1.9e6 bits), over the eval cap
+    code, out, err = run(capsys, "eval", "--expr", "(2^999)^999 * n!^2", "--n", "68000")
+    assert (code, out) == (2, "") and err.startswith("error: eval needs about 2.99e+06 bits")
+    code, out, err = run(capsys, "eval", "--expr", "n!", "--n", str(10**400))
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
 def test_digits_and_terms_caps(capsys):
     from wzeta.cli import _MAX_DIGITS, _MAX_TERMS
 
@@ -318,7 +359,9 @@ def test_malformed_catalog_file_exits_2(capsys, tmp_path):
 def test_bundled_catalog_parse_error_exits_2(capsys, monkeypatch):
     from wzeta import catalog
 
-    broken = bundled_text().replace("lhs_s1 = 2 / (n+1)^3", "lhs_s1 = 2n")
+    good = "g_s1 = 2 * (-1)^k"
+    assert good in bundled_text()
+    broken = bundled_text().replace(good, "g_s1 = 2n * (-1)^k")
     monkeypatch.setattr(catalog, "bundled_text", lambda: broken)
     code, out, err = run(capsys, "list")
     assert code == 2
@@ -427,10 +470,24 @@ def test_accelerate_past_the_int_str_limit(capsys):
 def test_non_geometric_series_exits_2_promptly(tmp_path):
     # terms alternate and decrease, but only like 1/n: no geometric rate
     text = bundled_text()
-    start = text.index("\ns1 = ") + 1
+    start = text.index("\ns3 = ") + 1
     end = text.index("\n", start)
     path = tmp_path / "slow.txt"
-    path.write_text(text[:start] + "s1 = (-1)^(n+1) / n" + text[end:])
-    done = run_subprocess("--catalog", str(path), "digits", "--series", "s1",
+    path.write_text(text[:start] + "s3 = (-1)^n / (n+1)" + text[end:])
+    done = run_subprocess("--catalog", str(path), "digits", "--series", "s3",
                           "--digits", "30", timeout=10)
     assert_refused(done, "modulus 1")
+
+
+def test_broken_catalog_series_follow_its_pair(broken_catalog):
+    # the replaced g_s1 reaches s1 and lhs_s1: the series are the pair's
+    from wzeta import accelerate, lhs_series, load_catalog
+
+    broken = load_catalog(broken_catalog)
+    pair = broken.pair_by_name("s1")
+    fast, slow = accelerate(pair), lhs_series(pair)
+    s1, lhs_s1 = broken.series_by_name("s1"), broken.series_by_name("lhs_s1")
+    for n in range(1, 60):
+        assert s1.term_at(n) == fast.term_at(n) / 2
+        assert lhs_s1.term_at(n) == slow.term_at(n)
+    assert s1.term_at(1) != load_catalog().series_by_name("s1").term_at(1)

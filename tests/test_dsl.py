@@ -121,6 +121,45 @@ def test_polynomials_at_the_coefficient_cap_are_accepted():
     assert parse_term("(n+k+1)^15*(n+k+1)^15").value_at(1, 1) == 3**30
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(200000)!",
+        "(3000000)!",
+        "((3)!^999)^999",
+        "(1000)!^300 * n",
+        "(1000)!^200/(999)!^200",
+        "(10^999)!",
+        "((10^999)^999)^3",
+        "(10^999)^999",
+        "(4^999)^999 * (2^999)^999",
+        "(4*n+1)^999",
+        "(2^999*n+1)^999",
+        "(n+1)^999 * 4^999",
+        "1" * 4301,
+    ],
+)
+def test_sizes_past_the_bit_cap_are_refused(text):
+    with pytest.raises(StructureError, match="(over 2000000 bits|over 4300 digits)$"):
+        parse_term(text)
+
+
+def test_sizes_at_the_bit_cap_are_accepted():
+    from wzeta.dsl import _MAX_BITS
+    from wzeta.terms import factorial_bits
+
+    m = 2
+    while factorial_bits(m + 1) <= _MAX_BITS:
+        m += 1
+    assert parse_term(f"({m})!").constant == math.factorial(m)
+    with pytest.raises(StructureError):
+        parse_term(f"({m + 1})!")
+    assert parse_term(f"({m + 1})!^2 * k / ({m + 1})!^2") == parse_term("k")
+    assert parse_term("(4^999)^999 * 2^999").constant == 2**1997001
+    assert parse_term("(3*n+1)^999").value_at(1) == 4**999
+    assert parse_term("1" * 4300).constant == int("1" * 4300)
+
+
 def test_top_level_factorial_only_on_atoms():
     # fine at top level on variables and after ')' anywhere
     parse_term("n! * k!")

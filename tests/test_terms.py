@@ -169,7 +169,7 @@ def test_as_rational_function():
         poly_den=LinearForm(1, 0, 2).to_polynomial(),
         constant=Fraction(3, 2),
     )
-    r = t.as_rational_function()
+    r = cross_ratio(t, HyperTerm())
     for n in range(1, 8):
         assert r.evaluate(n, 0) == t.value_at(n, 0)
 

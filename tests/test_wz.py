@@ -15,7 +15,7 @@ def broken_pair(cat):
     """First pair with G's constant 2 replaced by 3 — identity fails."""
     good = cat.pair_by_name("s1")
     bad_g = parse_term("3 * (-1)^k * k!^2 * (n-k)! / ((n+k+1)! * (n+1)^2)")
-    return wz.WZPair("broken", good.f, bad_g, 1, good.check_domain)
+    return wz.WZPair("broken", good.f, bad_g, good.zeta3_multiple, good.check_domain)
 
 
 def test_identity_anchor_values(cat):
@@ -159,7 +159,7 @@ def test_domain_respected_by_grid(cat):
     from wzeta.terms import Domain
 
     thin = Domain(n_min=2, constraints=(LinearForm(0, 1, -1), LinearForm(1, -1, -1)))
-    shrunk = wz.WZPair("thin", pair.f, pair.g, 1, thin)
+    shrunk = wz.WZPair("thin", pair.f, pair.g, pair.zeta3_multiple, thin)
     report = wz.verify_grid(shrunk, 10)
     assert report.outcome == "pass"
     assert report.points_checked == sum(n - 1 for n in range(2, 11))
@@ -221,15 +221,15 @@ def test_row_sweep_raises_the_reference_domain_error(cat, f_bound, g_bound, chec
     def narrowed(term, bound):
         if bound is None:
             return term
-        return term.with_domain(Domain(None, term.domain.constraints + (bound,)))
+        return HyperTerm(term.sign_exponent, term.factorials, term.poly_num, term.poly_den,
+                         term.constant, Domain(None, term.domain.constraints + (bound,)))
 
     good = cat.pair_by_name("s1")
     check = good.check_domain
     if check_bounds is not None:
         check = Domain(check.n_min, check_bounds)
-    pair = wz.WZPair(
-        "leaky", narrowed(good.f, f_bound), narrowed(good.g, g_bound), 1, check
-    )
+    pair = wz.WZPair("leaky", narrowed(good.f, f_bound), narrowed(good.g, g_bound),
+                     good.zeta3_multiple, check)
     with pytest.raises(DomainError) as expected:
         reference_grid(pair, 10)
     with pytest.raises(DomainError) as swept:
@@ -260,7 +260,7 @@ def test_failures_in_the_last_row_and_at_the_top_k(cat):
     good = cat.pair_by_name("s1")
     f = with_factor(good.f, one_except_at_zero(LinearForm(-1, 0, 13), 12))
     g = with_factor(good.g, one_except_at_zero(LinearForm(1, -1, 0), 12))
-    pair = wz.WZPair("deep", f, g, 1, good.check_domain)
+    pair = wz.WZPair("deep", f, g, good.zeta3_multiple, good.check_domain)
     swept = wz.verify_grid(pair, 12)
     reference = reference_grid(pair, 12)
     assert swept.serialize() == reference.serialize()
@@ -279,7 +279,7 @@ def test_negative_polynomial_denominators(cat, broken_pair, name):
     f, g = with_factor(pair.f, q, q), with_factor(pair.g, q, q)
     signs = {g.poly_den.evaluate(n, k) > 0 for n in range(1, 13) for k in range(n)}
     assert signs == {True, False}
-    scaled = wz.WZPair("scaled", f, g, pair.s, pair.check_domain)
+    scaled = wz.WZPair("scaled", f, g, pair.zeta3_multiple, pair.check_domain)
     swept = wz.verify_grid(scaled, 12)
     reference = reference_grid(scaled, 12)
     assert swept.serialize() == reference.serialize()
