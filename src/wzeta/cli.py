@@ -31,8 +31,8 @@ _MAX_DIGITS = 60_000
 # through the CLI at this size on a 2-vCPU machine and prints 72 MB
 _MAX_TERMS = 10_000
 # largest `rate --lo`/`--hi`; s3, the slowest catalog series, takes about
-# 3.8 s through the CLI from lo = 0 to this index on a 2-vCPU machine,
-# and 1.1 s for its last two terms (s2 2.7 s and 0.5 s in-process)
+# 0.66 s through the CLI from lo = 0 to this index on a 2-vCPU machine and
+# 0.23 s, nearly all start-up, for its last two terms (s2 0.29 s in-process)
 _MAX_RATE_INDEX = 20_000
 # largest `eval` value, in estimated bits of unreduced numerator plus
 # denominator; n! at n = 128,767 takes about 5 s on a 2-vCPU machine

@@ -1,12 +1,11 @@
 """Certified decimal evaluation of alternating series.
 
-sum_to_digits sums a series, through the binary-splitting engine, up to
-the first term negligible for the requested precision, checking that
-every ratio up to the cut lies in (-1, 0), and reports a truncated
-decimal string with exact rational error bounds: SeriesSpec.tail_bound,
-the first omitted term, proved past the cut by the ratio's certificate,
-and in scaled mode 1/scale for the one truncation to a fixed point. The
-certified digit count drops while the bounds straddle a decimal boundary.
+sum_to_digits takes from SeriesSpec.sum_to_cut the sum up to the first
+term negligible for the requested precision and that term t(N), read from
+the product tree, which bounds the tail. Scaled mode truncates the sum
+once to a fixed point, adding 1/scale to the error. The digits come from
+one pair of scaled floors of the sum minus and plus the error, divided by
+10 until they agree while the bounds straddle a decimal boundary.
 """
 
 from __future__ import annotations
@@ -15,10 +14,9 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
-from .errors import DomainError, NonAlternating, TailBoundError
-from .series import SeriesSpec, split_ratios
+from .errors import DomainError, TailBoundError
+from .series import SeriesSpec
 
 EXACT = "exact"
 SCALED = "scaled"
@@ -26,9 +24,6 @@ SCALED = "scaled"
 # one truncation loses under 1/scale whatever the term count; 20 guard
 # digits keep that below terms/10^(D+10+log10(terms)) up to 10^10 terms
 _SCALED_GUARD = 20
-# an index whose float estimate of log10|term| is this close to the
-# threshold is decided with the exact term
-_LOG_SLACK = 1e-3
 # under 4300 digits, CPython's default int-to-str limit
 _STR_BITS = 14_000
 
@@ -57,13 +52,6 @@ class EvalReport:
         )
 
 
-class _Unreduced(NamedTuple):
-    """A partial sum left unreduced: a gcd that changes no digit."""
-
-    numerator: int
-    denominator: int
-
-
 def sum_to_digits(series: SeriesSpec, digits: int, mode: str = EXACT) -> EvalReport:
     """Sum an alternating series to `digits` certified decimal places.
 
@@ -76,70 +64,49 @@ def sum_to_digits(series: SeriesSpec, digits: int, mode: str = EXACT) -> EvalRep
     if digits < 1:
         raise DomainError("digits must be at least 1")
 
-    first, steps, tail = _walk_to_cut(series, digits)
-    big_q, big_t = split_ratios([(1, 1)] + steps[:-1])
-    partial = _Unreduced(first.numerator * big_t, first.denominator * big_q)
+    numerator, denominator, tail, count = series.sum_to_cut(Fraction(1, 10 ** (digits + 2)))
     rounding = Fraction(0)
     if mode == SCALED:
         scale = 10 ** (digits + _SCALED_GUARD)
-        partial = _Unreduced(partial.numerator * scale // partial.denominator, scale)
+        numerator, denominator = numerator * scale // denominator, scale
         rounding = Fraction(1, scale)
 
-    # partial ± error as (low or high) / common, to certify on integers
+    # floor((x ∓ e)·10^c) for the sum x and error e, from c = digits down
     error = tail + rounding
-    common = partial.denominator * error.denominator
-    low = partial.numerator * error.denominator - error.numerator * partial.denominator
-    high = low + 2 * error.numerator * partial.denominator
+    common = denominator * error.denominator
+    center = numerator * error.denominator
+    spread = error.numerator * denominator
+    low = (center - spread) * 10**digits // common
+    high = (center + spread) * 10**digits // common
     certified = digits
-    while low * 10**certified // common != high * 10**certified // common:
-        certified -= 1
-        if certified < 0:
+    while low != high:
+        if certified == 0:
             raise TailBoundError("error bounds certify no digits at all")
+        low, high, certified = low // 10, high // 10, certified - 1
+    # e > 0 puts x·10^c strictly inside (low, low + 1): x truncates
+    # toward zero to low, or to low + 1 when it is negative
+    magnitude = -(low + 1) if numerator < 0 else low
     return EvalReport(
         series=series.name,
         mode=mode,
-        decimal_string=truncated_decimal(partial, certified),
-        terms_used=len(steps),
+        decimal_string=_decimal_text(numerator < 0, magnitude, certified),
+        terms_used=count,
         tail_bound=tail,
         rounding_bound=rounding,
         certified_digits=certified,
     )
 
 
-def _walk_to_cut(series: SeriesSpec, digits: int):
-    """(t(start), steps, |t(N)|) for the first index N > start with
-    |t(N)| < 10^-(D+2); steps are the checked ratios at start..N-1.
-    log10|t(n)| is tracked in floating point, decided exactly near the
-    threshold, and the cut is confirmed exactly at N-1 and N."""
-    threshold = Fraction(1, 10 ** (digits + 2))
-    n = series.start_index
-    first = series.term_at(n)
-    if first == 0:
-        raise NonAlternating(f"term at n={n} is zero")
-    log_term = math.log10(abs(first.numerator)) - math.log10(first.denominator)
-    steps: list[tuple[int, int]] = []
-    while True:
-        p, q = series.alternating_step(n)
-        if not steps:  # after the first step, so a concrete violation there wins
-            series.require_geometric()
-        steps.append((p, q))
-        log_term += math.log10(-p) - math.log10(q)
-        n += 1
-        gap = log_term + digits + 2  # estimate of log10(|t(n)| / threshold)
-        if (abs(series.term_at(n)) < threshold) if abs(gap) <= _LOG_SLACK else gap < 0:
-            break
-    tail = series.tail_bound(len(steps))
-    if tail >= threshold or (len(steps) > 1 and abs(series.term_at(n - 1)) < threshold):
-        raise TailBoundError(f"stopping index n={n} not confirmed by exact terms")
-    return first, steps, tail
-
-
-def truncated_decimal(value, places: int) -> str:
+def truncated_decimal(value: Fraction, places: int) -> str:
     """Decimal string of value truncated (toward zero) to `places`
-    fractional digits; value is any rational with integer numerator and
-    positive denominator, not necessarily in lowest terms."""
-    sign = "-" if value.numerator < 0 else ""
+    fractional digits."""
     scaled = abs(value.numerator) * 10**places // value.denominator
+    return _decimal_text(value.numerator < 0, scaled, places)
+
+
+def _decimal_text(negative: bool, scaled: int, places: int) -> str:
+    """The decimal string of ±scaled/10^places, scaled ≥ 0."""
+    sign = "-" if negative else ""
     if places == 0:
         return sign + int_text(scaled)
     integer, fractional = divmod(scaled, 10**places)
@@ -167,24 +134,15 @@ def fraction_text(value: Fraction) -> str:
 
 def measure_rate(series: SeriesSpec, n_lo: int, n_hi: int) -> float:
     """Least-squares slope of -log10|term(n)| over n in [n_lo, n_hi]:
-    decimal digits gained per term."""
+    decimal digits gained per term. The logarithms are summed from the
+    ratio steps, since the slope does not depend on t(n_lo)."""
     if n_lo < series.start_index or n_hi <= n_lo:
         raise DomainError(
             f"need start_index <= n_lo < n_hi, got [{n_lo}, {n_hi}] "
             f"with start_index {series.start_index}"
         )
-    xs, ys = [], []
-    for n, value in series.terms(first_index=n_lo):
-        if n > n_hi:
-            break
-        if value == 0:
-            raise DomainError(f"term at n={n} is zero; rate undefined")
-        ys.append(
-            math.log10(abs(value.numerator)) - math.log10(value.denominator)
-        )
-        xs.append(n)
-    slope = statistics.linear_regression(xs, [-y for y in ys]).slope
-    return slope
+    ys = [-y for y in series.log_terms(n_lo, n_hi)]
+    return statistics.linear_regression(list(range(n_lo, n_hi + 1)), ys).slope
 
 
 def compare_series(a: SeriesSpec, b: SeriesSpec, digits: int) -> int:

@@ -2,8 +2,8 @@
 t(n+1)/t(n) is a rational function of n, and the binary-splitting engine
 (Haible & Papanikolaou, "Fast multiprecision evaluation of series of
 rational numbers", 1998) that sums them: for the steps (1, 1), then the
-ratio at a, ..., b-2 as integers p/q, split_ratios gives
-T/Q = (t(a) + ... + t(b-1))/t(a).
+ratio at a, ..., b-1 as integers p/q, split_ratios gives P/Q = t(b)/t(a)
+and T/Q = (t(a) + ... + t(b))/t(a): the sum up to a cut and the term there.
 """
 
 from __future__ import annotations
@@ -28,30 +28,25 @@ POSITIVE = "positive"
 
 # most indices past the cut checked one by one before the certificate
 _MAX_UNCERTIFIED = 10_000
+# an index whose float estimate of log10|term| is this close to the
+# threshold is decided with the exact term
+_LOG_SLACK = 1e-3
 
 
-def split_ratios(steps: list[tuple[int, int]]) -> tuple[int, int]:
-    """(Q, T) for ratio steps (p_i, q_i), q_i > 0: Q is the product of
-    all q_i and T/Q = Σ_i Π_{m≤i} p_m/q_m. Halves combine as
-    P = P1·P2, Q = Q1·Q2, T = T1·Q2 + P1·T2. Nothing is reduced, so the
-    result does not depend on where the tree splits."""
-    _, big_q, big_t = _split(steps, need_p=False)
-    return big_q, big_t
-
-
-def _split(steps, need_p: bool):
-    """(P, Q, T) of split_ratios, with P = Π p_i left as None unless
-    need_p: only left halves feed their P into a merge, so the P of the
-    whole and of every right half below it is never formed."""
+def split_ratios(steps: list[tuple[int, int]]) -> tuple[int, int, int]:
+    """(P, Q, T) for ratio steps (p_i, q_i), q_i > 0: P and Q are the
+    products of all p_i and all q_i, and T/Q = Σ_i Π_{m≤i} p_m/q_m.
+    Halves combine as P = P1·P2, Q = Q1·Q2, T = T1·Q2 + P1·T2. Nothing
+    is reduced, so the result does not depend on where the tree splits."""
     if not steps:
         return 1, 1, 0
     if len(steps) == 1:
         p, q = steps[0]
         return p, q, p
     mid = len(steps) // 2
-    p1, q1, t1 = _split(steps[:mid], need_p=True)
-    p2, q2, t2 = _split(steps[mid:], need_p)
-    return (p1 * p2 if need_p else None), q1 * q2, t1 * q2 + p1 * t2
+    p1, q1, t1 = split_ratios(steps[:mid])
+    p2, q2, t2 = split_ratios(steps[mid:])
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 @dataclass(frozen=True)
@@ -145,11 +140,9 @@ class SeriesSpec:
         return (-p // g, -q // g) if q < 0 else (p // g, q // g)
 
     def alternating_step(self, n: int) -> tuple[int, int]:
-        """ratio_step(n) checked to satisfy -q < p < 0 (alternation and
-        strict decrease); needs t(n) != 0."""
-        p, q = self.ratio_step(n)
-        if q == 0:
-            p, q = (self.term_at(n + 1) / self.term_at(n)).as_integer_ratio()
+        """The term ratio at n as (p, q), checked to satisfy -q < p < 0
+        (alternation and strict decrease); needs t(n) != 0."""
+        p, q = self._defined_step(n)
         if p == 0:
             raise NonAlternating(f"term at n={n + 1} is zero")
         if p > 0:
@@ -158,6 +151,14 @@ class SeriesSpec:
             raise MonotonicityViolation(
                 f"|term| did not decrease from n={n} to n={n + 1}"
             )
+        return p, q
+
+    def _defined_step(self, n: int) -> tuple[int, int]:
+        """ratio_step(n), or, where its denominator vanishes, the exact
+        t(n+1)/t(n) in lowest terms; needs t(n) != 0."""
+        p, q = self.ratio_step(n)
+        if q == 0:
+            p, q = (self.term_at(n + 1) / self.term_at(n)).as_integer_ratio()
         return p, q
 
     def terms(self, first_index: int | None = None) -> Iterator[tuple[int, Fraction]]:
@@ -171,6 +172,21 @@ class SeriesSpec:
             p, q = self.ratio_step(n)
             n += 1
             value = value * Fraction(p, q) if value and q else self.term_at(n)
+
+    def log_terms(self, first: int, last: int) -> Iterator[float]:
+        """Yield log10|t(n)/t(first)| for n = first..last, first ≥ start_index,
+        summed from the ratio steps in floats; DomainError at a zero term."""
+        # with every factorial taken as 1, t(first) keeps its zeros and domain errors
+        if self.term.value_at(first, 0, factorial=lambda m: 1) == 0:
+            raise DomainError(f"term at n={first} is zero; rate undefined")
+        log_term = 0.0
+        yield log_term
+        for n in range(first, last):
+            p, q = self._defined_step(n)
+            if p == 0:
+                raise DomainError(f"term at n={n + 1} is zero; rate undefined")
+            log_term += math.log10(abs(p)) - math.log10(q)
+            yield log_term
 
     def partial_sum(self, count: int, first_index: int | None = None) -> Fraction:
         """Exact sum of `count` terms from first_index (default: the
@@ -191,10 +207,45 @@ class SeriesSpec:
                 n += 1
                 if p == 0:
                     break
-            big_q, big_t = split_ratios(steps)
+            _, big_q, big_t = split_ratios(steps)
             total += Fraction(first.numerator * big_t, first.denominator * big_q)
             n += 1
         return total
+
+    def sum_to_cut(self, threshold: Fraction) -> tuple[int, int, Fraction, int]:
+        """(a, b, tail, count) at the first index N > start with |t(N)| <
+        threshold: a/b (b > 0, unreduced) sums the count = N - start terms
+        before N, and tail bounds the rest as tail_bound(count) does.
+
+        Each step is checked by alternating_step and log10|t(n)| is summed
+        in floats, decided exactly only within _LOG_SLACK of the threshold.
+        One tree over the steps gives the sum and t(N) = t(start)·P/Q; with
+        the last step, t(N-1) = t(N)·q/p. Both must confirm the cut.
+        """
+        n = self.start_index
+        first = self.term_at(n)
+        if first == 0:
+            raise NonAlternating(f"term at n={n} is zero")
+        log_threshold = math.log10(threshold.numerator) - math.log10(threshold.denominator)
+        # estimate of log10(|t(n)| / threshold)
+        gap = math.log10(abs(first.numerator)) - math.log10(first.denominator) - log_threshold
+        steps = [(1, 1)]
+        while True:
+            p, q = self.alternating_step(n)
+            if len(steps) == 1:  # after the first step, so a concrete violation there wins
+                self.require_geometric()
+            steps.append((p, q))
+            gap += math.log10(-p) - math.log10(q)
+            n += 1
+            if (abs(self.term_at(n)) < threshold) if abs(gap) <= _LOG_SLACK else gap < 0:
+                break
+        big_p, big_q, big_t = split_ratios(steps)
+        last = Fraction(first.numerator * big_p, first.denominator * big_q)
+        tail = self._tail_past(n, last)
+        count = len(steps) - 1
+        if tail >= threshold or (count > 1 and abs(last * q / p) < threshold):
+            raise TailBoundError(f"stopping index n={n} not confirmed by exact terms")
+        return first.numerator * (big_t - big_p), first.denominator * big_q, tail, count
 
     def tail_bound(self, count: int) -> Fraction:
         """Exact rational upper bound on |sum of all terms after the
@@ -208,9 +259,12 @@ class SeriesSpec:
         if count < 1:
             raise DomainError("tail_bound requires at least one summed term")
         cut = self.start_index + count
+        return self._tail_past(cut, self.term_at(cut))
+
+    def _tail_past(self, cut: int, first: Fraction) -> Fraction:
+        """tail_bound for the terms from cut on, given first = t(cut)."""
         if self.sign_pattern == POSITIVE:
-            return self._positive_tail_bound(cut)
-        first = self.term_at(cut)
+            return self._positive_tail_bound(cut, first)
         if first == 0:
             raise NonAlternating(f"term at n={cut} is zero")
         self.alternating_step(cut)  # a concrete violation at the cut wins
@@ -223,7 +277,7 @@ class SeriesSpec:
             self.alternating_step(n)
         return abs(first)
 
-    def _positive_tail_bound(self, cut: int) -> Fraction:
+    def _positive_tail_bound(self, cut: int, first: Fraction) -> Fraction:
         """Compare against C/(n(n+1)...(n+d-1)) for the largest d whose
         ratio inequality certifies, then telescope.
 
@@ -232,7 +286,6 @@ class SeriesSpec:
         then by induction t(n) ≤ C/(n···(n+d−1)) with equality at n=cut,
         and the tail telescopes to t(cut)·(cut+d−1)/(d−1).
         """
-        first = self.term_at(cut)
         if first <= 0:
             raise TailBoundError(f"term at n={cut} is {'zero' if first == 0 else 'negative'}")
         if cut < 1:

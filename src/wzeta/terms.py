@@ -266,30 +266,30 @@ def _poly_terms(poly: Polynomial) -> tuple[tuple[int, int, int], ...]:
     return tuple((c, en, ek) for (en, ek), c in poly.coeffs.items())
 
 
-def _factorial_quotient(num_factorials, den_factorials):
-    """(num_poly, den_poly, constant) for prod(num!)/prod(den!).
+def cross_ratio(g: HyperTerm, f: HyperTerm) -> RationalFunction:
+    """R(n,k) with g(n,k) = R(n,k) * f(n,k) on the common domain.
 
-    Factorial factors are grouped by the direction (a, b) of their
-    argument; within a group the exponents must cancel, leaving only the
-    finite rising products between the offsets. IncompatibleTerms if any
-    group does not cancel.
+    Requires the two terms' factorial structures to align (every factorial
+    argument of g parallel to one of f, with matching total exponents) and
+    their sign exponents to agree up to parity; IncompatibleTerms otherwise.
+    Per direction (a, b) of argument the factorials cancel to the finite
+    rising products between their offsets. A HyperTerm folds every
+    constant-argument factorial into its constant, so (0, 0) never occurs.
     """
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
-    for form, exp in num_factorials:
-        groups[form.direction()].append((form.c, exp))
-    for form, exp in den_factorials:
-        groups[form.direction()].append((form.c, -exp))
+    diff = g.sign_exponent - f.sign_exponent
+    if diff.a % 2 or diff.b % 2:
+        raise IncompatibleTerms("sign exponents differ in n or k")
+    if f.constant == 0 or f.poly_num.is_zero:
+        raise IncompatibleTerms("cannot divide by an identically zero term")
 
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
+    for form, exp in g.factorials:
+        groups[form.direction()].append((form.c, exp))
+    for form, exp in f.factorials:
+        groups[form.direction()].append((form.c, -exp))
     num = _ONE
     den = _ONE
-    constant = Fraction(1)
     for (a, b), entries in groups.items():
-        if (a, b) == (0, 0):
-            for c, exp in entries:
-                if c < 0:
-                    raise IncompatibleTerms(f"factorial of negative constant {c}")
-                constant *= Fraction(math.factorial(c)) ** exp
-            continue
         if sum(exp for _, exp in entries) != 0:
             raise IncompatibleTerms(
                 f"factorials in direction {LinearForm(a, b, 0)} do not cancel"
@@ -302,27 +302,10 @@ def _factorial_quotient(num_factorials, den_factorials):
                     num = num * factor**exp
                 else:
                     den = den * factor ** (-exp)
-    return num, den, constant
 
-
-def cross_ratio(g: HyperTerm, f: HyperTerm) -> RationalFunction:
-    """R(n,k) with g(n,k) = R(n,k) * f(n,k) on the common domain.
-
-    Requires the two terms' factorial structures to align (every factorial
-    argument of g parallel to one of f, with matching total exponents) and
-    their sign exponents to agree up to parity; IncompatibleTerms otherwise.
-    """
-    diff = g.sign_exponent - f.sign_exponent
-    if diff.a % 2 or diff.b % 2:
-        raise IncompatibleTerms("sign exponents differ in n or k")
-    if f.constant == 0 or f.poly_num.is_zero:
-        raise IncompatibleTerms("cannot divide by an identically zero term")
-
-    num, den, constant = _factorial_quotient(g.factorials, f.factorials)
-    constant *= g.constant / f.constant
+    constant = g.constant / f.constant
     if diff.c % 2:
         constant = -constant
-
     num = num * g.poly_num * f.poly_den
     den = den * g.poly_den * f.poly_num
     num = num.scaled(constant.numerator)

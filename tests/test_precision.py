@@ -1,4 +1,5 @@
 import math
+import statistics
 import sys
 from fractions import Fraction
 
@@ -48,14 +49,32 @@ def test_soundness_against_longer_run(cat, name):
 
 
 def test_stopping_rule(cat):
-    series = cat.series_by_name("s2")
+    # the cut's |t(N)| and |t(N-1)| come from the product tree; check
+    # them against direct evaluation in both modes
     digits = 40
-    report = precision.sum_to_digits(series, digits)
     threshold = Fraction(1, 10 ** (digits + 2))
-    first_omitted = series.term_at(series.start_index + report.terms_used)
-    last_used = series.term_at(series.start_index + report.terms_used - 1)
-    assert abs(first_omitted) < threshold <= abs(last_used)
-    assert report.tail_bound == abs(first_omitted)
+    for name in ("s1", "s2", "s3"):
+        series = cat.series_by_name(name)
+        for mode in ("exact", "scaled"):
+            report = precision.sum_to_digits(series, digits, mode=mode)
+            first_omitted = series.term_at(series.start_index + report.terms_used)
+            last_used = series.term_at(series.start_index + report.terms_used - 1)
+            assert abs(first_omitted) < threshold <= abs(last_used)
+            assert report.tail_bound == abs(first_omitted)
+
+
+@pytest.mark.parametrize("mode", ["exact", "scaled"])
+@pytest.mark.parametrize("digits", [1, 7, 40, 300])
+def test_negative_sum(mode, digits):
+    # sums to about -0.2093: truncation toward zero of a negative value
+    series = SeriesSpec("neg", parse_term("(-1)^(n+1) * n!^2 / (2*n)! / 3"))
+    report = precision.sum_to_digits(series, digits, mode=mode)
+    assert report.decimal_string.startswith("-0.")
+    reference = series.partial_sum(report.terms_used + 400)
+    assert report.decimal_string == precision.truncated_decimal(
+        reference, report.certified_digits
+    )
+    assert report.certified_digits == digits
 
 
 def test_scaled_mode_agrees_with_exact(cat):
@@ -170,7 +189,7 @@ def test_first_term_below_the_threshold():
 
 def test_truncated_decimal():
     assert precision.truncated_decimal(Fraction(1999, 1000), 3) == "1.999"
-    assert precision.truncated_decimal(precision._Unreduced(3998, 2000), 3) == "1.999"
+    assert precision.truncated_decimal(Fraction(-1999, 1000), 2) == "-1.99"
     assert precision.truncated_decimal(Fraction(19999, 10000), 3) == "1.999"
     assert precision.truncated_decimal(Fraction(-1, 3), 4) == "-0.3333"
     assert precision.truncated_decimal(Fraction(7), 0) == "7"
@@ -218,6 +237,48 @@ def test_measure_rate_bad_range(cat):
         precision.measure_rate(series, 0, 10)  # below start
     with pytest.raises(DomainError):
         precision.measure_rate(series, 10, 10)
+
+
+def reference_rate(series, n_lo, n_hi):
+    """The slope from exact Fraction term values, one per index."""
+    xs, ys = [], []
+    for n, value in series.terms(first_index=n_lo):
+        if n > n_hi:
+            break
+        if value == 0:
+            raise DomainError(f"term at n={n} is zero")
+        ys.append(math.log10(abs(value.numerator)) - math.log10(value.denominator))
+        xs.append(n)
+    return statistics.linear_regression(xs, [-y for y in ys]).slope
+
+
+RATE_SERIES = ["s1", "s2", "s3", "lhs_s1", "lhs_s2", "accelerate s1", "accelerate s2"]
+
+
+@pytest.mark.parametrize("span", ["first two", "100..200", "start..2000"])
+@pytest.mark.parametrize("name", RATE_SERIES)
+def test_measure_rate_matches_exact_terms(cat, name, span):
+    from wzeta import accelerate
+
+    if name.startswith("accelerate"):
+        series = accelerate(cat.pair_by_name(name.split()[1]))
+    else:
+        series = cat.series_by_name(name)
+    start = series.start_index
+    n_lo, n_hi = {"first two": (start, start + 1), "100..200": (100, 200),
+                  "start..2000": (start, 2000)}[span]
+    rate = precision.measure_rate(series, n_lo, n_hi)
+    expected = reference_rate(series, n_lo, n_hi)
+    assert abs(rate - expected) < 1e-9
+    assert f"{rate:.3f}" == f"{expected:.3f}"
+
+
+@pytest.mark.parametrize("n_lo", [0, 5])
+def test_measure_rate_rejects_a_zero_term(n_lo):
+    # t(5) = 0, inside the range or at its first index
+    series = SeriesSpec("zero", parse_term("(-1)^n * (n-5) / n!"))
+    with pytest.raises(DomainError, match="n=5 is zero"):
+        precision.measure_rate(series, n_lo, 10)
 
 
 @pytest.mark.parametrize(

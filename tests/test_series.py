@@ -90,33 +90,23 @@ def test_partial_sum_matches_sequential(cat):
         )
 
 
-def full_tree(steps):
-    """Reference: the (P, Q, T) product tree with P formed at every node."""
-    if not steps:
-        return 1, 1, 0
-    if len(steps) == 1:
-        p, q = steps[0]
-        return p, q, p
-    mid = len(steps) // 2
-    p1, q1, t1 = full_tree(steps[:mid])
-    p2, q2, t2 = full_tree(steps[mid:])
-    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
-
-
 def test_split_ratios_matches_a_left_fold():
     rng = random.Random(7)
     steps = [(rng.randrange(-50, 50), rng.randrange(1, 50)) for _ in range(45)]
     for size in range(len(steps) + 1):
         total = Fraction(0)
         running = Fraction(1)
+        # the same merge one step at a time, on unreduced integers
+        big_p = big_q = 1
+        big_t = 0
         for p, q in steps[:size]:
             running *= Fraction(p, q)
             total += running
-        big_q, big_t = split_ratios(steps[:size])
+            big_p, big_q, big_t = big_p * p, big_q * q, big_t * q + big_p * p
+        assert split_ratios(steps[:size]) == (big_p, big_q, big_t)
+        assert big_p == math.prod(p for p, _ in steps[:size])
         assert big_q == math.prod(q for _, q in steps[:size])
         assert Fraction(big_t, big_q) == total
-        # the same unreduced integers as the tree that also forms P
-        assert (big_q, big_t) == full_tree(steps[:size])[1:]
 
 
 def test_partial_sum_restarts_at_a_zero_term():
