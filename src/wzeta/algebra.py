@@ -4,6 +4,11 @@ Everything here is immutable and uses arbitrary-precision integers, so all
 operations are exact. Rational functions are stored as a pair of
 integer-coefficient polynomials reduced by integer content; equality is
 decided by cross-multiplication, not by polynomial gcd.
+
+Polynomials in n alone also have a dense form, a tuple of integer
+coefficients from the leading one down (the zero polynomial is ()), with
+a gcd over Z[n] (content plus a primitive pseudo-remainder sequence),
+exact division, Horner evaluation and a bound on integer roots.
 """
 
 from __future__ import annotations
@@ -134,6 +139,21 @@ class Polynomial:
         idx = 0 if var == "n" else 1
         return max(key[idx] for key in self._coeffs)
 
+    def univariate(self) -> tuple[int, ...]:
+        """Dense coefficients in n, leading first; ValueError if k occurs."""
+        if any(ek for _, ek in self._coeffs):
+            raise ValueError(f"polynomial {self} depends on k")
+        dense = [0] * (self.degree("n") + 1)
+        for (en, _), coef in self._coeffs.items():
+            dense[-1 - en] = coef
+        return tuple(dense)
+
+    @staticmethod
+    def from_univariate(coeffs: tuple[int, ...]) -> "Polynomial":
+        """The polynomial in n with dense coefficients, leading first."""
+        top = len(coeffs) - 1
+        return Polynomial({(top - i, 0): c for i, c in enumerate(coeffs)})
+
     def evaluate(self, n, k=0):
         total = 0
         for (en, ek), coef in self._coeffs.items():
@@ -239,12 +259,89 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def _primitive(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """coeffs divided by its content, with a positive leading coefficient."""
+    content = math.gcd(*coeffs)
+    if coeffs[0] < 0:
+        content = -content
+    return tuple(c // content for c in coeffs)
+
+
+def _pseudo_remainder(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The remainder of lc(b)^e·a divided by b, for some e ≥ 0: integer
+    steps only, so it equals a mod b up to a nonzero integer factor."""
+    rem = list(a)
+    while len(rem) >= len(b):
+        top = rem.pop(0)
+        rem = [b[0] * c for c in rem]
+        for i in range(1, len(b)):
+            rem[i - 1] -= top * b[i]
+        while rem and rem[0] == 0:
+            rem.pop(0)
+    return tuple(rem)
+
+
+def dense_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """gcd over Z[n] of two dense polynomials, with a positive leading
+    coefficient: the gcd of their contents times the last nonzero member
+    of their primitive pseudo-remainder sequence. gcd(0, 0) is ()."""
+    if not a or not b:
+        rest = a or b
+        return tuple(-c for c in rest) if rest and rest[0] < 0 else rest
+    content = math.gcd(math.gcd(*a), math.gcd(*b))
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:  # a primitive constant is (1,): coprime
+        rem = _pseudo_remainder(a, b)
+        if not rem:
+            break
+        a, b = b, _primitive(rem)
+    return tuple(content * c for c in b)
+
+
+def dense_divide(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The quotient a/b of dense polynomials over Z[n], b nonzero;
+    ValueError unless b divides a exactly."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem, quotient = list(a), []
+    while len(rem) >= len(b):
+        top, r = divmod(rem.pop(0), b[0])
+        if r:
+            raise ValueError("inexact polynomial division")
+        quotient.append(top)
+        for i in range(1, len(b)):
+            rem[i - 1] -= top * b[i]
+    if any(rem):
+        raise ValueError("inexact polynomial division")
+    return tuple(quotient)
+
+
+def horner(coeffs: tuple[int, ...], x: int) -> int:
+    """The dense polynomial coeffs at x."""
+    value = 0
+    for c in coeffs:
+        value = value * x + c
+    return value
+
+
+def integer_root_bound(coeffs: tuple[int, ...]) -> int:
+    """A bound B with |r| ≤ B for every integer root r of a nonzero
+    dense polynomial (Cauchy: |z| < 1 + max|a_i|/|a_lead|); -1 for a
+    nonzero constant, which has no roots."""
+    if len(coeffs) < 2:
+        return -1
+    return -(-max(abs(c) for c in coeffs[1:]) // abs(coeffs[0]))
+
+
 class RationalFunction:
     """Ratio of two integer-coefficient polynomials.
 
     The representation is reduced by integer content and the denominator's
-    leading coefficient is kept positive; full polynomial-gcd reduction is
-    deliberately not attempted. Equality is decided by cross-multiplication.
+    leading coefficient is kept positive; a common polynomial factor is
+    kept (dense_gcd removes it for ratios in n alone, where the caller
+    asks for it). Equality is decided by cross-multiplication.
     """
 
     __slots__ = ("num", "den")

@@ -4,8 +4,9 @@ sum_to_digits takes from SeriesSpec.sum_to_cut the sum up to the first
 term negligible for the requested precision and that term t(N), read from
 the product tree, which bounds the tail. Scaled mode truncates the sum
 once to a fixed point, adding 1/scale to the error. The digits come from
-one pair of scaled floors of the sum minus and plus the error, divided by
-10 until they agree while the bounds straddle a decimal boundary.
+one pair of scaled floors of the sum minus and plus the error (one
+full-width division; the upper floor comes from its remainder), divided
+by 10 until they agree while the bounds straddle a decimal boundary.
 """
 
 from __future__ import annotations
@@ -73,11 +74,8 @@ def sum_to_digits(series: SeriesSpec, digits: int, mode: str = EXACT) -> EvalRep
 
     # floor((x ∓ e)·10^c) for the sum x and error e, from c = digits down
     error = tail + rounding
-    common = denominator * error.denominator
-    center = numerator * error.denominator
-    spread = error.numerator * denominator
-    low = (center - spread) * 10**digits // common
-    high = (center + spread) * 10**digits // common
+    low, high = error_floors(numerator * error.denominator, error.numerator * denominator,
+                             denominator * error.denominator, 10**digits)
     certified = digits
     while low != high:
         if certified == 0:
@@ -95,6 +93,14 @@ def sum_to_digits(series: SeriesSpec, digits: int, mode: str = EXACT) -> EvalRep
         rounding_bound=rounding,
         certified_digits=certified,
     )
+
+
+def error_floors(center: int, spread: int, common: int, scale: int) -> tuple[int, int]:
+    """(floor((center - spread)·scale/common), floor((center + spread)·scale/common))
+    for common > 0, from one full-width division: the second floor is
+    the first plus that of (its remainder + 2·spread·scale)/common."""
+    low, rest = divmod((center - spread) * scale, common)
+    return low, low + (rest + 2 * spread * scale) // common
 
 
 def truncated_decimal(value: Fraction, places: int) -> str:

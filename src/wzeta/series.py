@@ -4,6 +4,9 @@ t(n+1)/t(n) is a rational function of n, and the binary-splitting engine
 rational numbers", 1998) that sums them: for the steps (1, 1), then the
 ratio at a, ..., b-1 as integers p/q, split_ratios gives P/Q = t(b)/t(a)
 and T/Q = (t(a) + ... + t(b))/t(a): the sum up to a cut and the term there.
+
+Each series reduces its ratio once, by the gcd of its two sides over
+Z[n]; every step evaluates the reduced sides by Horner.
 """
 
 from __future__ import annotations
@@ -14,7 +17,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
-from .algebra import Polynomial, RationalFunction
+from .algebra import (
+    Polynomial,
+    RationalFunction,
+    dense_divide,
+    dense_gcd,
+    horner,
+    integer_root_bound,
+)
 from .errors import (
     DomainError,
     MonotonicityViolation,
@@ -72,11 +82,29 @@ class SeriesSpec:
         return self.term.value_at(n, 0)
 
     @cached_property
+    def _steps(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+        """(a, b, h, bound) in dense form: the shift ratio t(n+1)/t(n)
+        is h·a/(h·b), h the gcd of its two sides, so a/b is in lowest
+        terms over Z[n]; b and h have positive leading coefficients, and
+        every integer root of h is at most bound in modulus."""
+        ratio = self.term.specialized((1, 0), (0, 0)).shift_ratio(1, 0)  # k = 0
+        num, den = ratio.num.univariate(), ratio.den.univariate()
+        h = dense_gcd(num, den)
+        return dense_divide(num, h), dense_divide(den, h), h, integer_root_bound(h)
+
+    @cached_property
     def _ratio(self) -> RationalFunction:
-        return self.term.specialized((1, 0), (0, 0)).shift_ratio(1, 0)  # k = 0
+        a, b, _, _ = self._steps
+        return RationalFunction(Polynomial.from_univariate(a), Polynomial.from_univariate(b))
+
+    @cached_property
+    def _cancelled(self) -> Polynomial:
+        """The factor h cancelled from the ratio's two sides."""
+        return Polynomial.from_univariate(self._steps[2])
 
     def term_ratio(self) -> RationalFunction:
-        """term_at(n+1)/term_at(n) as a rational function of n."""
+        """term_at(n+1)/term_at(n) as a rational function of n, in
+        lowest terms."""
         return self._ratio
 
     @cached_property
@@ -112,13 +140,14 @@ class SeriesSpec:
     @cached_property
     def _certified_from(self) -> int | None:
         """Smallest c ≥ start_index (None past 2^64) such that, for ratio
-        -A/B, A(n+c), B(n+c) and (B-A)(n+c) have nonnegative coefficients
-        and positive constant terms: then 0 < A(n) < B(n), -1 < ratio < 0,
-        for all n ≥ c. Holding at c, this holds at every larger c."""
+        -A/B, A, B, B-A and the cancelled factor h are positive past c:
+        then h ≠ 0, so -A/B is the term ratio, and 0 < A(n) < B(n),
+        -1 < ratio < 0, for all n ≥ c. Holding at c, this holds at every
+        larger c."""
         a, b = -self._ratio.num, self._ratio.den
 
         def holds(c):
-            return all(p.evaluate(c) > 0 and _shifted_coeffs_nonneg(p, c) for p in (a, b, b - a))
+            return all(_positive_past(p, c) for p in (a, b, b - a, self._cancelled))
 
         lo, hi = self.start_index - 1, self.start_index  # holds(lo) is false
         while not holds(hi):
@@ -133,9 +162,17 @@ class SeriesSpec:
     def ratio_step(self, n: int) -> tuple[int, int]:
         """The term ratio at n as integers (p, q) in lowest terms with
         q > 0, or q = 0 where its denominator vanishes (a zero term at n,
-        or a removable singularity)."""
-        p = self._ratio.num.evaluate(n, 0)
-        q = self._ratio.den.evaluate(n, 0)
+        or a removable singularity).
+
+        a and b are evaluated by Horner. The steps are those of the
+        unreduced ratio h·a/(h·b): (0, 0) where h vanishes, looked for
+        only within h's root bound, and h's sign kept in p where b does."""
+        a, b, h, bound = self._steps
+        if -bound <= n <= bound and horner(h, n) == 0:
+            return 0, 0
+        p, q = horner(a, n), horner(b, n)
+        if q == 0:
+            p *= horner(h, n)
         g = math.gcd(p, q) or 1
         return (-p // g, -q // g) if q < 0 else (p // g, q // g)
 
@@ -284,14 +321,17 @@ class SeriesSpec:
         If t(n+1)/t(n) = P(n)/Q(n) ≤ n/(n+d) for all n ≥ cut (certified
         by nonnegativity of the coefficients of n·Q(n+cut) − (n+d)·P(n+cut)),
         then by induction t(n) ≤ C/(n···(n+d−1)) with equality at n=cut,
-        and the tail telescopes to t(cut)·(cut+d−1)/(d−1).
+        and the tail telescopes to t(cut)·(cut+d−1)/(d−1). The factor
+        cancelled from P/Q must be positive past the cut, where P/Q is
+        then the term ratio.
         """
         if first <= 0:
             raise TailBoundError(f"term at n={cut} is {'zero' if first == 0 else 'negative'}")
         if cut < 1:
             raise TailBoundError("comparison bound needs a positive cut index")
         p, q = self._ratio.num, self._ratio.den
-        if not (_shifted_coeffs_nonneg(p, cut) and _shifted_coeffs_nonneg(q, cut)):
+        if not (_shifted_coeffs_nonneg(p, cut) and _shifted_coeffs_nonneg(q, cut)
+                and _positive_past(self._cancelled, cut)):
             raise TailBoundError(
                 "term ratio is not certifiably positive past the cut"
             )
@@ -304,6 +344,12 @@ class SeriesSpec:
             f"no telescoping comparison certificate found at n={cut} "
             f"for series {self.name!r}"
         )
+
+
+def _positive_past(poly: Polynomial, c: int) -> bool:
+    """True if poly(n + c) has nonnegative coefficients and a positive
+    constant term, so poly > 0 for all n ≥ c."""
+    return poly.evaluate(c) > 0 and _shifted_coeffs_nonneg(poly, c)
 
 
 def _shifted_coeffs_nonneg(poly: Polynomial, shift: int) -> bool:

@@ -1,10 +1,19 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wzeta.algebra import LinearForm, Polynomial, RationalFunction
+from wzeta.algebra import (
+    LinearForm,
+    Polynomial,
+    RationalFunction,
+    dense_divide,
+    dense_gcd,
+    horner,
+    integer_root_bound,
+)
 
 N = Polynomial.variable("n")
 K = Polynomial.variable("k")
@@ -143,3 +152,95 @@ def test_random_rational_identity():
         p = Polynomial({(rng.randrange(3), rng.randrange(3)): rng.randrange(1, 9)})
         q = Polynomial({(rng.randrange(3), rng.randrange(3)): rng.randrange(1, 9)})
         assert RationalFunction(p, q) * RationalFunction(q, p) == RationalFunction(ONE, ONE)
+
+
+def times(a, b):
+    """Product of two dense polynomials in n."""
+    product = Polynomial.from_univariate(a) * Polynomial.from_univariate(b)
+    return product.univariate()
+
+
+def content(coeffs):
+    return math.gcd(*coeffs)
+
+
+dense_polys = st.lists(st.integers(-30, 30), max_size=5).map(
+    lambda cs: Polynomial.from_univariate(cs).univariate()  # no leading zeros
+)
+nonzero_polys = dense_polys.filter(bool)
+
+
+def test_univariate_round_trip_and_horner():
+    p = N**3 - (N * N).scaled(2) + ONE.scaled(7)
+    assert p.univariate() == (1, -2, 0, 7)
+    assert Polynomial.from_univariate((1, -2, 0, 7)) == p
+    assert Polynomial().univariate() == ()
+    assert Polynomial.from_univariate(()) == Polynomial()
+    for n in range(-5, 6):
+        assert horner(p.univariate(), n) == p.evaluate(n)
+    with pytest.raises(ValueError):
+        (N + K).univariate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=nonzero_polys, g=dense_polys, h=dense_polys)
+def test_dense_gcd_properties(f, g, h):
+    a, b = times(f, g), times(f, h)
+    d = dense_gcd(a, b)
+    if not a and not b:
+        assert d == ()
+        return
+    assert d[0] > 0
+    assert content(d) == math.gcd(content(a) if a else 0, content(b) if b else 0)
+    # d divides both inputs, the common factor f divides d, and the
+    # cofactors are coprime
+    ca, cb = dense_divide(a, d), dense_divide(b, d)
+    assert times(ca, d) == a and times(cb, d) == b
+    dense_divide(d, f)
+    assert dense_gcd(ca, cb) == (1,)
+    assert dense_gcd(b, a) == d
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=nonzero_polys, b=nonzero_polys)
+def test_dense_gcd_of_primitive_inputs_is_primitive(a, b):
+    a, b = dense_divide(a, (content(a),)), dense_divide(b, (content(b),))
+    d = dense_gcd(a, b)
+    assert d[0] > 0 and content(d) == 1
+
+
+def test_dense_gcd_zero_and_constant_inputs():
+    assert dense_gcd((), ()) == ()
+    assert dense_gcd((), (-2, 4)) == (2, -4)
+    assert dense_gcd((3, 1), ()) == (3, 1)
+    assert dense_gcd((), (-5,)) == (5,)
+    assert dense_gcd((6,), (4, 2)) == (2,)
+    assert dense_gcd((6,), (-9,)) == (3,)
+    assert dense_gcd((1, -3, 2), (7,)) == (1,)
+    assert dense_gcd((2, -6, 4), (4, -4)) == (2, -2)  # 2(n-1)(n-2), 4(n-1)
+
+
+def test_dense_divide_rejects_inexact_quotients():
+    assert dense_divide((1, -3, 2), (1, -1)) == (1, -2)
+    assert dense_divide((), (1, 5)) == ()
+    with pytest.raises(ValueError):
+        dense_divide((1, 0, 1), (1, 1))  # a remainder
+    with pytest.raises(ValueError):
+        dense_divide((1, 1), (2, 2))  # rational coefficients
+    with pytest.raises(ZeroDivisionError):
+        dense_divide((1,), ())
+
+
+@settings(max_examples=100, deadline=None)
+@given(roots=st.lists(st.integers(-40, 40), max_size=4), extra=nonzero_polys)
+def test_integer_root_bound_covers_every_root(roots, extra):
+    poly = extra
+    for r in roots:
+        poly = times(poly, (1, -r))
+    bound = integer_root_bound(poly)
+    assert all(abs(r) <= bound for r in range(-200, 201) if horner(poly, r) == 0)
+
+
+def test_integer_root_bound_examples():
+    assert integer_root_bound((7,)) == -1  # no roots
+    assert integer_root_bound((2, -5, -3)) == 3  # (2n+1)(n-3): ceil(5/2)

@@ -423,6 +423,11 @@ GOLDEN = {
     "verify --pair s1 --nmax 200": "c12084b117761761bcdbaffce4d5646fa57df200dfa7c47677c19d1722073521",
     "verify --pair s2 --nmax 120": "764d3e0746fc60a0011c6a15b4e60364284945be589c78b58e1279d29171115f",
     "--catalog {broken} verify --pair s1 --nmax 12": "846d07a59499459204e1d43e8570d6ded4a744713fa05fbee16941325f871dd3",
+    "accelerate --pair s2 --terms 50": "5177644c9bb329e2f02fec31c8bfa0d11925e481472e7cbd6750a98659d097aa",
+    "digits --series s1 --digits 1000 --mode scaled": "ffaa4d78846fc3bc9398ab05b287e8846ba7141307b0755b79009312fe27ae67",
+    "digits --series s2 --digits 1000 --mode scaled": "63fda00cf583faa9960fba9f187f138c33adb62af881f110d6d18c6ec0369321",
+    "digits --series s3 --digits 1000 --mode scaled": "0bfc5d1cc91213e6d19b16ba73a92bceca46fac6ed8c929e2922ba20c4e52698",
+    "rate --series lhs_s2 --lo 0 --hi 2000": "ee8eef6273e51ddf6aacc8fb3f6199c865f5bfef5936afbbcc4b737a2ac28fb6",
 }
 
 

@@ -1,0 +1,34 @@
+"""The package and its tests import only what CI installs: sympy may be
+present locally, but the workflow does not install it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DYNAMIC = {"import_module", "importorskip", "__import__"}
+SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+
+
+def imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.module
+        elif (isinstance(node, ast.Call) and node.args
+              and getattr(node.func, "attr", getattr(node.func, "id", None)) in DYNAMIC
+              and isinstance(node.args[0], ast.Constant)):
+            yield str(node.args[0].value)  # importlib.import_module("x") and the like
+
+
+def test_sources_are_found():
+    assert any(path.name == "series.py" for path in SOURCES)
+    assert any(path.name == "test_imports.py" for path in SOURCES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_sympy_import(path):
+    found = [name for name in imported_modules(path) if name.split(".")[0] == "sympy"]
+    assert not found, f"{path.name} imports {found}"

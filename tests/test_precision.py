@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wzeta import precision
 from wzeta.dsl import parse_term
@@ -75,6 +76,21 @@ def test_negative_sum(mode, digits):
         reference, report.certified_digits
     )
     assert report.certified_digits == digits
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    center=st.integers(-(10**60), 10**60),  # negative sums too
+    spread=st.integers(0, 10**40),
+    common=st.integers(1, 10**50),
+    digits=st.integers(0, 30),
+)
+def test_error_floors_match_two_floors(center, spread, common, digits):
+    scale = 10**digits
+    assert precision.error_floors(center, spread, common, scale) == (
+        (center - spread) * scale // common,
+        (center + spread) * scale // common,
+    )
 
 
 def test_scaled_mode_agrees_with_exact(cat):

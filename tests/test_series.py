@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from wzeta.algebra import Polynomial, RationalFunction
+from wzeta.algebra import Polynomial, RationalFunction, horner
 from wzeta.dsl import parse_term
 from wzeta.errors import (
     DomainError,
@@ -15,7 +15,7 @@ from wzeta.errors import (
     TailBoundError,
 )
 from wzeta.series import ALTERNATING, POSITIVE, SeriesSpec, split_ratios
-from wzeta import accelerate
+from wzeta import accelerate, precision
 
 
 def alt_series(text, start=0):
@@ -55,6 +55,89 @@ def test_term_ratio_closed_forms(cat):
         -n**3, Polynomial.const(2) * (n.scaled(2) + one) * (n + one) ** 2
     )
     assert cat.series_by_name("s1").term_ratio() == expected
+
+
+REDUCED_DEGREES = {"s1": 3, "s2": 7, "s3": 11, "lhs_s1": 3, "lhs_s2": 9}
+
+
+def unreduced_ratio(series):
+    """The k = 0 shift ratio before the common factor is cancelled."""
+    return series.term.specialized((1, 0), (0, 0)).shift_ratio(1, 0)
+
+
+@pytest.mark.parametrize(
+    "name,accelerated",
+    [(name, False) for name in REDUCED_DEGREES] + [("s1", True), ("s2", True)],
+)
+def test_term_ratio_is_reduced_once(cat, name, accelerated):
+    if accelerated:
+        series = accelerate(cat.pair_by_name(name))
+    else:
+        series = cat.series_by_name(name)
+    ratio = series.term_ratio()
+    assert ratio.num.degree("n") == ratio.den.degree("n") == REDUCED_DEGREES[name]
+    assert ratio == unreduced_ratio(series)  # by cross-multiplication
+
+
+def unreduced_step(series, n):
+    """Reference ratio_step: the unreduced ratio at n, reduced as integers."""
+    ratio = unreduced_ratio(series)
+    p, q = ratio.num.evaluate(n), ratio.den.evaluate(n)
+    g = math.gcd(p, q) or 1
+    return (-p // g, -q // g) if q < 0 else (p // g, q // g)
+
+
+@pytest.mark.parametrize("text", [
+    "(-1)^n * (n-3)*(n-4) / n!",  # cancels n-3, a root after the start
+    "(-1)^n * (n-30)*(n-31)*(n+2) / n!",  # cancels n-30, far past the start
+    "(-1)^n * (n^2+1)*(n-7) / (2*n)!",  # nothing to cancel
+])
+def test_ratio_step_matches_the_unreduced_ratio(text):
+    series = alt_series(text)
+    _, _, h, _ = series._steps
+    roots = [n for n in range(-40, 40) if horner(h, n) == 0]
+    assert all(n in range(-5, 40) for n in roots)
+    for n in range(-5, 40):
+        assert series.ratio_step(n) == unreduced_step(series, n)
+
+
+@pytest.mark.parametrize("start,error", [
+    (0, "term at n=3 is zero"),  # t(3) = t(4) = 0, where n-3 cancels
+    (4, "term at n=4 is zero"),
+])
+def test_cancelled_factor_keeps_the_errors(start, error):
+    series = alt_series("(-1)^n * (n-3)*(n-4) / n!", start)
+    assert series.term_ratio().den.degree("n") == 2  # (n+1)(n-4)
+    with pytest.raises(NonAlternating) as raised:
+        precision.sum_to_digits(series, 30)
+    assert str(raised.value) == error
+
+
+def test_cancelled_factor_past_the_zero_terms():
+    # from n = 5 on the terms are nonzero and the reduced ratio is exact
+    series = alt_series("(-1)^n * (n-3)*(n-4) / n!", 5)
+    report = precision.sum_to_digits(series, 30)
+    assert report.decimal_string == "-0.010290617742595889685048366932"
+    assert series._certified_from == 5
+
+
+def test_certificate_stops_short_of_a_cancelled_root():
+    # the ratio reduces to -1/(n+1), but the term is undefined at n=50,
+    # where the cancelled factor (n-49)(n-50) vanishes
+    series = alt_series("(-1)^n * (n-50) / (n-50) / n!")
+    n = Polynomial.variable("n")
+    assert series.term_ratio() == RationalFunction(-Polynomial.const(1), n + Polynomial.const(1))
+    assert series._certified_from == 51
+    with pytest.raises(DomainError, match="n=50"):
+        series.tail_bound(5)
+
+
+def test_positive_tail_stops_short_of_a_cancelled_root():
+    series = alt_series("(n-50) / (n-50) / n!")  # ratio 1/(n+1) once reduced
+    assert series.sign_pattern == POSITIVE
+    with pytest.raises(TailBoundError, match="not certifiably positive"):
+        series.tail_bound(5)
+    assert series.tail_bound(60) == series.term_at(60) * 13  # d = 6: (60+5)/5
 
 
 def test_terms_from_index(cat):
