@@ -29,19 +29,9 @@ class LinearForm:
     def value(self, n: int, k: int = 0) -> int:
         return self.a * n + self.b * k + self.c
 
-    def shifted(self, dn: int, dk: int) -> "LinearForm":
-        """The same form with n := n + dn, k := k + dk."""
-        return LinearForm(self.a, self.b, self.c + self.a * dn + self.b * dk)
-
-    def substituted(self, n_map: tuple[int, int], k_map: tuple[int, int]) -> "LinearForm":
-        """Affine change of variables onto a single variable.
-
-        ``n_map = (p, q)`` sends n to p*n + q and ``k_map = (r, t)`` sends
-        k to r*n + t; the result is again a linear form (with b = 0).
-        """
-        p, q = n_map
-        r, t = k_map
-        return LinearForm(self.a * p + self.b * r, 0, self.a * q + self.b * t + self.c)
+    def substituted(self, n_to: "LinearForm", k_to: "LinearForm") -> "LinearForm":
+        """The same form with n := n_to and k := k_to."""
+        return n_to.scaled(self.a) + k_to.scaled(self.b) + LinearForm(0, 0, self.c)
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
         return LinearForm(self.a + other.a, self.b + other.b, self.c + other.c)
@@ -213,19 +203,16 @@ class Polynomial:
                 base = base * base
         return result
 
-    def substituted(self, n_poly: "Polynomial", k_poly: "Polynomial") -> "Polynomial":
-        """Substitute polynomials for both variables."""
-        total = Polynomial()
+    def substituted(self, n_to: LinearForm, k_to: LinearForm) -> "Polynomial":
+        """The polynomial with n := n_to and k := k_to. Each power of n_to
+        and of k_to is formed once, from the one below it."""
+        n_powers = _powers(n_to.to_polynomial(), self.degree("n"))
+        k_powers = _powers(k_to.to_polynomial(), self.degree("k"))
+        out: dict[tuple[int, int], int] = {}
         for (en, ek), coef in self._coeffs.items():
-            total = total + (n_poly**en * k_poly**ek).scaled(coef)
-        return total
-
-    def shifted(self, dn: int, dk: int) -> "Polynomial":
-        if dn == 0 and dk == 0:
-            return self
-        n_poly = Polynomial({(1, 0): 1, (0, 0): dn})
-        k_poly = Polynomial({(0, 1): 1, (0, 0): dk})
-        return self.substituted(n_poly, k_poly)
+            for key, c in (n_powers[en] * k_powers[ek])._coeffs.items():
+                out[key] = out.get(key, 0) + coef * c
+        return Polynomial(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self._coeffs == other._coeffs
@@ -257,6 +244,14 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def _powers(base: Polynomial, top: int) -> list[Polynomial]:
+    """[base^0, ..., base^top], one multiplication per step."""
+    powers = [Polynomial.const(1)]
+    for _ in range(top):
+        powers.append(powers[-1] * base)
+    return powers
 
 
 def _primitive(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -365,13 +360,8 @@ class RationalFunction:
             raise ZeroDivisionError(f"denominator vanishes at (n={n}, k={k})")
         return Fraction(self.num.evaluate(n, k), den)
 
-    def substituted(self, n_poly: Polynomial, k_poly: Polynomial) -> "RationalFunction":
-        return RationalFunction(
-            self.num.substituted(n_poly, k_poly), self.den.substituted(n_poly, k_poly)
-        )
-
-    def shifted(self, dn: int, dk: int) -> "RationalFunction":
-        return RationalFunction(self.num.shifted(dn, dk), self.den.shifted(dn, dk))
+    def substituted(self, n_to: LinearForm, k_to: LinearForm) -> "RationalFunction":
+        return RationalFunction(self.num.substituted(n_to, k_to), self.den.substituted(n_to, k_to))
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * other.num, self.den * other.den)

@@ -29,7 +29,7 @@ _REQUIRED = tuple(f"{side}_{name}" for name in _PAIRS for side in "fg") + ("s3",
 
 def pair_domain(s: int) -> Domain:
     """Verification region for a family-s pair: n ≥ 1, 0 ≤ k ≤ s·n − 1."""
-    return Domain(n_min=1, constraints=(LinearForm(0, 1, 0), LinearForm(s, -1, -1)))
+    return Domain((LinearForm(1, 0, -1), LinearForm(0, 1, 0), LinearForm(s, -1, -1)))
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,11 @@ def load_catalog(path: str | None = None) -> Catalog:
     A replacement file must define exactly the bundled entry names; the
     series come from its pairs and s3. Parse failures are raised.
     """
-    text = bundled_text() if path is None else Path(path).read_text()
+    try:
+        text = bundled_text() if path is None else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"catalog {path} is not UTF-8 text: {exc.reason} "
+                           f"at byte {exc.start}") from None
     entries = parse_entries(text)
 
     missing = [name for name in _REQUIRED if name not in entries]

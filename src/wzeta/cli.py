@@ -24,8 +24,8 @@ _COMPARE_LHS_TERMS = 300
 # in-process and 21 s through the CLI at this size (n <= 386) on a 2-vCPU
 # machine, s1 about 10 s (n <= 547)
 _MAX_GRID_POINTS = 150_000
-# largest `digits --digits`; s1, the slowest catalog series at this size,
-# takes about 23 s in-process on a 2-vCPU machine (s3 21 s, s2 17 s)
+# largest `digits --digits`; s3, the slowest catalog series at this size,
+# takes 14-19 s in-process on a 2-vCPU machine (s1 11-16 s, s2 10-14 s)
 _MAX_DIGITS = 60_000
 # largest `accelerate --terms`; s2, the slower pair, takes about 13.5 s
 # through the CLI at this size on a 2-vCPU machine and prints 72 MB

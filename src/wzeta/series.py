@@ -18,6 +18,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .algebra import (
+    LinearForm,
     Polynomial,
     RationalFunction,
     dense_divide,
@@ -87,7 +88,7 @@ class SeriesSpec:
         is h·a/(h·b), h the gcd of its two sides, so a/b is in lowest
         terms over Z[n]; b and h have positive leading coefficients, and
         every integer root of h is at most bound in modulus."""
-        ratio = self.term.specialized((1, 0), (0, 0)).shift_ratio(1, 0)  # k = 0
+        ratio = self.term.substituted(LinearForm(1, 0, 0), LinearForm()).shift_ratio(1, 0)  # k = 0
         num, den = ratio.num.univariate(), ratio.den.univariate()
         h = dense_gcd(num, den)
         return dense_divide(num, h), dense_divide(den, h), h, integer_root_bound(h)
@@ -355,4 +356,5 @@ def _positive_past(poly: Polynomial, c: int) -> bool:
 def _shifted_coeffs_nonneg(poly: Polynomial, shift: int) -> bool:
     """True if poly(n + shift) has only nonnegative coefficients — a
     sufficient certificate that poly ≥ 0 for all n ≥ shift."""
-    return all(c >= 0 for c in poly.shifted(shift, 0).coeffs.values())
+    shifted = poly.substituted(LinearForm(1, 0, shift), LinearForm(0, 1, 0))
+    return all(c >= 0 for c in shifted.coeffs.values())

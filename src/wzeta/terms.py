@@ -7,7 +7,10 @@ A term is a product
 with integer-linear factorial arguments, integer-coefficient polynomials
 p, q and an exact rational constant. Terms evaluate exactly at integer
 points inside their validity domain, and quotients of structurally
-compatible terms reduce to rational functions of n and k.
+compatible terms reduce to rational functions of n and k. The one change
+of variables is affine, n := n_to and k := k_to for linear forms n_to and
+k_to, and reaches every part of a term, its domain included: a shift,
+F(n+1, k), and a restriction to a line, F(n, n-1), are both this.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .algebra import LinearForm, Polynomial, RationalFunction
 from .errors import DomainError, IncompatibleTerms
@@ -25,16 +29,23 @@ _ONE = Polynomial.const(1)
 
 @dataclass(frozen=True)
 class Domain:
-    """Validity region: n >= n_min plus a list of linear forms kept >= 0.
+    """Validity region: the points where every constraint, a linear form,
+    is >= 0. A lower bound n >= m is the constraint n - m.
 
-    ``n_min=None`` leaves n unconstrained. The constraints are expected to
-    imply nonnegativity of every factorial argument of the owning term;
-    evaluation re-checks the factorial arguments anyway, so a too-loose
-    domain fails loudly instead of corrupting results.
+    The constraints are expected to imply nonnegativity of every factorial
+    argument of the owning term; evaluation re-checks the factorial
+    arguments anyway, so a too-loose domain fails loudly instead of
+    corrupting results.
     """
 
-    n_min: int | None = None
     constraints: tuple[LinearForm, ...] = ()
+
+    @property
+    def n_min(self) -> int | None:
+        """The least n the constraints in n alone allow; None if they
+        bound n from below nowhere."""
+        return max((-(f.c // f.a) for f in self.constraints if f.b == 0 and f.a > 0),
+                   default=None)
 
     def k_range(self, n: int) -> tuple[int, int] | None:
         """Inclusive k interval at fixed n, or None if empty.
@@ -42,8 +53,6 @@ class Domain:
         Raises ValueError when the constraints do not bound k above and
         below (such a domain cannot be swept by a grid check).
         """
-        if self.n_min is not None and n < self.n_min:
-            return None
         lo = None
         hi = None
         for form in self.constraints:
@@ -64,12 +73,17 @@ class Domain:
             return None
         return lo, hi
 
-    def shifted(self, dn: int, dk: int) -> "Domain":
-        n_min = None if self.n_min is None else self.n_min - dn
-        return Domain(n_min, tuple(f.shifted(dn, dk) for f in self.constraints))
+    def rows(self, n_max: int) -> Iterator[tuple[int, int, int]]:
+        """(n, lo, hi) for every nonempty row lo <= k <= hi, n from n_min
+        (0 if n is not bounded below) up to n_max."""
+        n_min = self.n_min
+        for n in range(0 if n_min is None else n_min, n_max + 1):
+            k_range = self.k_range(n)
+            if k_range is not None:
+                yield n, *k_range
 
-    def substituted(self, n_map, k_map, n_min=None) -> "Domain":
-        return Domain(n_min, tuple(f.substituted(n_map, k_map) for f in self.constraints))
+    def substituted(self, n_to: LinearForm, k_to: LinearForm) -> "Domain":
+        return Domain(tuple(f.substituted(n_to, k_to) for f in self.constraints))
 
 
 class HyperTerm:
@@ -136,7 +150,7 @@ class HyperTerm:
         object.__setattr__(self, "poly_den", poly_den)
         object.__setattr__(self, "constant", constant)
         if domain is None:
-            domain = Domain(None, tuple(form for form, _ in kept))
+            domain = Domain(tuple(form for form, _ in kept))
         object.__setattr__(self, "domain", domain)
         object.__setattr__(
             self, "_key", (sign, tuple(kept), poly_num, poly_den, constant)
@@ -144,7 +158,6 @@ class HyperTerm:
         # value_at's inputs as plain integers: domain bounds, factorial
         # forms with exponents, sign form, polynomial terms, constant
         object.__setattr__(self, "_plan", (
-            domain.n_min,
             tuple((f.a, f.b, f.c) for f in domain.constraints),
             tuple((f, f.a, f.b, f.c, e) for f, e in kept),
             (sign.a, sign.b, sign.c),
@@ -170,9 +183,7 @@ class HyperTerm:
         checked to be nonnegative first; a caller that evaluates many
         points can pass a factorial_ladder() instead of math.factorial.
         """
-        n_min, bounds, factorials, sign, num_terms, den_terms, c_num, c_den = self._plan
-        if n_min is not None and n < n_min:
-            raise DomainError(f"(n={n}, k={k}) outside term domain")
+        bounds, factorials, sign, num_terms, den_terms, c_num, c_den = self._plan
         for a, b, c in bounds:
             if a * n + b * k + c < 0:
                 raise DomainError(f"(n={n}, k={k}) outside term domain")
@@ -198,34 +209,20 @@ class HyperTerm:
             num_val = -num_val
         return Fraction(numerator * num_val, denominator * den_val)
 
-    def shifted(self, dn: int, dk: int) -> "HyperTerm":
+    def substituted(self, n_to: LinearForm, k_to: LinearForm) -> "HyperTerm":
+        """The term with n := n_to and k := k_to, domain included."""
         return HyperTerm(
-            self.sign_exponent.shifted(dn, dk),
-            tuple((f.shifted(dn, dk), e) for f, e in self.factorials),
-            self.poly_num.shifted(dn, dk),
-            self.poly_den.shifted(dn, dk),
+            self.sign_exponent.substituted(n_to, k_to),
+            tuple((f.substituted(n_to, k_to), e) for f, e in self.factorials),
+            self.poly_num.substituted(n_to, k_to),
+            self.poly_den.substituted(n_to, k_to),
             self.constant,
-            self.domain.shifted(dn, dk),
-        )
-
-    def specialized(self, n_map: tuple[int, int], k_map: tuple[int, int],
-                    n_min: int | None = None) -> "HyperTerm":
-        """One-variable term obtained from the affine substitution
-        n -> n_map[0]*n + n_map[1], k -> k_map[0]*n + k_map[1]."""
-        n_poly = Polynomial({(1, 0): n_map[0], (0, 0): n_map[1]})
-        k_poly = Polynomial({(1, 0): k_map[0], (0, 0): k_map[1]})
-        return HyperTerm(
-            self.sign_exponent.substituted(n_map, k_map),
-            tuple((f.substituted(n_map, k_map), e) for f, e in self.factorials),
-            self.poly_num.substituted(n_poly, k_poly),
-            self.poly_den.substituted(n_poly, k_poly),
-            self.constant,
-            self.domain.substituted(n_map, k_map, n_min=n_min),
+            self.domain.substituted(n_to, k_to),
         )
 
     def shift_ratio(self, dn: int, dk: int) -> RationalFunction:
         """R(n,k) with term(n+dn, k+dk) = R(n,k) * term(n,k) where defined."""
-        return cross_ratio(self.shifted(dn, dk), self)
+        return cross_ratio(self.substituted(LinearForm(1, 0, dn), LinearForm(0, 1, dk)), self)
 
     def __repr__(self) -> str:
         from .dsl import render_term

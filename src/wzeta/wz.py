@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import RationalFunction
+from .algebra import LinearForm, RationalFunction
 from .errors import DomainError, SingularGrid
 from .series import SeriesSpec
 from .terms import Domain, HyperTerm, cross_ratio, factorial_ladder
@@ -97,22 +97,15 @@ def verify_grid(pair: WZPair, n_max: int) -> VerifyReport:
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     f, g = pair.f, pair.g
-    domain = pair.check_domain
     factorial = factorial_ladder()
-    n_start = domain.n_min if domain.n_min is not None else 0
     checked = 0
     failures = []
-    f_row: dict[int, Fraction] = {}  # k -> F(n, k), kept from row n-1
-    for n in range(n_start, n_max + 1):
-        k_range = domain.k_range(n)
-        if k_range is None:
-            f_row = {}
-            continue
-        lo, hi = k_range
+    f_known: dict[tuple[int, int], Fraction] = {}  # F(n, k) of this row, from the last
+    for n, lo, hi in pair.check_domain.rows(n_max):
         f_next = {}
         for k in range(lo, hi + 1):
-            f_up = f_next[k] = f.value_at(n + 1, k, factorial)
-            f_here = f_row.pop(k, None)
+            f_up = f_next[n + 1, k] = f.value_at(n + 1, k, factorial)
+            f_here = f_known.pop((n, k), None)
             if f_here is None:
                 f_here = f.value_at(n, k, factorial)
             g_up = g.value_at(n, k + 1, factorial)
@@ -126,24 +119,20 @@ def verify_grid(pair: WZPair, n_max: int) -> VerifyReport:
             if (a1 * b0 - a0 * b1) * (d1 * d0) != (c1 * d0 - c0 * d1) * (b1 * b0):
                 failures.append(FailurePoint(n, k, f_up - f_here, g_up - g_here))
             g_here = g_up
-        f_row = f_next
+        f_known = f_next
     outcome = "pass" if not failures else "fail"
     return VerifyReport("grid", outcome, checked, failures=tuple(failures))
 
 
 def grid_points(pair: WZPair, n_max: int, stop_above: int) -> int:
-    """How many points verify_grid(pair, n_max) checks, counted from
-    check_domain.k_range without evaluating a term. Counting ends as soon
-    as the count passes stop_above, so a huge n_max returns promptly."""
-    domain = pair.check_domain
-    n_start = domain.n_min if domain.n_min is not None else 0
+    """How many points verify_grid(pair, n_max) checks, counted over
+    the same check_domain rows without evaluating a term. Counting ends as
+    soon as the count passes stop_above, so a huge n_max returns promptly."""
     count = 0
-    for n in range(n_start, n_max + 1):
-        k_range = domain.k_range(n)
-        if k_range is not None:
-            count += k_range[1] - k_range[0] + 1
-            if count > stop_above:
-                break
+    for _, lo, hi in pair.check_domain.rows(n_max):
+        count += hi - lo + 1
+        if count > stop_above:
+            break
     return count
 
 
@@ -168,7 +157,7 @@ def verify_symbolic(pair: WZPair) -> VerifyReport:
     r1 = pair.f.shift_ratio(1, 0)
     r2 = pair.f.shift_ratio(0, 1)
     cert = certificate(pair)
-    cert_up = cert.shifted(0, 1)  # R(n, k+1)
+    cert_up = cert.substituted(LinearForm(1, 0, 0), LinearForm(0, 1, 1))  # R(n, k+1)
 
     denominators = [r1.den, r2.den, cert.den, cert_up.den]
 
@@ -234,8 +223,9 @@ def accelerate(pair: WZPair) -> SeriesSpec:
     the pair's zeta3_multiple times ζ(3). Verification is the caller's
     responsibility.
     """
-    f_diag = pair.f.specialized((1, 0), (1, -1), n_min=1)  # F(n, n-1)
-    g_diag = pair.g.specialized((1, -1), (1, -1), n_min=1)  # G(n-1, n-1)
+    n, n_less_1 = LinearForm(1, 0, 0), LinearForm(1, 0, -1)
+    f_diag = pair.f.substituted(n, n_less_1)  # F(n, n-1)
+    g_diag = pair.g.substituted(n_less_1, n_less_1)  # G(n-1, n-1)
     r = cross_ratio(g_diag, f_diag)
     return SeriesSpec(
         name=f"accel({pair.name})",
@@ -245,7 +235,7 @@ def accelerate(pair: WZPair) -> SeriesSpec:
             f_diag.poly_num * (r.den + r.num),
             f_diag.poly_den * r.den,
             f_diag.constant,
-            Domain(1, f_diag.domain.constraints + g_diag.domain.constraints),
+            Domain((n_less_1,) + f_diag.domain.constraints + g_diag.domain.constraints),
         ),
         start_index=1,
         zeta3_multiple=pair.zeta3_multiple,
@@ -256,7 +246,7 @@ def lhs_series(pair: WZPair) -> SeriesSpec:
     """The column series Σ_{n≥0} G(n, 0), summing to the pair's
     zeta3_multiple times ζ(3) (the slow side for the bundled pairs, with
     positive terms and polynomial-rate decay)."""
-    g_column = pair.g.specialized((1, 0), (0, 0), n_min=0)  # G(n, 0)
+    g_column = pair.g.substituted(LinearForm(1, 0, 0), LinearForm())  # G(n, 0)
     return SeriesSpec(f"lhs({pair.name})", g_column, 0, pair.zeta3_multiple)
 
 

@@ -23,8 +23,9 @@ ONE = Polynomial.const(1)
 def test_linear_form_basics():
     f = LinearForm(2, -1, 3)
     assert f.value(5, 4) == 9
-    assert f.shifted(1, 2) == LinearForm(2, -1, 3)  # coefficients unchanged
-    assert f.shifted(1, 2).c == 3 + 2 - 2
+    shifted = f.substituted(LinearForm(1, 0, 1), LinearForm(0, 1, 2))  # n+1, k+2
+    assert shifted == LinearForm(2, -1, 3)  # coefficients unchanged
+    assert shifted.c == 3 + 2 - 2
     assert (f + LinearForm(0, 1, -3)) == LinearForm(2, 0, 0)
     assert f.scaled(2) == LinearForm(4, -2, 6)
     assert not f.is_constant
@@ -35,9 +36,15 @@ def test_linear_form_basics():
 def test_linear_form_substituted():
     # n -> 2n - 1, k -> n - 1 turns a*n + b*k + c into a one-variable form
     f = LinearForm(1, 1, 1)
-    g = f.substituted((2, -1), (1, -1))
+    g = f.substituted(LinearForm(2, 0, -1), LinearForm(1, 0, -1))
+    assert g.b == 0
     for n in range(6):
         assert g.value(n, 0) == f.value(2 * n - 1, n - 1)
+    # n -> k - n + 3, k -> 2n + k: two variables in, two out
+    h = LinearForm(2, -3, 5).substituted(LinearForm(-1, 1, 3), LinearForm(2, 1, 0))
+    for n in range(-3, 4):
+        for k in range(-3, 4):
+            assert h.value(n, k) == LinearForm(2, -3, 5).value(k - n + 3, 2 * n + k)
 
 
 def test_linear_form_str():
@@ -72,7 +79,8 @@ def test_polynomial_shifted():
     p = N * N + K
     for n in range(-3, 4):
         for k in range(-3, 4):
-            assert p.shifted(2, -1).evaluate(n, k) == p.evaluate(n + 2, k - 1)
+            shifted = p.substituted(LinearForm(1, 0, 2), LinearForm(0, 1, -1))
+            assert shifted.evaluate(n, k) == p.evaluate(n + 2, k - 1)
 
 
 coeff = st.integers(min_value=-9, max_value=9)
@@ -103,10 +111,22 @@ def test_polynomial_pow(p, e, n, k):
 def test_polynomial_substituted():
     p = N * N - K
     # n -> n+k, k -> 2k
-    q = p.substituted(N + K, K.scaled(2))
+    q = p.substituted(LinearForm(1, 1, 0), LinearForm(0, 2, 0))
     for n in range(-3, 4):
         for k in range(-3, 4):
             assert q.evaluate(n, k) == p.evaluate(n + k, 2 * k)
+    # random polynomials under random linear maps, checked at points
+    rng = random.Random(11)
+    for _ in range(60):
+        p = Polynomial({(rng.randrange(5), rng.randrange(4)): rng.randrange(-9, 10)
+                        for _ in range(rng.randrange(6))})
+        n_to, k_to = (LinearForm(*(rng.randrange(-4, 5) for _ in range(3))) for _ in "nk")
+        q = p.substituted(n_to, k_to)
+        for _ in range(5):
+            n, k = rng.randrange(-7, 8), rng.randrange(-7, 8)
+            assert q.evaluate(n, k) == p.evaluate(n_to.value(n, k), k_to.value(n, k))
+        if p.degree("k") < 1:
+            assert q.degree("n") <= p.degree("n")
 
 
 def test_polynomial_str_is_deterministic():
@@ -139,7 +159,7 @@ def test_rational_function_equality_cross_multiplied():
 
 def test_rational_function_shifted():
     r = RationalFunction(N, K + ONE)
-    rs = r.shifted(1, 2)
+    rs = r.substituted(LinearForm(1, 0, 1), LinearForm(0, 1, 2))
     for n in range(5):
         for k in range(5):
             assert rs.evaluate(n, k) == r.evaluate(n + 1, k + 2)

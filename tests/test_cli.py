@@ -428,6 +428,9 @@ GOLDEN = {
     "digits --series s2 --digits 1000 --mode scaled": "63fda00cf583faa9960fba9f187f138c33adb62af881f110d6d18c6ec0369321",
     "digits --series s3 --digits 1000 --mode scaled": "0bfc5d1cc91213e6d19b16ba73a92bceca46fac6ed8c929e2922ba20c4e52698",
     "rate --series lhs_s2 --lo 0 --hi 2000": "ee8eef6273e51ddf6aacc8fb3f6199c865f5bfef5936afbbcc4b737a2ac28fb6",
+    # a term with no constraint on n is defined at negative n
+    "eval --expr n --n -3": "0f90e0b3538d04df294950dcec75952d7e07f1bb044e73e795c410d677b3c268",
+    "eval --expr (-1)^k*k!^2/(n+k+1)! --n 2 --k 2": "00fe5739f758f7fbf983ae0150cb9d645c3730a33e97285dd4a6dc52fc71ce05",
 }
 
 
@@ -496,3 +499,17 @@ def test_broken_catalog_series_follow_its_pair(broken_catalog):
         assert s1.term_at(n) == fast.term_at(n) / 2
         assert lhs_s1.term_at(n) == slow.term_at(n)
     assert s1.term_at(1) != load_catalog().series_by_name("s1").term_at(1)
+
+
+def test_eval_outside_the_domain_exits_2(capsys):
+    code, out, err = run(capsys, "eval", "--expr", "n!", "--n", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: (n=-1, k=0) outside term domain\n"
+
+
+def test_non_utf8_catalog_exits_2(tmp_path):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"s3 = (-1)^n / (n+1)\n\xff\xfe\x80 = n\n")
+    done = run_subprocess("--catalog", str(path), "list")
+    assert_refused(done, str(path), "not UTF-8")

@@ -1,14 +1,18 @@
 """The package and its tests import only what CI installs: sympy may be
-present locally, but the workflow does not install it."""
+present locally, but the workflow does not install it. The package itself
+has no runtime dependencies, so it imports from the standard library and
+from itself only."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DYNAMIC = {"import_module", "importorskip", "__import__"}
-SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+PACKAGE = sorted((ROOT / "src").rglob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").rglob("*.py"))
 
 
 def imported_modules(path):
@@ -26,9 +30,27 @@ def imported_modules(path):
 def test_sources_are_found():
     assert any(path.name == "series.py" for path in SOURCES)
     assert any(path.name == "test_imports.py" for path in SOURCES)
+    assert any(path.name == "cli.py" for path in PACKAGE)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_sympy_import(path):
     found = [name for name in imported_modules(path) if name.split(".")[0] == "sympy"]
     assert not found, f"{path.name} imports {found}"
+
+
+def outside_stdlib(path):
+    allowed = sys.stdlib_module_names | {"wzeta"}
+    return [name for name in imported_modules(path) if name.split(".")[0] not in allowed]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_only_the_standard_library(path):
+    found = outside_stdlib(path)
+    assert not found, f"{path.name} imports {found}"
+
+
+def test_a_third_party_import_is_caught(tmp_path):
+    path = tmp_path / "leaky.py"
+    path.write_text("import math\nfrom fractions import Fraction\nimport mpmath.libmp\n")
+    assert outside_stdlib(path) == ["mpmath.libmp"]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from wzeta.algebra import Polynomial, RationalFunction, horner
+from wzeta.algebra import LinearForm, Polynomial, RationalFunction, horner
 from wzeta.dsl import parse_term
 from wzeta.errors import (
     DomainError,
@@ -62,7 +62,7 @@ REDUCED_DEGREES = {"s1": 3, "s2": 7, "s3": 11, "lhs_s1": 3, "lhs_s2": 9}
 
 def unreduced_ratio(series):
     """The k = 0 shift ratio before the common factor is cancelled."""
-    return series.term.specialized((1, 0), (0, 0)).shift_ratio(1, 0)
+    return series.term.substituted(LinearForm(1, 0, 0), LinearForm()).shift_ratio(1, 0)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wzeta
 from wzeta.algebra import LinearForm, Polynomial
 from wzeta.errors import DomainError, IncompatibleTerms
 from wzeta.terms import Domain, HyperTerm, cross_ratio, factorial_ladder
@@ -90,7 +95,7 @@ def test_shifted_matches_evaluation():
             expected = t.value_at(n + 1, k + 1)
         except DomainError:
             continue
-        assert t.shifted(1, 1).value_at(n, k) == expected
+        assert t.substituted(LinearForm(1, 0, 1), LinearForm(0, 1, 1)).value_at(n, k) == expected
 
 
 def test_shift_ratio_matches_value_quotient():
@@ -112,7 +117,7 @@ def test_shift_ratio_composition():
     t = f_term(1)
     two_up = t.shift_ratio(2, 0)
     one_up = t.shift_ratio(1, 0)
-    composed = one_up.shifted(1, 0) * one_up
+    composed = one_up.substituted(LinearForm(1, 0, 1), K) * one_up
     assert two_up == composed
 
 
@@ -176,15 +181,17 @@ def test_as_rational_function():
 
 def test_specialized_diagonal():
     t = f_term(1)
-    diag = t.specialized((1, 0), (1, -1), n_min=1)  # F(n, n-1)
+    diag = t.substituted(N, LinearForm(1, 0, -1))  # F(n, n-1)
     for n in range(1, 12):
         assert diag.value_at(n, 0) == t.value_at(n, n - 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^\(n=0, k=0\) outside term domain$"):
         diag.value_at(0, 0)
+    assert diag.domain.n_min == 1  # from k >= 0, now n - 1 >= 0
 
 
 def test_domain_k_range():
-    dom = Domain(n_min=1, constraints=(LinearForm(0, 1, 0), LinearForm(2, -1, -1)))
+    dom = Domain((LinearForm(1, 0, -1), LinearForm(0, 1, 0), LinearForm(2, -1, -1)))
+    assert dom.n_min == 1
     assert dom.k_range(1) == (0, 1)
     assert dom.k_range(3) == (0, 5)
     assert dom.k_range(2) == (0, 3)
@@ -192,14 +199,60 @@ def test_domain_k_range():
 
 
 def test_domain_k_range_unbounded():
-    dom = Domain(n_min=0, constraints=(LinearForm(1, 0, 0),))
+    dom = Domain((LinearForm(1, 0, 0),))
+    assert dom.n_min == 0
     with pytest.raises(ValueError):
         dom.k_range(3)
 
 
 def test_domain_empty_range():
-    dom = Domain(n_min=0, constraints=(LinearForm(0, 1, 0), LinearForm(1, -1, -1)))
+    dom = Domain((LinearForm(1, 0, 0), LinearForm(0, 1, 0), LinearForm(1, -1, -1)))
     assert dom.k_range(0) is None  # 0 <= k <= -1 is empty
+
+
+def test_domain_n_min_reads_the_constraints_in_n_alone():
+    assert Domain().n_min is None
+    assert Domain((LinearForm(0, 1, 0), LinearForm(1, -1, -1))).n_min is None  # k in them
+    assert Domain((LinearForm(-1, 0, 5),)).n_min is None  # n <= 5 is no lower bound
+    assert Domain((LinearForm(2, 0, -1),)).n_min == 1  # 2n - 1 >= 0
+    assert Domain((LinearForm(3, 0, 7),)).n_min == -2  # 3n + 7 >= 0
+    assert Domain((LinearForm(1, 0, -1), LinearForm(2, 0, -7), LinearForm(1, 0, 0))).n_min == 4
+
+
+def test_domain_rows():
+    # n >= 1 and 3 <= k <= n - 1: rows 1..3 are empty
+    dom = Domain((LinearForm(1, 0, -1), LinearForm(0, 1, -3), LinearForm(1, -1, -1)))
+    assert list(dom.rows(6)) == [(4, 3, 3), (5, 3, 4), (6, 3, 5)]
+    assert list(dom.rows(3)) == []
+    # not bounded below in n: rows start at 0
+    free = Domain((LinearForm(0, 1, 0), LinearForm(1, -1, 2)))
+    assert list(free.rows(1)) == [(0, 0, 2), (1, 0, 3)]
+    # bounded below by a negative n
+    low = Domain((LinearForm(1, 0, 2), LinearForm(0, 1, 0), LinearForm(1, -1, 2)))
+    assert list(low.rows(0)) == [(-2, 0, 0), (-1, 0, 1), (0, 0, 2)]
+
+
+def test_domain_substituted():
+    dom = Domain((LinearForm(1, 0, -1), LinearForm(0, 1, 0), LinearForm(1, -1, -1)))
+    n_to, k_to = LinearForm(1, 0, 2), LinearForm(1, -1, 0)  # n + 2, n - k
+    moved = dom.substituted(n_to, k_to)
+    for n in range(-4, 6):
+        for k in range(-4, 6):
+            inside = all(f.value(n_to.value(n, k), k_to.value(n, k)) >= 0 for f in dom.constraints)
+            assert inside == all(f.value(n, k) >= 0 for f in moved.constraints)
+    assert moved.n_min == -1
+
+
+def test_degree_999_shift_ratio_is_prompt():
+    # the DSL accepts this polynomial; its shift costs a power ladder
+    code = ("from fractions import Fraction\n"
+            "from wzeta.dsl import parse_term\n"
+            "r = parse_term('(n+1)^999').shift_ratio(1, 0)\n"
+            "assert r.evaluate(3) == Fraction(5**999, 4**999)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(wzeta.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=20)
+    assert done.returncode == 0, done.stderr
 
 
 def test_term_equality_and_hash():
@@ -229,8 +282,10 @@ def term_cases(draw):
     constant = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
     kept = [form for form, _ in factorials if not form.is_constant and draw(st.booleans())]
     n_min = draw(st.none() | st.integers(-1, 3))
+    if n_min is not None:
+        kept.insert(0, LinearForm(1, 0, -n_min))
     point = (draw(st.integers(-2, 9)), draw(st.integers(-2, 9)))
-    return sign, factorials, num, den, constant, Domain(n_min, tuple(kept)), point
+    return sign, factorials, num, den, constant, Domain(tuple(kept)), point
 
 
 def poly_at(coeffs, n, k):
@@ -241,9 +296,7 @@ def formula(sign, factorials, num, den, constant, domain, n, k):
     """The term's value straight from its definition, or the DomainError
     message value_at must raise: domain first, then the first negative
     factorial argument in sorted form order, then a zero denominator."""
-    if domain.n_min is not None and n < domain.n_min or any(
-        form.value(n, k) < 0 for form in domain.constraints
-    ):
+    if any(form.value(n, k) < 0 for form in domain.constraints):
         return f"(n={n}, k={k}) outside term domain"
     merged = {}  # x!^0 is 1 even where x! is undefined
     for form, exp in factorials:

@@ -39,6 +39,15 @@ def test_verify_grid_passes(cat, name, points):
     assert report.first_failure is None
 
 
+@pytest.mark.parametrize("name", ["s1", "s2"])
+def test_accelerated_term_is_undefined_at_zero(cat, name):
+    term = wz.accelerate(cat.pair_by_name(name)).term
+    assert term.domain.n_min == 1
+    with pytest.raises(DomainError) as raised:
+        term.value_at(0)
+    assert str(raised.value) == "(n=0, k=0) outside term domain"
+
+
 def test_verify_grid_rejects_bad_nmax(cat):
     with pytest.raises(DomainError):
         wz.verify_grid(cat.pair_by_name("s1"), 0)
@@ -158,7 +167,7 @@ def test_domain_respected_by_grid(cat):
     pair = cat.pair_by_name("s1")
     from wzeta.terms import Domain
 
-    thin = Domain(n_min=2, constraints=(LinearForm(0, 1, -1), LinearForm(1, -1, -1)))
+    thin = Domain((LinearForm(1, 0, -2), LinearForm(0, 1, -1), LinearForm(1, -1, -1)))
     shrunk = wz.WZPair("thin", pair.f, pair.g, pair.zeta3_multiple, thin)
     report = wz.verify_grid(shrunk, 10)
     assert report.outcome == "pass"
@@ -222,12 +231,12 @@ def test_row_sweep_raises_the_reference_domain_error(cat, f_bound, g_bound, chec
         if bound is None:
             return term
         return HyperTerm(term.sign_exponent, term.factorials, term.poly_num, term.poly_den,
-                         term.constant, Domain(None, term.domain.constraints + (bound,)))
+                         term.constant, Domain(term.domain.constraints + (bound,)))
 
     good = cat.pair_by_name("s1")
     check = good.check_domain
     if check_bounds is not None:
-        check = Domain(check.n_min, check_bounds)
+        check = Domain((LinearForm(1, 0, -check.n_min),) + check_bounds)
     pair = wz.WZPair("leaky", narrowed(good.f, f_bound), narrowed(good.g, g_bound),
                      good.zeta3_multiple, check)
     with pytest.raises(DomainError) as expected:
