@@ -2,40 +2,49 @@
 
 The pairs' terms and s3 live as expression text in data/catalog.txt and
 are parsed at load time; a parse failure is raised, for the bundled file
-as for a replacement. Every other series is derived from a pair: sN is
-its accelerated diagonal divided by the pair's limit multiple, so that
-it sums to ζ(3), and lhs_sN is its column Σ G(n, 0). What the terms
-cannot tell is code: each pair's family s and limit multiple.
+as for a replacement. Every other series is derived from a pair when it
+is first asked for: sN is its accelerated diagonal divided by the pair's
+limit multiple, so that it sums to ζ(3), and lhs_sN is its column
+Σ G(n, 0). What the terms cannot tell is code: each pair's limit
+multiple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
-from pathlib import Path
 
-from .algebra import LinearForm
 from .errors import CatalogError
 from .series import SeriesSpec
-from .terms import Domain, HyperTerm
+from .terms import HyperTerm
 from .wz import WZPair, accelerate, lhs_series
 from . import dsl
 
-# pair name -> (family s, multiple of ζ(3) that Σ G(n, 0) sums to)
-_PAIRS = {"s1": (1, Fraction(2)), "s2": (2, Fraction(2))}
+# pair name -> multiple of ζ(3) that Σ G(n, 0) sums to
+_PAIRS = {"s1": Fraction(2), "s2": Fraction(2)}
 _REQUIRED = tuple(f"{side}_{name}" for name in _PAIRS for side in "fg") + ("s3",)
-
-
-def pair_domain(s: int) -> Domain:
-    """Verification region for a family-s pair: n ≥ 1, 0 ≤ k ≤ s·n − 1."""
-    return Domain((LinearForm(1, 0, -1), LinearForm(0, 1, 0), LinearForm(s, -1, -1)))
+# largest replacement catalog file read, in bytes; the bundled one is
+# under 1 KB, and this leaves room for literals of the DSL's 4300 digits
+_MAX_CATALOG_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
 class Catalog:
-    series: dict[str, SeriesSpec]
     pairs: dict[str, WZPair]
+    s3: HyperTerm
+
+    @cached_property
+    def series(self) -> dict[str, SeriesSpec]:
+        """Every named series, derived on first use: a pair whose diagonal
+        cannot be formed fails the commands that sum a series, not the
+        pair's own verification."""
+        series = {name: _per_zeta3(accelerate(pair), name) for name, pair in self.pairs.items()}
+        series["s3"] = SeriesSpec("s3", self.s3)
+        for name, pair in self.pairs.items():
+            series[f"lhs_{name}"] = replace(lhs_series(pair), name=f"lhs_{name}")
+        return series
 
     def series_by_name(self, name: str) -> SeriesSpec:
         key = name.strip().lower()
@@ -53,8 +62,9 @@ class Catalog:
             )
         return self.pairs[key]
 
-    def listing(self) -> list[tuple[str, str, int, float | None]]:
-        """(name, kind, start index, rate estimate) per entry, series first."""
+    def listing(self) -> list[tuple[str, str, int | None, float | None]]:
+        """(name, kind, start index, rate estimate) per entry, series
+        first; a pair starts at its region's least n, None if it has none."""
         rows = [
             (spec.name, "series", spec.start_index, spec.rate_estimate)
             for spec in self.series.values()
@@ -93,14 +103,11 @@ def bundled_text() -> str:
 def load_catalog(path: str | None = None) -> Catalog:
     """Build the catalog from the bundled data file or a replacement.
 
-    A replacement file must define exactly the bundled entry names; the
-    series come from its pairs and s3. Parse failures are raised.
+    A replacement file must define exactly the bundled entry names and
+    be UTF-8 text of at most _MAX_CATALOG_BYTES bytes; the series come
+    from its pairs and s3. Parse failures are raised.
     """
-    try:
-        text = bundled_text() if path is None else Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CatalogError(f"catalog {path} is not UTF-8 text: {exc.reason} "
-                           f"at byte {exc.start}") from None
+    text = bundled_text() if path is None else _read_replacement(path)
     entries = parse_entries(text)
 
     missing = [name for name in _REQUIRED if name not in entries]
@@ -111,16 +118,26 @@ def load_catalog(path: str | None = None) -> Catalog:
         raise CatalogError(f"catalog has unknown entries: {', '.join(unknown)}")
 
     terms = {name: dsl.parse_term(expr) for name, expr in entries.items()}
-
     pairs = {
-        name: WZPair(name, terms[f"f_{name}"], terms[f"g_{name}"], multiple, pair_domain(s))
-        for name, (s, multiple) in _PAIRS.items()
+        name: WZPair(name, terms[f"f_{name}"], terms[f"g_{name}"], multiple)
+        for name, multiple in _PAIRS.items()
     }
-    series = {name: _per_zeta3(accelerate(pair), name) for name, pair in pairs.items()}
-    series["s3"] = SeriesSpec("s3", terms["s3"])
-    for name, pair in pairs.items():
-        series[f"lhs_{name}"] = replace(lhs_series(pair), name=f"lhs_{name}")
-    return Catalog(series=series, pairs=pairs)
+    return Catalog(pairs=pairs, s3=terms["s3"])
+
+
+def _read_replacement(path: str) -> str:
+    """The file's text; a CatalogError past the size limit or if it is
+    not UTF-8. Only the limit and one byte more are read, so a file with
+    no end, such as /dev/zero, is refused too."""
+    with open(path, "rb") as file:
+        data = file.read(_MAX_CATALOG_BYTES + 1)
+    if len(data) > _MAX_CATALOG_BYTES:
+        raise CatalogError(f"catalog {path} is over the limit of {_MAX_CATALOG_BYTES} bytes")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"catalog {path} is not UTF-8 text: {exc.reason} "
+                           f"at byte {exc.start}") from None
 
 
 def _per_zeta3(series: SeriesSpec, name: str) -> SeriesSpec:

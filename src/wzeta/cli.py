@@ -103,8 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_list(cat, args) -> int:
     for name, kind, start, rate in cat.listing():
+        start_text = "-" if start is None else start
         rate_text = "-" if rate is None else f"{rate:.3f}"
-        print(f"{name} {kind} {start} {rate_text}")
+        print(f"{name} {kind} {start_text} {rate_text}")
     return 0
 
 

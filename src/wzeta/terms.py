@@ -42,15 +42,24 @@ class Domain:
 
     @property
     def n_min(self) -> int | None:
-        """The least n the constraints in n alone allow; None if they
-        bound n from below nowhere."""
-        return max((-(f.c // f.a) for f in self.constraints if f.b == 0 and f.a > 0),
-                   default=None)
+        """The least n at which some real k meets every constraint; None
+        if there is no least such n. Adding each lower bound on k, scaled,
+        to each upper bound eliminates k (Fourier–Motzkin) and leaves,
+        with the constraints that have no k, constraints a·n + c >= 0."""
+        in_n = [f for f in self.constraints if f.b == 0]
+        in_n += [lo.scaled(-up.b) + up.scaled(lo.b)
+                 for lo in self.constraints if lo.b > 0
+                 for up in self.constraints if up.b < 0]
+        least = max((-(f.c // f.a) for f in in_n if f.a > 0), default=None)
+        most = min((f.c // -f.a for f in in_n if f.a < 0), default=None)
+        empty = any(f.a == 0 and f.c < 0 for f in in_n) or (
+            least is not None and most is not None and least > most)
+        return None if empty else least
 
     def k_range(self, n: int) -> tuple[int, int] | None:
         """Inclusive k interval at fixed n, or None if empty.
 
-        Raises ValueError when the constraints do not bound k above and
+        Raises DomainError when the constraints do not bound k above and
         below (such a domain cannot be swept by a grid check).
         """
         lo = None
@@ -68,14 +77,14 @@ class Domain:
                 bound = (form.a * n + form.c) // (-form.b)
                 hi = bound if hi is None else min(hi, bound)
         if lo is None or hi is None:
-            raise ValueError("domain does not bound k on both sides")
+            raise DomainError(f"the region does not bound k on both sides at n={n}")
         if lo > hi:
             return None
         return lo, hi
 
     def rows(self, n_max: int) -> Iterator[tuple[int, int, int]]:
         """(n, lo, hi) for every nonempty row lo <= k <= hi, n from n_min
-        (0 if n is not bounded below) up to n_max."""
+        (0 if there is no least n) up to n_max."""
         n_min = self.n_min
         for n in range(0 if n_min is None else n_min, n_max + 1):
             k_range = self.k_range(n)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .algebra import LinearForm, RationalFunction
@@ -29,15 +30,25 @@ class WZPair:
     """A candidate pair for the discrete telescoping identity.
 
     zeta3_multiple is the multiple of ζ(3) that Σ_{n≥0} G(n, 0) sums to,
-    the one fact the terms cannot tell; check_domain is the (n, k) region
-    on which all four values in the identity are defined.
+    the one fact the terms cannot tell.
     """
 
     name: str
     f: HyperTerm
     g: HyperTerm
     zeta3_multiple: Fraction
-    check_domain: Domain
+
+    @cached_property
+    def check_domain(self) -> Domain:
+        """The (n, k) region on which all four values in the identity are
+        defined: the constraints of F(n+1, k), F(n, k), G(n, k+1) and
+        G(n, k)."""
+        n, k = LinearForm(1, 0, 0), LinearForm(0, 1, 0)
+        f_up = self.f.domain.substituted(LinearForm(1, 0, 1), k)
+        g_up = self.g.domain.substituted(n, LinearForm(0, 1, 1))
+        return Domain(tuple(dict.fromkeys(
+            f_up.constraints + self.f.domain.constraints
+            + g_up.constraints + self.g.domain.constraints)))
 
 
 class FailurePoint(NamedTuple):

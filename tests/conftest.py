@@ -22,7 +22,7 @@ def valid_points(term, count, seed=0, n_max=14):
         n = rng.randrange(0, n_max)
         try:
             k_range = term.domain.k_range(n)
-        except ValueError:  # k unconstrained (one-variable term)
+        except DomainError:  # k unconstrained (one-variable term)
             k_range = (0, 0)
         if k_range is None:
             continue

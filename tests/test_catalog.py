@@ -116,6 +116,15 @@ def test_pair_domains(cat):
     assert cat.pair_by_name("s2").zeta3_multiple == 2
 
 
+@pytest.mark.parametrize("name,s,n_cap", [("s1", 1, 547), ("s2", 2, 386)])
+def test_pair_domains_are_the_family_regions(cat, name, s, n_cap):
+    # the region derived from F and G is n >= 1, 0 <= k <= s·n - 1 for a
+    # family-s pair, up to the largest n the grid cap lets verify reach
+    domain = cat.pair_by_name(name).check_domain
+    assert domain.n_min == 1
+    assert list(domain.rows(n_cap)) == [(n, 0, s * n - 1) for n in range(1, n_cap + 1)]
+
+
 def test_bundled_catalog_parse_error_is_loud(monkeypatch):
     # no fallback: a parse failure in the bundled file is raised too
     good = "g_s1 = 2 * (-1)^k"

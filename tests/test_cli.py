@@ -8,6 +8,7 @@ import mpmath
 import pytest
 
 import wzeta
+from wzeta import catalog
 from wzeta.catalog import bundled_text
 from wzeta.cli import main
 
@@ -97,6 +98,19 @@ def test_verify_symbolic_pass(capsys):
     assert lines[0].startswith("mode=symbolic degree_bound=")
     assert lines[0].endswith("outcome=pass")
     assert lines[1] == "PASS"
+
+
+def catalog_with(tmp_path, **lines):
+    """A replacement catalog file: the bundled text with the named
+    entries' expressions replaced."""
+    text = bundled_text()
+    for name, expr in lines.items():
+        start = text.index(f"\n{name} = ") + 1
+        end = text.index("\n", start)
+        text = text[:start] + f"{name} = {expr}" + text[end:]
+    path = tmp_path / "replaced.txt"
+    path.write_text(text)
+    return str(path)
 
 
 @pytest.fixture
@@ -357,8 +371,6 @@ def test_malformed_catalog_file_exits_2(capsys, tmp_path):
 
 
 def test_bundled_catalog_parse_error_exits_2(capsys, monkeypatch):
-    from wzeta import catalog
-
     good = "g_s1 = 2 * (-1)^k"
     assert good in bundled_text()
     broken = bundled_text().replace(good, "g_s1 = 2n * (-1)^k")
@@ -477,12 +489,8 @@ def test_accelerate_past_the_int_str_limit(capsys):
 
 def test_non_geometric_series_exits_2_promptly(tmp_path):
     # terms alternate and decrease, but only like 1/n: no geometric rate
-    text = bundled_text()
-    start = text.index("\ns3 = ") + 1
-    end = text.index("\n", start)
-    path = tmp_path / "slow.txt"
-    path.write_text(text[:start] + "s3 = (-1)^n / (n+1)" + text[end:])
-    done = run_subprocess("--catalog", str(path), "digits", "--series", "s3",
+    path = catalog_with(tmp_path, s3="(-1)^n / (n+1)")
+    done = run_subprocess("--catalog", path, "digits", "--series", "s3",
                           "--digits", "30", timeout=10)
     assert_refused(done, "modulus 1")
 
@@ -513,3 +521,69 @@ def test_non_utf8_catalog_exits_2(tmp_path):
     path.write_bytes(b"s3 = (-1)^n / (n+1)\n\xff\xfe\x80 = n\n")
     done = run_subprocess("--catalog", str(path), "list")
     assert_refused(done, str(path), "not UTF-8")
+
+
+def test_swapped_pairs_are_checked_on_their_own_regions(capsys, tmp_path):
+    # s1 and s2 exchange terms: each grid is the region of its new terms
+    entries = catalog.parse_entries(bundled_text())
+    path = catalog_with(tmp_path, **{f"{side}_s1": entries[f"{side}_s2"] for side in "fg"},
+                        **{f"{side}_s2": entries[f"{side}_s1"] for side in "fg"})
+    for name, points in (("s1", 110), ("s2", 55)):
+        code, out, err = run(capsys, "--catalog", path, "verify", "--pair", name, "--nmax", "10")
+        assert (code, err) == (0, "")
+        assert out == f"mode=grid points_checked={points} outcome=pass\nPASS\n"
+
+
+def test_a_pair_without_factorials_exits_2(capsys, tmp_path):
+    # no factorial bounds k, so there is no grid to sweep; list still
+    # prints, with "-" for the pair's least n
+    path = catalog_with(tmp_path, f_s1="(-1)^k / (k+1)", g_s1="(-1)^k / (n+1)")
+    code, out, err = run(capsys, "--catalog", path, "verify", "--pair", "s1")
+    assert (code, out) == (2, "")
+    assert err == "error: the region does not bound k on both sides at n=0\n"
+    code, out, err = run(capsys, "--catalog", path, "list")
+    assert (code, err) == (0, "")
+    assert "s1 pair - -\n" in out and "None" not in out
+
+
+def test_verify_does_not_need_the_series(capsys, tmp_path):
+    # without (-1)^k, G(n-1, n-1) and F(n, n-1) have no rational ratio,
+    # so s1's diagonal cannot be formed; verify still reports the pair
+    path = catalog_with(tmp_path, g_s1="2 * k!^2 * (n-k)! / ((n+k+1)! * (n+1)^2)")
+    code, out, err = run(capsys, "--catalog", path, "verify", "--pair", "s1", "--nmax", "4")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0] == "1 0 -1/3 -1/6 fail"
+    assert lines[-2:] == ["mode=grid points_checked=10 outcome=fail", "FAIL"]
+    code, out, err = run(capsys, "--catalog", path, "verify", "--pair", "s2", "--nmax", "4")
+    assert (code, out, err) == (0, "mode=grid points_checked=20 outcome=pass\nPASS\n", "")
+    code, out, err = run(capsys, "--catalog", path, "digits", "--series", "s3", "--digits", "10")
+    assert (code, out, err) == (2, "", "error: sign exponents differ in n or k\n")
+
+
+def test_catalog_size_limit(capsys, tmp_path):
+    # a valid catalog padded with a comment to the limit loads; one byte
+    # more is refused by name
+    limit = catalog._MAX_CATALOG_BYTES
+    text = bundled_text().encode()
+    path = tmp_path / "padded.txt"
+    path.write_bytes(text + b"#" * (limit - len(text)))
+    code, out, _ = run(capsys, "--catalog", str(path), "list")
+    assert (code, out) == (0, LIST_OUTPUT)
+    path.write_bytes(text + b"#" * (limit + 1 - len(text)))
+    code, out, err = run(capsys, "--catalog", str(path), "list")
+    assert (code, out) == (2, "")
+    assert err == f"error: catalog {path} is over the limit of {limit} bytes\n"
+
+
+def test_endless_catalog_exits_2_promptly():
+    # /dev/zero never ends; the child may use 512 MB of address space, so
+    # reading it whole fails with a MemoryError instead of filling memory
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from wzeta.cli import main\n"
+            "sys.exit(main(['--catalog', '/dev/zero', 'list']))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(wzeta.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=5)
+    assert_refused(done, "/dev/zero", "over the limit")

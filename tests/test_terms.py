@@ -201,8 +201,12 @@ def test_domain_k_range():
 def test_domain_k_range_unbounded():
     dom = Domain((LinearForm(1, 0, 0),))
     assert dom.n_min == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match=r"^the region does not bound k on both sides at n=3$"):
         dom.k_range(3)
+    with pytest.raises(DomainError):  # k >= 0 alone
+        Domain((LinearForm(1, 0, 0), LinearForm(0, 1, 0))).k_range(3)
+    # a row that the constraints in n alone empty is empty, bounded or not
+    assert dom.k_range(-1) is None
 
 
 def test_domain_empty_range():
@@ -210,23 +214,51 @@ def test_domain_empty_range():
     assert dom.k_range(0) is None  # 0 <= k <= -1 is empty
 
 
-def test_domain_n_min_reads_the_constraints_in_n_alone():
+def test_domain_n_min_from_constraints_in_n_alone():
     assert Domain().n_min is None
-    assert Domain((LinearForm(0, 1, 0), LinearForm(1, -1, -1))).n_min is None  # k in them
     assert Domain((LinearForm(-1, 0, 5),)).n_min is None  # n <= 5 is no lower bound
     assert Domain((LinearForm(2, 0, -1),)).n_min == 1  # 2n - 1 >= 0
     assert Domain((LinearForm(3, 0, 7),)).n_min == -2  # 3n + 7 >= 0
     assert Domain((LinearForm(1, 0, -1), LinearForm(2, 0, -7), LinearForm(1, 0, 0))).n_min == 4
 
 
+def test_domain_n_min_eliminates_k():
+    # 0 <= k <= n - 1: n >= 1
+    assert Domain((LinearForm(0, 1, 0), LinearForm(1, -1, -1))).n_min == 1
+    # (n + 3)/2 <= k <= 2n/3: 3(2k - n - 3) + 2(2n - 3k) = n - 9 >= 0,
+    # and k = 6 meets both bounds at n = 9
+    dom = Domain((LinearForm(-1, 2, -3), LinearForm(2, -3, 0)))
+    assert dom.n_min == 9
+    assert dom.k_range(9) == (6, 6) and dom.k_range(8) is None
+    # the larger of a bound in n alone (n >= 1) and one from k (3 <= k <= n - 1)
+    assert Domain((LinearForm(1, 0, -1), LinearForm(0, 1, -3), LinearForm(1, -1, -1))).n_min == 4
+    assert Domain((LinearForm(1, 0, -6), LinearForm(0, 1, -3), LinearForm(1, -1, -1))).n_min == 6
+    # a real k, not an integer one: (n + 1)/4 <= k <= (n + 2)/4 holds for
+    # every n, so n is not bounded below
+    assert Domain((LinearForm(-1, 4, -1), LinearForm(1, -4, 2))).n_min is None
+
+
+def test_domain_n_min_is_none_without_a_least_n():
+    # only lower bounds on k (k >= 0, k >= -n - 5): every n has a k
+    assert Domain((LinearForm(0, 1, 0), LinearForm(1, 1, 5))).n_min is None
+    # 0 <= k <= 9 - n and n <= 3: n is bounded above only
+    assert Domain((LinearForm(0, 1, 0), LinearForm(-1, 0, 3), LinearForm(-1, -1, 9))).n_min is None
+    # empty: k >= 0 and k <= -1; n >= 5 and n - 3 <= k <= 0, so n <= 3
+    assert Domain((LinearForm(0, 1, 0), LinearForm(0, -1, -1))).n_min is None
+    assert Domain((LinearForm(1, 0, -5), LinearForm(-1, 1, 3), LinearForm(0, -1, 0))).n_min is None
+
+
 def test_domain_rows():
-    # n >= 1 and 3 <= k <= n - 1: rows 1..3 are empty
+    # n >= 1 and 3 <= k <= n - 1: rows start at n = 4
     dom = Domain((LinearForm(1, 0, -1), LinearForm(0, 1, -3), LinearForm(1, -1, -1)))
     assert list(dom.rows(6)) == [(4, 3, 3), (5, 3, 4), (6, 3, 5)]
     assert list(dom.rows(3)) == []
-    # not bounded below in n: rows start at 0
+    # no constraint in n alone, but 0 <= k <= n + 2 starts at n = -2
     free = Domain((LinearForm(0, 1, 0), LinearForm(1, -1, 2)))
-    assert list(free.rows(1)) == [(0, 0, 2), (1, 0, 3)]
+    assert list(free.rows(1)) == [(-2, 0, 0), (-1, 0, 1), (0, 0, 2), (1, 0, 3)]
+    # no least n (0 <= k <= 2 for every n): rows start at 0
+    band = Domain((LinearForm(0, 1, 0), LinearForm(0, -1, 2)))
+    assert list(band.rows(1)) == [(0, 0, 2), (1, 0, 2)]
     # bounded below by a negative n
     low = Domain((LinearForm(1, 0, 2), LinearForm(0, 1, 0), LinearForm(1, -1, 2)))
     assert list(low.rows(0)) == [(-2, 0, 0), (-1, 0, 1), (0, 0, 2)]

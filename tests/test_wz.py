@@ -6,7 +6,7 @@ import pytest
 from wzeta.algebra import LinearForm, Polynomial, RationalFunction
 from wzeta.dsl import parse_term
 from wzeta.errors import DomainError
-from wzeta.terms import HyperTerm
+from wzeta.terms import Domain, HyperTerm
 from wzeta import wz
 
 
@@ -15,7 +15,7 @@ def broken_pair(cat):
     """First pair with G's constant 2 replaced by 3 — identity fails."""
     good = cat.pair_by_name("s1")
     bad_g = parse_term("3 * (-1)^k * k!^2 * (n-k)! / ((n+k+1)! * (n+1)^2)")
-    return wz.WZPair("broken", good.f, bad_g, good.zeta3_multiple, good.check_domain)
+    return wz.WZPair("broken", good.f, bad_g, good.zeta3_multiple)
 
 
 def test_identity_anchor_values(cat):
@@ -161,17 +161,40 @@ def test_report_serialization(cat, broken_pair):
     assert symbolic.startswith("mode=symbolic degree_bound=")
 
 
-def test_domain_respected_by_grid(cat):
-    # verification never evaluates outside the pair's stated region, so a
-    # domain shrunk to a single diagonal still passes
-    pair = cat.pair_by_name("s1")
-    from wzeta.terms import Domain
+def narrowed(term, bound):
+    """The term with one more domain constraint, bound >= 0."""
+    return HyperTerm(term.sign_exponent, term.factorials, term.poly_num, term.poly_den,
+                     term.constant, Domain(term.domain.constraints + (bound,)))
 
-    thin = Domain((LinearForm(1, 0, -2), LinearForm(0, 1, -1), LinearForm(1, -1, -1)))
-    shrunk = wz.WZPair("thin", pair.f, pair.g, pair.zeta3_multiple, thin)
-    report = wz.verify_grid(shrunk, 10)
+
+def test_domain_respected_by_grid(cat):
+    # F defined only for k >= 1: the region is 1 <= k <= n - 1, and the
+    # check, which would raise on an F value at k = 0, still passes
+    pair = cat.pair_by_name("s1")
+    thin = wz.WZPair("thin", narrowed(pair.f, LinearForm(0, 1, -1)), pair.g,
+                     pair.zeta3_multiple)
+    assert list(thin.check_domain.rows(10)) == [(n, 1, n - 1) for n in range(2, 11)]
+    report = wz.verify_grid(thin, 10)
     assert report.outcome == "pass"
     assert report.points_checked == sum(n - 1 for n in range(2, 11))
+    with pytest.raises(DomainError):
+        thin.f.value_at(3, 0)
+
+
+def test_check_domain_is_the_four_values_region(cat):
+    # every point of the region has all four values defined, and every
+    # point just outside a row has one of them undefined
+    for name in ("s1", "s2"):
+        pair = cat.pair_by_name(name)
+        f, g = pair.f, pair.g
+        values = lambda n, k: (f.value_at(n + 1, k), f.value_at(n, k),
+                               g.value_at(n, k + 1), g.value_at(n, k))
+        for n, lo, hi in pair.check_domain.rows(12):
+            for k in range(lo, hi + 1):
+                values(n, k)
+            for k in (lo - 1, hi + 1):
+                with pytest.raises(DomainError):
+                    values(n, k)
 
 
 def reference_grid(pair, n_max):
@@ -207,44 +230,52 @@ def test_row_sweep_matches_reference_failures(broken_pair):
     assert len(swept.failures) == swept.points_checked == 78
 
 
+def vanishing_at(n, k):
+    """(n' − n)² + (k' − k)²: zero at the point (n, k) alone."""
+    return LinearForm(1, 0, -n).to_polynomial() ** 2 + LinearForm(0, 1, -k).to_polynomial() ** 2
+
+
 @pytest.mark.parametrize(
-    "f_bound,g_bound,check_bounds",
+    "f_zero,g_zero,f_bound,point",
     [
-        # F(n+1, k) leaves F's domain (n + k <= 7) at (n=4, k=3), mid-row
-        (LinearForm(-1, -1, 7), None, None),
-        # F(n+1, k) leaves F's domain (n <= 5) at the start of row n=5
-        (LinearForm(-1, 0, 5), None, None),
-        # rows n < 4 are empty (3 <= k <= n-1); then F(n+1, k) leaves
-        # F's domain (n + k <= 9) at (n=5, k=4)
-        (LinearForm(-1, -1, 9), None, (LinearForm(0, 1, -3), LinearForm(1, -1, -1))),
-        # 0 <= k <= n reaches past F's k <= n-1: F(n, k) fails at (1, 1)
-        (None, None, (LinearForm(0, 1, 0), LinearForm(1, -1, 0))),
-        # G's domain ends at n = 5: G(n, k+1) fails before G(n, k)
-        (None, LinearForm(-1, 0, 5), None),
+        # F's denominator vanishes on n + k = 7: F(n+1, k) at (n=4, k=2), mid-row
+        (LinearForm(1, 1, -7).to_polynomial(), None, None, (5, 2)),
+        # ... on n = 6: F(n+1, k) at the start of row n=5
+        (LinearForm(1, 0, -6).to_polynomial(), None, None, (6, 0)),
+        # F carries k >= 3, so rows n < 4 are empty; then F(n+1, k) meets
+        # n + k = 10 at (n=5, k=4)
+        (LinearForm(1, 1, -10).to_polynomial(), None, LinearForm(0, 1, -3), (6, 4)),
+        # F(4, 3) is first needed as F(n, k) at the top of row 4, which row
+        # 3 (k <= 2) did not reach as F(n+1, k)
+        (vanishing_at(4, 3), None, None, (4, 3)),
+        # G(5, 1) is first needed as G(n, k+1) at (5, 0), before G(n, k)
+        (None, vanishing_at(5, 1), None, (5, 1)),
+        # G(5, 0) is needed only as G(n, k) at (5, 0)
+        (None, vanishing_at(5, 0), None, (5, 0)),
     ],
-    ids=["f-up-mid-row", "f-up-row-start", "f-up-after-empty-rows", "f-here", "g-up"],
+    ids=["f-up-mid-row", "f-up-row-start", "f-up-after-empty-rows", "f-here", "g-up",
+         "g-here"],
 )
-def test_row_sweep_raises_the_reference_domain_error(cat, f_bound, g_bound, check_bounds):
-    from wzeta.terms import Domain
-
-    def narrowed(term, bound):
-        if bound is None:
-            return term
-        return HyperTerm(term.sign_exponent, term.factorials, term.poly_num, term.poly_den,
-                         term.constant, Domain(term.domain.constraints + (bound,)))
-
+def test_row_sweep_raises_the_reference_domain_error(cat, f_zero, g_zero, f_bound, point):
+    # in a region derived from the terms only a vanishing denominator
+    # polynomial can stop the sweep; it must stop at the same value as
+    # the point-by-point check
     good = cat.pair_by_name("s1")
-    check = good.check_domain
-    if check_bounds is not None:
-        check = Domain((LinearForm(1, 0, -check.n_min),) + check_bounds)
-    pair = wz.WZPair("leaky", narrowed(good.f, f_bound), narrowed(good.g, g_bound),
-                     good.zeta3_multiple, check)
+    f, g = good.f, good.g
+    if f_bound is not None:
+        f = narrowed(f, f_bound)
+    if f_zero is not None:
+        f = with_factor(f, f_zero, f_zero)
+    if g_zero is not None:
+        g = with_factor(g, g_zero, g_zero)
+    pair = wz.WZPair("leaky", f, g, good.zeta3_multiple)
     with pytest.raises(DomainError) as expected:
         reference_grid(pair, 10)
     with pytest.raises(DomainError) as swept:
         wz.verify_grid(pair, 10)
     assert str(swept.value) == str(expected.value)
-    assert str(swept.value).endswith("outside term domain")
+    n, k = point
+    assert str(swept.value) == f"denominator polynomial vanishes at (n={n}, k={k})"
 
 
 def with_factor(term, num, den=Polynomial.const(1)):
@@ -269,7 +300,7 @@ def test_failures_in_the_last_row_and_at_the_top_k(cat):
     good = cat.pair_by_name("s1")
     f = with_factor(good.f, one_except_at_zero(LinearForm(-1, 0, 13), 12))
     g = with_factor(good.g, one_except_at_zero(LinearForm(1, -1, 0), 12))
-    pair = wz.WZPair("deep", f, g, good.zeta3_multiple, good.check_domain)
+    pair = wz.WZPair("deep", f, g, good.zeta3_multiple)
     swept = wz.verify_grid(pair, 12)
     reference = reference_grid(pair, 12)
     assert swept.serialize() == reference.serialize()
@@ -288,7 +319,7 @@ def test_negative_polynomial_denominators(cat, broken_pair, name):
     f, g = with_factor(pair.f, q, q), with_factor(pair.g, q, q)
     signs = {g.poly_den.evaluate(n, k) > 0 for n in range(1, 13) for k in range(n)}
     assert signs == {True, False}
-    scaled = wz.WZPair("scaled", f, g, pair.zeta3_multiple, pair.check_domain)
+    scaled = wz.WZPair("scaled", f, g, pair.zeta3_multiple)
     swept = wz.verify_grid(scaled, 12)
     reference = reference_grid(scaled, 12)
     assert swept.serialize() == reference.serialize()
