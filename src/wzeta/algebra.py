@@ -14,13 +14,13 @@ exact division, Horner evaluation and a bound on integer roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class LinearForm:
-    """Integer-linear expression a*n + b*k + c."""
+class LinearForm(NamedTuple):
+    """Integer-linear expression a*n + b*k + c, ordered as the tuple
+    (a, b, c)."""
 
     a: int = 0
     b: int = 0

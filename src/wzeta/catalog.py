@@ -11,10 +11,8 @@ multiple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import os
 from fractions import Fraction
-from functools import cached_property
-from importlib import resources
 
 from .errors import CatalogError
 from .series import SeriesSpec
@@ -30,29 +28,52 @@ _REQUIRED = tuple(f"{side}_{name}" for name in _PAIRS for side in "fg") + ("s3",
 _MAX_CATALOG_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
 class Catalog:
-    pairs: dict[str, WZPair]
-    s3: HyperTerm
+    """The pairs and s3; immutable, equal by those two fields, and
+    unhashable for its dict of pairs. Each series is derived by name on
+    first use: a pair whose diagonal cannot be formed fails the commands
+    that need its own series, not its verification or any other series."""
 
-    @cached_property
+    def __init__(self, pairs: dict[str, WZPair], s3: HyperTerm):
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "s3", s3)
+        object.__setattr__(self, "_derived", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Catalog is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Catalog) and (self.pairs, self.s3) == (other.pairs, other.s3)
+
+    def __repr__(self) -> str:
+        return f"Catalog(pairs={self.pairs!r}, s3={self.s3!r})"
+
+    @property
+    def series_names(self) -> tuple[str, ...]:
+        return (*self.pairs, "s3", *(f"lhs_{name}" for name in self.pairs))
+
+    @property
     def series(self) -> dict[str, SeriesSpec]:
-        """Every named series, derived on first use: a pair whose diagonal
-        cannot be formed fails the commands that sum a series, not the
-        pair's own verification."""
-        series = {name: _per_zeta3(accelerate(pair), name) for name, pair in self.pairs.items()}
-        series["s3"] = SeriesSpec("s3", self.s3)
-        for name, pair in self.pairs.items():
-            series[f"lhs_{name}"] = replace(lhs_series(pair), name=f"lhs_{name}")
-        return series
+        """Every named series."""
+        return {name: self.series_by_name(name) for name in self.series_names}
 
     def series_by_name(self, name: str) -> SeriesSpec:
         key = name.strip().lower()
-        if key not in self.series:
+        if key not in self.series_names:
             raise CatalogError(
-                f"unknown series {name!r} (available: {', '.join(self.series)})"
+                f"unknown series {name!r} (available: {', '.join(self.series_names)})"
             )
-        return self.series[key]
+        if key not in self._derived:
+            self._derived[key] = self._derive(key)
+        return self._derived[key]
+
+    def _derive(self, key: str) -> SeriesSpec:
+        if key == "s3":
+            return SeriesSpec("s3", self.s3)
+        if key in self.pairs:
+            return _per_zeta3(accelerate(self.pairs[key]), key)
+        column = lhs_series(self.pairs[key.removeprefix("lhs_")])
+        return SeriesSpec(key, column.term, column.start_index, column.zeta3_multiple)
 
     def pair_by_name(self, name: str) -> WZPair:
         key = name.strip().lower()
@@ -97,7 +118,11 @@ def parse_entries(text: str) -> dict[str, str]:
 
 
 def bundled_text() -> str:
-    return resources.files("wzeta").joinpath("data/catalog.txt").read_text()
+    """data/catalog.txt, read through the package's loader as
+    pkgutil.get_data does: importlib.resources would add about 20 ms to
+    every start, and from Python 3.12 on it imports inspect."""
+    path = os.path.join(os.path.dirname(__file__), "data", "catalog.txt")
+    return __spec__.loader.get_data(path).decode("utf-8")
 
 
 def load_catalog(path: str | None = None) -> Catalog:

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import LinearForm, Polynomial
 from .errors import ParseError, StructureError
@@ -59,8 +59,7 @@ _MAX_LITERAL_DIGITS = 4300
 _ATOM_STARTS = ("integer", "n", "k", "(")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int" | "var" | one of "+-*/^()!" | "end"
     text: str
     offset: int

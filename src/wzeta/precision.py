@@ -12,9 +12,8 @@ by 10 until they agree while the bounds straddle a decimal boundary.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, TailBoundError
 from .series import SeriesSpec
@@ -29,8 +28,7 @@ _SCALED_GUARD = 20
 _STR_BITS = 14_000
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     series: str
     mode: str
     decimal_string: str
@@ -147,6 +145,8 @@ def measure_rate(series: SeriesSpec, n_lo: int, n_hi: int) -> float:
             f"need start_index <= n_lo < n_hi, got [{n_lo}, {n_hi}] "
             f"with start_index {series.start_index}"
         )
+    import statistics  # only here: it costs every other command's start-up
+
     ys = [-y for y in series.log_terms(n_lo, n_hi)]
     return statistics.linear_regression(list(range(n_lo, n_hi + 1)), ys).slope
 

@@ -12,7 +12,6 @@ Z[n]; every step evaluates the reduced sides by Horner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
@@ -31,6 +30,7 @@ from .errors import (
     MonotonicityViolation,
     NonAlternating,
     TailBoundError,
+    WZetaError,
 )
 from .terms import HyperTerm
 
@@ -39,6 +39,11 @@ POSITIVE = "positive"
 
 # most indices past the cut checked one by one before the certificate
 _MAX_UNCERTIFIED = 10_000
+# largest degree of a side of a series' term ratio, checked before the
+# gcd; for (-1)^n/(n+1)^d the gcd takes about 0.07 s at d = 200 on a
+# 2-vCPU machine (building the ratio as long again), and the time grows
+# about as d^3, to 18 s at d = 999; the catalog's largest is 15
+_MAX_RATIO_DEGREE = 200
 # an index whose float estimate of log10|term| is this close to the
 # threshold is decided with the exact term
 _LOG_SLACK = 1e-3
@@ -60,9 +65,9 @@ def split_ratios(steps: list[tuple[int, int]]) -> tuple[int, int, int]:
     return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
-@dataclass(frozen=True)
 class SeriesSpec:
-    """A concrete series Σ_{n≥start_index} term(n).
+    """A concrete series Σ_{n≥start_index} term(n); immutable, equal and
+    hashed by its four fields.
 
     zeta3_multiple records what multiple of the common limit the series
     converges to, so differently normalized series can be compared.
@@ -70,10 +75,27 @@ class SeriesSpec:
     geometric convergence and the certificate behind tail_bound.
     """
 
-    name: str
-    term: HyperTerm
-    start_index: int = 0
-    zeta3_multiple: Fraction = Fraction(1)
+    def __init__(self, name: str, term: HyperTerm, start_index: int = 0,
+                 zeta3_multiple: Fraction = Fraction(1)):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "term", term)
+        object.__setattr__(self, "start_index", start_index)
+        object.__setattr__(self, "zeta3_multiple", zeta3_multiple)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SeriesSpec is immutable")
+
+    def _key(self) -> tuple:
+        return self.name, self.term, self.start_index, self.zeta3_multiple
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SeriesSpec) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"SeriesSpec{self._key()!r}"
 
     def term_at(self, n: int) -> Fraction:
         if n < self.start_index:
@@ -90,6 +112,10 @@ class SeriesSpec:
         every integer root of h is at most bound in modulus."""
         ratio = self.term.substituted(LinearForm(1, 0, 0), LinearForm()).shift_ratio(1, 0)  # k = 0
         num, den = ratio.num.univariate(), ratio.den.univariate()
+        degree = max(len(num), len(den)) - 1
+        if degree > _MAX_RATIO_DEGREE:
+            raise WZetaError(f"term ratio of series {self.name!r} has degree {degree}, "
+                             f"over the limit of {_MAX_RATIO_DEGREE}")
         h = dense_gcd(num, den)
         return dense_divide(num, h), dense_divide(den, h), h, integer_root_bound(h)
 

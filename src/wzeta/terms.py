@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .algebra import LinearForm, Polynomial, RationalFunction
 from .errors import DomainError, IncompatibleTerms
@@ -27,8 +26,7 @@ from .errors import DomainError, IncompatibleTerms
 _ONE = Polynomial.const(1)
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(NamedTuple):
     """Validity region: the points where every constraint, a linear form,
     is >= 0. A lower bound n >= m is the constraint n - m.
 

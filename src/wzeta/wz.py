@@ -14,10 +14,9 @@ pairs converges geometrically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .algebra import LinearForm, RationalFunction
 from .errors import DomainError, SingularGrid
@@ -25,18 +24,34 @@ from .series import SeriesSpec
 from .terms import Domain, HyperTerm, cross_ratio, factorial_ladder
 
 
-@dataclass(frozen=True)
 class WZPair:
-    """A candidate pair for the discrete telescoping identity.
+    """A candidate pair for the discrete telescoping identity; immutable,
+    equal and hashed by its fields.
 
     zeta3_multiple is the multiple of ζ(3) that Σ_{n≥0} G(n, 0) sums to,
     the one fact the terms cannot tell.
     """
 
-    name: str
-    f: HyperTerm
-    g: HyperTerm
-    zeta3_multiple: Fraction
+    def __init__(self, name: str, f: HyperTerm, g: HyperTerm, zeta3_multiple: Fraction):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "zeta3_multiple", zeta3_multiple)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WZPair is immutable")
+
+    def _key(self) -> tuple:
+        return self.name, self.f, self.g, self.zeta3_multiple
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, WZPair) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"WZPair{self._key()!r}"
 
     @cached_property
     def check_domain(self) -> Domain:
@@ -50,6 +65,14 @@ class WZPair:
             f_up.constraints + self.f.domain.constraints
             + g_up.constraints + self.g.domain.constraints)))
 
+    def rows(self, n_max: int) -> Iterator[tuple[int, int, int]]:
+        """check_domain.rows(n_max); the DomainError of a region that
+        does not bound k names the pair."""
+        try:
+            yield from self.check_domain.rows(n_max)
+        except DomainError as exc:
+            raise DomainError(f"pair {self.name}: {exc}") from None
+
 
 class FailurePoint(NamedTuple):
     n: int
@@ -58,8 +81,7 @@ class FailurePoint(NamedTuple):
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     mode: str  # "grid" or "symbolic"
     outcome: str  # "pass" or "fail"
     points_checked: int
@@ -112,7 +134,7 @@ def verify_grid(pair: WZPair, n_max: int) -> VerifyReport:
     checked = 0
     failures = []
     f_known: dict[tuple[int, int], Fraction] = {}  # F(n, k) of this row, from the last
-    for n, lo, hi in pair.check_domain.rows(n_max):
+    for n, lo, hi in pair.rows(n_max):
         f_next = {}
         for k in range(lo, hi + 1):
             f_up = f_next[n + 1, k] = f.value_at(n + 1, k, factorial)
@@ -140,7 +162,7 @@ def grid_points(pair: WZPair, n_max: int, stop_above: int) -> int:
     the same check_domain rows without evaluating a term. Counting ends as
     soon as the count passes stop_above, so a huge n_max returns promptly."""
     count = 0
-    for _, lo, hi in pair.check_domain.rows(n_max):
+    for _, lo, hi in pair.rows(n_max):
         count += hi - lo + 1
         if count > stop_above:
             break

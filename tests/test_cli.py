@@ -540,7 +540,7 @@ def test_a_pair_without_factorials_exits_2(capsys, tmp_path):
     path = catalog_with(tmp_path, f_s1="(-1)^k / (k+1)", g_s1="(-1)^k / (n+1)")
     code, out, err = run(capsys, "--catalog", path, "verify", "--pair", "s1")
     assert (code, out) == (2, "")
-    assert err == "error: the region does not bound k on both sides at n=0\n"
+    assert err == "error: pair s1: the region does not bound k on both sides at n=0\n"
     code, out, err = run(capsys, "--catalog", path, "list")
     assert (code, err) == (0, "")
     assert "s1 pair - -\n" in out and "None" not in out
@@ -557,8 +557,30 @@ def test_verify_does_not_need_the_series(capsys, tmp_path):
     assert lines[-2:] == ["mode=grid points_checked=10 outcome=fail", "FAIL"]
     code, out, err = run(capsys, "--catalog", path, "verify", "--pair", "s2", "--nmax", "4")
     assert (code, out, err) == (0, "mode=grid points_checked=20 outcome=pass\nPASS\n", "")
-    code, out, err = run(capsys, "--catalog", path, "digits", "--series", "s3", "--digits", "10")
-    assert (code, out, err) == (2, "", "error: sign exponents differ in n or k\n")
+
+
+def test_a_broken_pair_fails_only_its_own_series(capsys, tmp_path):
+    # the same s1 pair: s1 cannot be formed, and every other series is
+    # derived without it; list, which shows every series, exits 2
+    path = catalog_with(tmp_path, g_s1="2 * k!^2 * (n-k)! / ((n+k+1)! * (n+1)^2)")
+    refused = (2, "", "error: sign exponents differ in n or k\n")
+    for argv in (("digits", "--series", "s1", "--digits", "10"), ("list",)):
+        assert run(capsys, "--catalog", path, *argv) == refused
+    for argv in (("digits", "--series", "s3", "--digits", "10"),
+                 ("digits", "--series", "s2", "--digits", "10"),
+                 ("rate", "--series", "lhs_s2", "--lo", "0", "--hi", "20")):
+        bundled = run(capsys, *argv)
+        assert bundled[0] == 0
+        assert run(capsys, "--catalog", path, *argv) == bundled
+
+
+def test_a_series_ratio_over_the_degree_limit_exits_2_promptly(tmp_path):
+    # reducing this ratio took 18 s; it is refused before the gcd, by name
+    from wzeta.series import _MAX_RATIO_DEGREE
+
+    path = catalog_with(tmp_path, s3="(-1)^n / (n+1)^999")
+    done = run_subprocess("--catalog", path, "list", timeout=15)
+    assert_refused(done, "series 's3'", "degree 999", str(_MAX_RATIO_DEGREE))
 
 
 def test_catalog_size_limit(capsys, tmp_path):

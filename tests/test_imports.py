@@ -1,9 +1,11 @@
 """The package and its tests import only what CI installs: sympy may be
 present locally, but the workflow does not install it. The package itself
 has no runtime dependencies, so it imports from the standard library and
-from itself only."""
+from itself only, and every command, a fresh process, starts without the
+slow-to-import standard modules it does not need."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -54,3 +56,18 @@ def test_a_third_party_import_is_caught(tmp_path):
     path = tmp_path / "leaky.py"
     path.write_text("import math\nfrom fractions import Fraction\nimport mpmath.libmp\n")
     assert outside_stdlib(path) == ["mpmath.libmp"]
+
+
+# dataclasses pulls in inspect, and inspect ast, dis and tokenize: about
+# 20 ms of every command's start-up; statistics serves only `rate`
+KEPT_OUT_OF_START_UP = ("dataclasses", "inspect", "ast", "dis", "tokenize", "statistics")
+
+
+def test_start_up_leaves_the_slow_modules_unloaded():
+    # -S: no site module, so nothing but the CLI's own imports is loaded
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import wzeta.cli; "
+            f"print(' '.join(m for m in {KEPT_OUT_OF_START_UP!r} if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=30)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == []

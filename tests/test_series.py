@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import itertools
 import math
 import random
@@ -312,14 +312,28 @@ def test_zero_multiplier_metadata(cat):
 
 
 def test_only_what_the_ratio_cannot_tell_is_a_field(cat):
-    assert [f.name for f in dataclasses.fields(SeriesSpec)] == [
-        "name", "term", "start_index", "zeta3_multiple"
-    ]
+    fields = ["name", "term", "start_index", "zeta3_multiple"]
+    assert list(inspect.signature(SeriesSpec).parameters) == fields
     series = cat.series_by_name("s2")
-    with pytest.raises(AttributeError):
-        series.sign_pattern = POSITIVE
-    with pytest.raises(AttributeError):
-        series.rate_estimate = 1.0
+    fresh = SeriesSpec(*(getattr(series, field) for field in fields))
+    assert list(vars(fresh)) == fields  # nothing else is stored up front
+    assert fresh == series and hash(fresh) == hash(series)
+    assert fresh != SeriesSpec(series.name, series.term, 2, series.zeta3_multiple)
+    for field in fields + ["sign_pattern", "rate_estimate"]:
+        with pytest.raises(AttributeError):
+            setattr(series, field, 1.0)
+
+
+def test_a_ratio_over_the_degree_limit_is_refused_before_the_gcd():
+    from wzeta.errors import WZetaError
+    from wzeta.series import _MAX_RATIO_DEGREE
+
+    at_limit = alt_series(f"(-1)^n / (n+1)^{_MAX_RATIO_DEGREE}")
+    assert at_limit.sign_pattern == ALTERNATING
+    over = SeriesSpec("big", parse_term(f"(-1)^n / (n+1)^{_MAX_RATIO_DEGREE + 1}"))
+    message = f"series 'big' has degree {_MAX_RATIO_DEGREE + 1}, over the limit"
+    with pytest.raises(WZetaError, match=message):
+        over.term_ratio()
 
 
 @pytest.mark.parametrize(

@@ -181,6 +181,18 @@ def test_domain_respected_by_grid(cat):
         thin.f.value_at(3, 0)
 
 
+def test_an_unbounded_region_names_its_pair():
+    # no factorial bounds k: the grid has no rows to sweep, and both the
+    # grid check and its point count say which pair is at fault
+    pair = wz.WZPair("loose", parse_term("(-1)^k / (k+1)"), parse_term("(-1)^k / (n+1)"),
+                     Fraction(1))
+    message = "^pair loose: the region does not bound k on both sides at n=0$"
+    with pytest.raises(DomainError, match=message):
+        wz.verify_grid(pair, 4)
+    with pytest.raises(DomainError, match=message):
+        wz.grid_points(pair, 4, stop_above=100)
+
+
 def test_check_domain_is_the_four_values_region(cat):
     # every point of the region has all four values defined, and every
     # point just outside a row has one of them undefined
