@@ -60,24 +60,30 @@ class LinearForm(NamedTuple):
         return Polynomial(coeffs)
 
     def __str__(self) -> str:
-        parts = []
-        for coef, sym in ((self.a, "n"), (self.b, "k")):
-            if coef == 0:
-                continue
-            mag = "" if abs(coef) == 1 else f"{abs(coef)}*"
-            if not parts:
-                parts.append(("-" if coef < 0 else "") + mag + sym)
-            else:
-                parts.append(("-" if coef < 0 else "+") + mag + sym)
-        if self.c or not parts:
-            if not parts:
-                parts.append(str(self.c))
-            else:
-                parts.append(("-" if self.c < 0 else "+") + str(abs(self.c)))
-        return "".join(parts)
+        return str(self.to_polynomial())
 
 
-class Polynomial:
+class Frozen:
+    """Base of the immutable values. Attributes are set once, in the
+    constructor, by object.__setattr__; a value is equal to one of the
+    same class with an equal _key, and is hashed and shown by _key."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._key!r}"
+
+
+class Polynomial(Frozen):
     """Polynomial in n and k with exact integer coefficients.
 
     Coefficients are keyed by exponent pair (deg_n, deg_k); zero
@@ -330,13 +336,14 @@ def integer_root_bound(coeffs: tuple[int, ...]) -> int:
     return -(-max(abs(c) for c in coeffs[1:]) // abs(coeffs[0]))
 
 
-class RationalFunction:
+class RationalFunction(Frozen):
     """Ratio of two integer-coefficient polynomials.
 
     The representation is reduced by integer content and the denominator's
     leading coefficient is kept positive; a common polynomial factor is
     kept (dense_gcd removes it for ratios in n alone, where the caller
-    asks for it). Equality is decided by cross-multiplication.
+    asks for it). Equality is decided by cross-multiplication, and there
+    is no hash.
     """
 
     __slots__ = ("num", "den")
@@ -370,9 +377,6 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        raise TypeError("RationalFunction is not hashable (equality is by cross-multiplication)")
 
     def __str__(self) -> str:
         return f"({self.num})/({self.den})"

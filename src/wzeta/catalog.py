@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
+from .algebra import Frozen
 from .errors import CatalogError
 from .series import SeriesSpec
 from .terms import HyperTerm
@@ -28,7 +29,7 @@ _REQUIRED = tuple(f"{side}_{name}" for name in _PAIRS for side in "fg") + ("s3",
 _MAX_CATALOG_BYTES = 1 << 20
 
 
-class Catalog:
+class Catalog(Frozen):
     """The pairs and s3; immutable, equal by those two fields, and
     unhashable for its dict of pairs. Each series is derived by name on
     first use: a pair whose diagonal cannot be formed fails the commands
@@ -39,14 +40,9 @@ class Catalog:
         object.__setattr__(self, "s3", s3)
         object.__setattr__(self, "_derived", {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Catalog is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Catalog) and (self.pairs, self.s3) == (other.pairs, other.s3)
-
-    def __repr__(self) -> str:
-        return f"Catalog(pairs={self.pairs!r}, s3={self.s3!r})"
+    @property
+    def _key(self) -> tuple:
+        return self.pairs, self.s3
 
     @property
     def series_names(self) -> tuple[str, ...]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 
 from . import catalog as catalog_mod
@@ -27,6 +28,11 @@ _MAX_GRID_POINTS = 150_000
 # largest `digits --digits`; s3, the slowest catalog series at this size,
 # takes 14-19 s in-process on a 2-vCPU machine (s1 11-16 s, s2 10-14 s)
 _MAX_DIGITS = 60_000
+# largest product tree `digits` builds, in bits, estimated as N·(bits of
+# a(N) + bits of b(N)) for the reduced term ratio a/b at the cut N =
+# start + ⌈D/rate⌉: s1, s2 and s3 at 60,000 digits come to 10.2M, 9.9M
+# and 12.4M; a series of rate 0.044 to 15.1M at 1000 digits, a 16 s run
+_MAX_TREE_BITS = 16_000_000
 # largest `accelerate --terms`; s2, the slower pair, takes about 13.5 s
 # through the CLI at this size on a 2-vCPU machine and prints 72 MB
 _MAX_TERMS = 10_000
@@ -113,9 +119,25 @@ def _cmd_digits(cat, args) -> int:
     if args.digits > _MAX_DIGITS:
         raise WZetaError(f"--digits {args.digits} is over the limit of {_MAX_DIGITS}")
     series = cat.series_by_name(args.series)
+    bits = _tree_bits(series, args.digits)
+    if bits > _MAX_TREE_BITS:
+        raise WZetaError(f"series {series.name!r} converges too slowly for --digits "
+                         f"{args.digits}: about {bits:.3g} bits, over the limit of {_MAX_TREE_BITS}")
     report = precision.sum_to_digits(series, args.digits, mode=args.mode)
     print(report.serialize())
     return 0
+
+
+def _tree_bits(series, digits: int) -> int:
+    """_MAX_TREE_BITS's estimate; 0 without a geometric rate, for which
+    the sum refuses the series itself."""
+    rate = series.rate_estimate
+    if rate is None:
+        return 0
+    cut = series.start_index + math.ceil(digits / rate)
+    ratio = series.term_ratio()
+    return cut * (abs(ratio.num.evaluate(cut)).bit_length()
+                  + abs(ratio.den.evaluate(cut)).bit_length())
 
 
 def _cmd_verify(cat, args) -> int:

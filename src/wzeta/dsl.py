@@ -17,7 +17,8 @@ at most 4300 digits; a product or power may not give a polynomial of
 more than 2,000,000 bits, counted as its coefficient slots times log2 of
 the sum of its coefficients' magnitudes; and the factorials of integers,
 which the term folds into its constant, may not come to more than
-2,000,000 bits (Stirling's estimate, net of exponents).
+2,000,000 bits (Stirling's estimate, net of exponents). Parentheses
+nest at most 100 deep.
 
 Inside parentheses the conventional algebraic notation is accepted, so
 polynomials can be pasted verbatim ("56n^2-32n+5"); outside parentheses
@@ -55,6 +56,9 @@ _MAX_COEFFICIENTS = _MAX_EXPONENT + 1
 _MAX_BITS = 2_000_000
 # longest integer literal, CPython's default int-from-str limit
 _MAX_LITERAL_DIGITS = 4300
+# deepest nesting of parentheses; each level takes five interpreter
+# frames, so this stays well inside the default recursion limit of 1000
+_MAX_DEPTH = 100
 
 _ATOM_STARTS = ("integer", "n", "k", "(")
 
@@ -301,15 +305,22 @@ class _Parser:
             self.advance()
             return _Product.from_poly(Polynomial.variable(token.text)), False
         if token.kind == "(":
-            self.advance()
-            inner = self.expr(depth + 1)
-            self.expect(")")
-            return inner, True
+            return self.group(depth), True
         raise ParseError(
             f"unexpected {token.text!r}" if token.kind != "end" else "unexpected end of input",
             token.offset,
             _ATOM_STARTS,
         )
+
+    def group(self, depth: int) -> _Product:
+        """The parenthesized expression that the next token opens."""
+        opening = self.advance()
+        if depth >= _MAX_DEPTH:
+            raise ParseError(f"parentheses nested over {_MAX_DEPTH} deep", opening.offset,
+                             ("integer", "n", "k"))
+        inner = self.expr(depth + 1)
+        self.expect(")")
+        return inner
 
     @staticmethod
     def apply_factorial(value: _Product) -> _Product:
@@ -337,9 +348,7 @@ class _Parser:
             self.advance()
             exponent_form = LinearForm(1, 0, 0) if token.text == "n" else LinearForm(0, 1, 0)
         elif token.kind == "(":
-            self.advance()
-            inner = self.expr(depth + 1)
-            self.expect(")")
+            inner = self.group(depth)
             if not inner.is_polynomial:
                 raise StructureError("exponent must be an integer or a linear form")
             form = inner.num.as_linear_form()
@@ -370,11 +379,8 @@ def parse_term(text: str) -> HyperTerm:
 
 
 def _render_linear(form: LinearForm) -> str:
-    if form == LinearForm(1, 0, 0):
-        return "n"
-    if form == LinearForm(0, 1, 0):
-        return "k"
-    return f"({form})"
+    text = str(form)
+    return text if text in ("n", "k") else f"({text})"
 
 
 def render_term(term: HyperTerm) -> str:
@@ -392,16 +398,10 @@ def render_term(term: HyperTerm) -> str:
         den_parts.append(str(q))
 
     if term.sign_exponent != LinearForm():
-        exponent = term.sign_exponent
-        if exponent in (LinearForm(1, 0, 0), LinearForm(0, 1, 0)):
-            num_parts.append(f"(-1)^{_render_linear(exponent)}")
-        else:
-            num_parts.append(f"(-1)^({exponent})")
+        num_parts.append(f"(-1)^{_render_linear(term.sign_exponent)}")
 
     for form, exp in term.factorials:
-        text = ("n!" if form == LinearForm(1, 0, 0)
-                else "k!" if form == LinearForm(0, 1, 0)
-                else f"({form})!")
+        text = f"{_render_linear(form)}!"
         if abs(exp) != 1:
             text += f"^{abs(exp)}"
         (num_parts if exp > 0 else den_parts).append(text)

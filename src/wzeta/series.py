@@ -17,6 +17,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .algebra import (
+    Frozen,
     LinearForm,
     Polynomial,
     RationalFunction,
@@ -39,10 +40,11 @@ POSITIVE = "positive"
 
 # most indices past the cut checked one by one before the certificate
 _MAX_UNCERTIFIED = 10_000
-# largest degree of a side of a series' term ratio, checked before the
-# gcd; for (-1)^n/(n+1)^d the gcd takes about 0.07 s at d = 200 on a
-# 2-vCPU machine (building the ratio as long again), and the time grows
-# about as d^3, to 18 s at d = 999; the catalog's largest is 15
+# largest degree of a side of a series' term ratio, checked from the
+# term's polynomials before the ratio is built and again before the gcd;
+# for (-1)^n/(n+1)^d the gcd takes about 0.07 s at d = 200 on a 2-vCPU
+# machine (building the ratio as long again), and the time grows about
+# as d^3, to 18 s at d = 999; the catalog's largest is 15
 _MAX_RATIO_DEGREE = 200
 # an index whose float estimate of log10|term| is this close to the
 # threshold is decided with the exact term
@@ -65,7 +67,7 @@ def split_ratios(steps: list[tuple[int, int]]) -> tuple[int, int, int]:
     return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
-class SeriesSpec:
+class SeriesSpec(Frozen):
     """A concrete series Σ_{n≥start_index} term(n); immutable, equal and
     hashed by its four fields.
 
@@ -82,20 +84,9 @@ class SeriesSpec:
         object.__setattr__(self, "start_index", start_index)
         object.__setattr__(self, "zeta3_multiple", zeta3_multiple)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SeriesSpec is immutable")
-
+    @property
     def _key(self) -> tuple:
         return self.name, self.term, self.start_index, self.zeta3_multiple
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SeriesSpec) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"SeriesSpec{self._key()!r}"
 
     def term_at(self, n: int) -> Fraction:
         if n < self.start_index:
@@ -110,11 +101,18 @@ class SeriesSpec:
         is h·a/(h·b), h the gcd of its two sides, so a/b is in lowest
         terms over Z[n]; b and h have positive leading coefficients, and
         every integer root of h is at most bound in modulus."""
-        ratio = self.term.substituted(LinearForm(1, 0, 0), LinearForm()).shift_ratio(1, 0)  # k = 0
-        num, den = ratio.num.univariate(), ratio.den.univariate()
-        degree = max(len(num), len(den)) - 1
+        term = self.term.substituted(LinearForm(1, 0, 0), LinearForm())  # k = 0
+        # the sides p(n+1)·q(n) and q(n+1)·p(n), each times rising
+        # products, have at least this degree, and without factorials
+        # exactly this; it is checked before they are expanded
+        degree = term.poly_num.degree("n") + term.poly_den.degree("n")
+        at_least = "at least " if term.factorials else ""
+        if degree <= _MAX_RATIO_DEGREE:
+            ratio = term.shift_ratio(1, 0)
+            num, den = ratio.num.univariate(), ratio.den.univariate()
+            degree, at_least = max(len(num), len(den)) - 1, ""
         if degree > _MAX_RATIO_DEGREE:
-            raise WZetaError(f"term ratio of series {self.name!r} has degree {degree}, "
+            raise WZetaError(f"term ratio of series {self.name!r} has degree {at_least}{degree}, "
                              f"over the limit of {_MAX_RATIO_DEGREE}")
         h = dense_gcd(num, den)
         return dense_divide(num, h), dense_divide(den, h), h, integer_root_bound(h)
@@ -188,19 +186,15 @@ class SeriesSpec:
 
     def ratio_step(self, n: int) -> tuple[int, int]:
         """The term ratio at n as integers (p, q) in lowest terms with
-        q > 0, or q = 0 where its denominator vanishes (a zero term at n,
-        or a removable singularity).
+        q > 0, or (0, 0) where the unreduced ratio h·a/(h·b) has a zero
+        denominator (a zero term at n, or a removable singularity).
 
-        a and b are evaluated by Horner. The steps are those of the
-        unreduced ratio h·a/(h·b): (0, 0) where h vanishes, looked for
-        only within h's root bound, and h's sign kept in p where b does."""
+        a and b are evaluated by Horner, and h only within its root bound."""
         a, b, h, bound = self._steps
-        if -bound <= n <= bound and horner(h, n) == 0:
-            return 0, 0
         p, q = horner(a, n), horner(b, n)
-        if q == 0:
-            p *= horner(h, n)
-        g = math.gcd(p, q) or 1
+        if q == 0 or (-bound <= n <= bound and horner(h, n) == 0):
+            return 0, 0
+        g = math.gcd(p, q)
         return (-p // g, -q // g) if q < 0 else (p // g, q // g)
 
     def alternating_step(self, n: int) -> tuple[int, int]:

@@ -20,7 +20,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .algebra import LinearForm, Polynomial, RationalFunction
+from .algebra import Frozen, LinearForm, Polynomial, RationalFunction
 from .errors import DomainError, IncompatibleTerms
 
 _ONE = Polynomial.const(1)
@@ -93,7 +93,7 @@ class Domain(NamedTuple):
         return Domain(tuple(f.substituted(n_to, k_to) for f in self.constraints))
 
 
-class HyperTerm:
+class HyperTerm(Frozen):
     """Immutable hypergeometric term; see the module docstring.
 
     Construction canonicalizes: factorial factors with equal arguments are
@@ -173,15 +173,6 @@ class HyperTerm:
             constant.numerator,
             constant.denominator,
         ))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HyperTerm is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HyperTerm) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
 
     def value_at(self, n: int, k: int = 0, factorial=math.factorial) -> Fraction:
         """Exact value at an integer point; DomainError outside the domain.

@@ -18,13 +18,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .algebra import LinearForm, RationalFunction
+from .algebra import Frozen, LinearForm, RationalFunction
 from .errors import DomainError, SingularGrid
 from .series import SeriesSpec
 from .terms import Domain, HyperTerm, cross_ratio, factorial_ladder
 
 
-class WZPair:
+class WZPair(Frozen):
     """A candidate pair for the discrete telescoping identity; immutable,
     equal and hashed by its fields.
 
@@ -38,20 +38,9 @@ class WZPair:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "zeta3_multiple", zeta3_multiple)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WZPair is immutable")
-
+    @property
     def _key(self) -> tuple:
         return self.name, self.f, self.g, self.zeta3_multiple
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WZPair) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"WZPair{self._key()!r}"
 
     @cached_property
     def check_domain(self) -> Domain:

@@ -52,6 +52,8 @@ def test_linear_form_str():
     assert str(LinearForm(0, 1, 1)) == "k+1"
     assert str(LinearForm(0, 0, 5)) == "5"
     assert str(LinearForm(1, 0, -3)) == "n-3"
+    assert str(LinearForm()) == "0"
+    assert str(LinearForm(-1, 3, -12)) == "-n+3*k-12"
 
 
 def test_polynomial_construction_and_eval():
@@ -264,3 +266,60 @@ def test_integer_root_bound_covers_every_root(roots, extra):
 def test_integer_root_bound_examples():
     assert integer_root_bound((7,)) == -1  # no roots
     assert integer_root_bound((2, -5, -3)) == 3  # (2n+1)(n-3): ceil(5/2)
+
+
+def _value_args():
+    """Constructor arguments of one value of each immutable class."""
+    from wzeta.catalog import Catalog, load_catalog
+    from wzeta.series import SeriesSpec
+    from wzeta.terms import HyperTerm
+    from wzeta.wz import WZPair
+
+    cat = load_catalog()
+    pair = cat.pair_by_name("s1")
+    n = LinearForm(1, 0, 0)
+    return {
+        Polynomial: ({(1, 0): 2, (0, 1): -1},),
+        RationalFunction: (N, N + ONE),
+        HyperTerm: (n, ((n, 2), (n.scaled(2), -1)), N + ONE),
+        SeriesSpec: ("t", cat.s3, 1, Fraction(2)),
+        WZPair: ("p", pair.f, pair.g, Fraction(2)),
+        Catalog: (cat.pairs, cat.s3),
+    }
+
+
+VALUE_ARGS = _value_args()
+
+
+@pytest.mark.parametrize("cls", VALUE_ARGS, ids=lambda cls: cls.__name__)
+def test_values_are_immutable_and_equal_within_their_class(cls):
+    value, same = cls(*VALUE_ARGS[cls]), cls(*VALUE_ARGS[cls])
+    assert value == same and value is not same
+    names = list(vars(value)) if hasattr(value, "__dict__") else list(cls.__slots__)
+    for name in names + ["unknown"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+    for other_cls, args in VALUE_ARGS.items():
+        if other_cls is not cls:
+            assert value != other_cls(*args)
+    assert value != VALUE_ARGS[cls]
+    if "__eq__" not in vars(cls):  # equal by _key, and only within the class
+        assert value != type("Derived", (cls,), {})(*VALUE_ARGS[cls])
+    if cls.__name__ in ("Catalog", "RationalFunction"):
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(same)
+
+
+def test_series_and_pair_repr_show_their_fields():
+    from wzeta.dsl import parse_term
+    from wzeta.series import SeriesSpec
+    from wzeta.wz import WZPair
+
+    series = SeriesSpec("t", parse_term("n!^2 / (2*n)!"), 1, Fraction(2))
+    assert repr(series) == "SeriesSpec('t', HyperTerm('n!^2 / (2*n)!'), 1, Fraction(2, 1))"
+    pair = WZPair("p", parse_term("(-1)^k * k! / (n+k+1)!"), parse_term("(-1)^k * k! / (n+k)!"),
+                  Fraction(2))
+    assert repr(pair) == ("WZPair('p', HyperTerm('(-1)^k * k! / (n+k+1)!'), "
+                          "HyperTerm('(-1)^k * k! / (n+k)!'), Fraction(2, 1))")

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wzeta
 from wzeta import catalog
@@ -251,6 +254,32 @@ def test_eval_of_a_huge_value_exits_2_promptly():
     assert_refused(done, str(_MAX_EVAL_BITS))
 
 
+def test_eval_of_deep_nesting_exits_2():
+    # 250 levels ended in a RecursionError traceback
+    done = run_subprocess("eval", "--expr", "(" * 300 + "n" + ")" * 300, "--n", "1")
+    assert_refused(done, "nested over 100 deep at offset 100")
+
+
+_TOKENS = st.sampled_from(["n", "k", "0", "1", "2", "10", "(", ")", "+", "-", "*", "/",
+                           "^", "!", "(-1)^", " "])
+_EXPRESSIONS = st.one_of(
+    st.lists(_TOKENS, max_size=30).map("".join),
+    st.builds(lambda depth, inner: "(" * depth + inner + ")" * depth,
+              st.integers(0, 300), st.lists(_TOKENS, max_size=8).map("".join)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EXPRESSIONS, st.integers(-3, 30), st.integers(-3, 30))
+def test_eval_ends_in_a_value_or_one_error_line(text, n, k):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", f"--expr={text}", f"--n={n}", f"--k={k}"])
+    assert code in (0, 2)
+    assert err.getvalue().count("\n") == (code == 2)
+    assert out.getvalue().count("\n") == (code == 0)
+
+
 @pytest.mark.parametrize("expr", ["((n+1)^999)^2", "(n+1)^999*(n+1)^999"])
 def test_eval_of_a_huge_polynomial_exits_2_promptly(expr):
     # degree 1998 in n, refused from the operand degrees before expanding
@@ -262,6 +291,27 @@ def test_huge_digits_exits_2_promptly():
 
     done = run_subprocess("digits", "--series", "s1", "--digits", "1000000000")
     assert_refused(done, str(_MAX_DIGITS))
+
+
+# a replacement s3 of rate 0.044: 1000 digits take 16 s and 23,034 terms
+SLOW_S3 = "(-1)^n * (10*n)!^2 / ((11*n)! * (9*n)!)"
+
+
+def test_digits_of_a_slow_series_exits_2_promptly(tmp_path):
+    path = catalog_with(tmp_path, s3=SLOW_S3)
+    done = run_subprocess("--catalog", path, "digits", "--series", "s3", "--digits", "4000",
+                          timeout=2)
+    assert_refused(done, "series 's3'", "--digits 4000", "16000000")
+
+
+def test_the_tree_estimate_admits_the_catalog_at_the_digit_limit(cat, tmp_path):
+    from wzeta.cli import _MAX_DIGITS, _MAX_TREE_BITS, _tree_bits
+
+    for name in ("s1", "s2", "s3"):
+        assert 9e6 < _tree_bits(cat.series_by_name(name), _MAX_DIGITS) < _MAX_TREE_BITS
+    slow = catalog.load_catalog(catalog_with(tmp_path, s3=SLOW_S3)).series_by_name("s3")
+    assert _tree_bits(slow, 1000) < _MAX_TREE_BITS < _tree_bits(slow, 4000)
+    assert _tree_bits(cat.series_by_name("lhs_s1"), _MAX_DIGITS) == 0  # no geometric rate
 
 
 def test_huge_terms_exits_2_promptly():

@@ -82,6 +82,19 @@ def test_parse_errors_carry_position(text, offset):
     assert info.value.expected  # non-empty expected set
 
 
+@pytest.mark.parametrize("prefix", ["", "(-1)^", "n*"])
+def test_parentheses_nest_up_to_the_cap(prefix):
+    from wzeta.dsl import _MAX_DEPTH
+
+    def nested(depth):
+        return prefix + "(" * depth + "n+1" + ")" * depth
+
+    assert parse_term(nested(_MAX_DEPTH)) == parse_term(nested(1))
+    with pytest.raises(ParseError, match=f"nested over {_MAX_DEPTH} deep") as info:
+        parse_term(nested(_MAX_DEPTH + 1))
+    assert info.value.position == len(prefix) + _MAX_DEPTH  # the opening parenthesis
+
+
 @pytest.mark.parametrize(
     "text",
     [

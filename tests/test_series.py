@@ -80,10 +80,13 @@ def test_term_ratio_is_reduced_once(cat, name, accelerated):
 
 
 def unreduced_step(series, n):
-    """Reference ratio_step: the unreduced ratio at n, reduced as integers."""
+    """Reference ratio_step: the unreduced ratio at n, reduced as integers,
+    or (0, 0) where its denominator vanishes."""
     ratio = unreduced_ratio(series)
     p, q = ratio.num.evaluate(n), ratio.den.evaluate(n)
-    g = math.gcd(p, q) or 1
+    if q == 0:
+        return 0, 0
+    g = math.gcd(p, q)
     return (-p // g, -q // g) if q < 0 else (p // g, q // g)
 
 
@@ -334,6 +337,24 @@ def test_a_ratio_over_the_degree_limit_is_refused_before_the_gcd():
     message = f"series 'big' has degree {_MAX_RATIO_DEGREE + 1}, over the limit"
     with pytest.raises(WZetaError, match=message):
         over.term_ratio()
+
+
+@pytest.mark.parametrize("text,degree", [
+    ("(-1)^n / (n+1)^201", "201"),  # the sides are exactly of this degree
+    ("(-1)^n * n! * (n+1)^201 / (2*n)!", "at least 201"),  # rising products add more
+])
+def test_a_ratio_over_the_degree_limit_is_refused_before_it_is_built(monkeypatch, text, degree):
+    from wzeta.errors import WZetaError
+    from wzeta.terms import HyperTerm
+
+    def not_built(*args):
+        raise AssertionError("the ratio was built")
+
+    series = SeriesSpec("big", parse_term(text))
+    monkeypatch.setattr(HyperTerm, "shift_ratio", not_built)
+    message = f"series 'big' has degree {degree}, over the limit of 200"
+    with pytest.raises(WZetaError, match=message):
+        series.term_ratio()
 
 
 @pytest.mark.parametrize(
