@@ -15,7 +15,7 @@ import os
 from fractions import Fraction
 
 from .algebra import Frozen
-from .errors import CatalogError
+from .errors import CatalogError, WZetaError
 from .series import SeriesSpec
 from .terms import HyperTerm
 from .wz import WZPair, accelerate, lhs_series
@@ -95,7 +95,12 @@ class Catalog(Frozen):
 
 def parse_entries(text: str) -> dict[str, str]:
     """Split catalog text into a name -> expression-text mapping."""
-    entries: dict[str, str] = {}
+    return {name: expr for name, (_, expr) in _numbered_entries(text).items()}
+
+
+def _numbered_entries(text: str) -> dict[str, tuple[int, str]]:
+    """name -> (line number, expression text) per catalog entry."""
+    entries: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -109,7 +114,7 @@ def parse_entries(text: str) -> dict[str, str]:
             raise CatalogError(f"line {lineno}: bad entry name {name!r}")
         if name in entries:
             raise CatalogError(f"line {lineno}: duplicate entry {name!r}")
-        entries[name] = expr
+        entries[name] = lineno, expr
     return entries
 
 
@@ -126,10 +131,11 @@ def load_catalog(path: str | None = None) -> Catalog:
 
     A replacement file must define exactly the bundled entry names and
     be UTF-8 text of at most _MAX_CATALOG_BYTES bytes; the series come
-    from its pairs and s3. Parse failures are raised.
+    from its pairs and s3. Parse failures are raised, their messages
+    prefixed with the entry's line and name.
     """
     text = bundled_text() if path is None else _read_replacement(path)
-    entries = parse_entries(text)
+    entries = _numbered_entries(text)
 
     missing = [name for name in _REQUIRED if name not in entries]
     if missing:
@@ -138,7 +144,14 @@ def load_catalog(path: str | None = None) -> Catalog:
     if unknown:
         raise CatalogError(f"catalog has unknown entries: {', '.join(unknown)}")
 
-    terms = {name: dsl.parse_term(expr) for name, expr in entries.items()}
+    terms = {}
+    for name, (lineno, expr) in entries.items():
+        try:
+            terms[name] = dsl.parse_term(expr)
+        except WZetaError as exc:
+            # the same error, its offset counted within the expression
+            exc.args = (f"line {lineno}: entry {name!r}: {exc}",)
+            raise
     pairs = {
         name: WZPair(name, terms[f"f_{name}"], terms[f"g_{name}"], multiple)
         for name, multiple in _PAIRS.items()

@@ -7,13 +7,20 @@ once to a fixed point, adding 1/scale to the error. The digits come from
 one pair of scaled floors of the sum minus and plus the error (one
 full-width division; the upper floor comes from its remainder), divided
 by 10 until they agree while the bounds straddle a decimal boundary.
+
+Large integers print through decimal.Decimal, whose text conversion is
+linear where CPython's int-to-str is quadratic: an int is converted by
+splitting its bits in halves, in fast multiplications, and term_texts
+carries each accelerated term's numerator and denominator as decimal
+integers from step to step, each step linear in their length.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, TailBoundError
 from .series import SeriesSpec
@@ -26,6 +33,12 @@ SCALED = "scaled"
 _SCALED_GUARD = 20
 # under 4300 digits, CPython's default int-to-str limit
 _STR_BITS = 14_000
+# Decimal(int) is quadratic too, but faster than splitting below this
+_DECIMAL_BITS = 4_096
+# exact integer arithmetic: a result that would need rounding raises
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.InvalidOperation, decimal.DivisionByZero,
+                                decimal.Overflow, decimal.Inexact, decimal.Rounded])
 
 
 class EvalReport(NamedTuple):
@@ -113,20 +126,16 @@ def _decimal_text(negative: bool, scaled: int, places: int) -> str:
     sign = "-" if negative else ""
     if places == 0:
         return sign + int_text(scaled)
-    integer, fractional = divmod(scaled, 10**places)
-    return f"{sign}{int_text(integer)}.{int_text(fractional).zfill(places)}"
+    digits = int_text(scaled).zfill(places + 1)
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
 def int_text(value: int) -> str:
-    """str(value) at any length: an int past CPython's int-to-str limit
-    is split by a power of ten instead of raising ValueError."""
+    """str(value) at any length: past CPython's int-to-str limit,
+    through the Decimal conversion, in subquadratic time."""
     if value.bit_length() < _STR_BITS:
         return str(value)
-    if value < 0:
-        return "-" + int_text(-value)
-    half = math.ceil(value.bit_length() * 0.30103 / 2)
-    high, low = divmod(value, 10**half)
-    return int_text(high) + int_text(low).zfill(half)
+    return str(_to_decimal(value))
 
 
 def fraction_text(value: Fraction) -> str:
@@ -134,6 +143,62 @@ def fraction_text(value: Fraction) -> str:
     if value.denominator == 1:
         return int_text(value.numerator)
     return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
+
+
+def _to_decimal(value: int) -> decimal.Decimal:
+    """value as an exact Decimal: high·2^w + low for w = half its bits,
+    each half converted the same way, with each 2^w computed once."""
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:
+        if w not in powers:
+            powers[w] = _EXACT.power(2, w)
+        return powers[w]
+
+    def convert(value: int, bits: int) -> decimal.Decimal:
+        if bits < _DECIMAL_BITS:
+            return decimal.Decimal(value)
+        w = bits // 2
+        high, low = value >> w, value & ((1 << w) - 1)
+        return _EXACT.add(_EXACT.multiply(convert(high, bits - w), power(w)), convert(low, w))
+
+    magnitude = convert(abs(value), abs(value).bit_length())
+    return _EXACT.minus(magnitude) if value < 0 else magnitude
+
+
+def term_texts(series: SeriesSpec, count: int) -> Iterator[tuple[int, str]]:
+    """(n, fraction_text(t(n))) for the first `count` terms, the values
+    of series.terms(), in time linear in each term's length.
+
+    The reduced numerator P and denominator Q of t(n) are carried as
+    Decimal integers and multiplied by each ratio step p/q as Fraction
+    does: with g1 = gcd(P, q) and g2 = gcd(p, Q), P·p/(Q·q) is
+    (P/g1)·(p/g2) / ((Q/g2)·(q/g1)) in lowest terms, and each gcd, division
+    and product has one small operand. After a zero term or where the
+    ratio is undefined, the walk restarts from term_at, as terms() does.
+    """
+    n = series.start_index
+    end = n + count
+    num = den = None  # None: start from term_at(n)
+    while n < end:
+        if num is None:
+            value = series.term_at(n)
+            num, den = _to_decimal(value.numerator), _to_decimal(value.denominator)
+        yield n, str(num) if den == 1 else f"{num}/{den}"
+        p, q = series.ratio_step(n)
+        n += 1
+        if not num or not q:
+            num = None
+        elif not p:
+            num, den = decimal.Decimal(0), decimal.Decimal(1)
+        else:
+            g1 = math.gcd(int(_EXACT.remainder(num, q)), q)
+            g2 = math.gcd(int(_EXACT.remainder(den, abs(p))), p)
+            if g1 > 1:
+                num = _EXACT.divide_int(num, g1)
+            if g2 > 1:
+                den = _EXACT.divide_int(den, g2)
+            num, den = _EXACT.multiply(num, p // g2), _EXACT.multiply(den, q // g1)
 
 
 def measure_rate(series: SeriesSpec, n_lo: int, n_hi: int) -> float:

@@ -104,8 +104,11 @@ class SeriesSpec(Frozen):
         term = self.term.substituted(LinearForm(1, 0, 0), LinearForm())  # k = 0
         # the sides p(n+1)·q(n) and q(n+1)·p(n), each times rising
         # products, have at least this degree, and without factorials
-        # exactly this; it is checked before they are expanded
-        degree = term.poly_num.degree("n") + term.poly_den.degree("n")
+        # exactly this; it is checked before they are expanded. Each
+        # (a·n + c)!^e adds rising products of degree at least |a·e| to the
+        # two sides together, so to the larger side at least half of that
+        rising = sum(abs(form.a * exp) for form, exp in term.factorials)
+        degree = term.poly_num.degree("n") + term.poly_den.degree("n") + (rising + 1) // 2
         at_least = "at least " if term.factorials else ""
         if degree <= _MAX_RATIO_DEGREE:
             ratio = term.shift_ratio(1, 0)

@@ -106,8 +106,9 @@ def test_replacement_catalog_parse_error_is_loud(tmp_path):
     assert good in catalog.bundled_text()
     path = tmp_path / "bad.txt"
     path.write_text(catalog.bundled_text().replace(good, "g_s1 = 2n * (-1)^k"))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^line 9: entry 'g_s1': .* at offset 1 ") as info:
         catalog.load_catalog(str(path))
+    assert info.value.position == 1  # within the entry's expression
 
 
 def test_pair_domains(cat):
@@ -131,5 +132,5 @@ def test_bundled_catalog_parse_error_is_loud(monkeypatch):
     assert good in catalog.bundled_text()
     broken = catalog.bundled_text().replace(good, "g_s1 = 2n * (-1)^k")
     monkeypatch.setattr(catalog, "bundled_text", lambda: broken)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^line 9: entry 'g_s1': .* at offset 1 "):
         catalog.load_catalog()

@@ -32,11 +32,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_subprocess(*argv, timeout=5):
-    """The CLI in a child process of this checkout, killed after timeout s."""
+def run_subprocess(*argv, timeout=5, stdout=subprocess.PIPE):
+    """The CLI in a child process of this checkout, killed after timeout s;
+    stdout is captured unless a file is given."""
     env = dict(os.environ, PYTHONPATH=str(Path(wzeta.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "wzeta.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=timeout)
+    return subprocess.run([sys.executable, "-m", "wzeta.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=timeout)
 
 
 def assert_refused(done, *fragments):
@@ -417,7 +418,15 @@ def test_malformed_catalog_file_exits_2(capsys, tmp_path):
     path.write_text("s1 = (n+1\n")
     code, _, err = run(capsys, "--catalog", str(path), "list")
     assert code == 2
-    assert err.startswith("error: ")
+    assert err.startswith("error: catalog is missing entries: f_s1")
+
+
+def test_catalog_parse_error_names_the_line_and_the_entry(capsys, tmp_path):
+    path = catalog_with(tmp_path, g_s2="(n+1")
+    code, out, err = run(capsys, "--catalog", path, "list")
+    assert (code, out) == (2, "")
+    assert err == ("error: line 11: entry 'g_s2': unexpected end of input "
+                   "at offset 4 (expected: ))\n")
 
 
 def test_bundled_catalog_parse_error_exits_2(capsys, monkeypatch):
@@ -429,7 +438,7 @@ def test_bundled_catalog_parse_error_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: ") and "offset" in err
+    assert err.startswith("error: line 9: entry 'g_s1': ") and "at offset 1 " in err
 
 
 def test_replacement_catalog_is_used(capsys, tmp_path):
@@ -493,6 +502,9 @@ GOLDEN = {
     # a term with no constraint on n is defined at negative n
     "eval --expr n --n -3": "0f90e0b3538d04df294950dcec75952d7e07f1bb044e73e795c410d677b3c268",
     "eval --expr (-1)^k*k!^2/(n+k+1)! --n 2 --k 2": "00fe5739f758f7fbf983ae0150cb9d645c3730a33e97285dd4a6dc52fc71ce05",
+    # the benchmark's two accelerate commands
+    "accelerate --pair s1 --terms 4000": "0386230b31c9b20e0eadb9b7c508817d896b89414dea43f58893c28fba24ac39",
+    "accelerate --pair s2 --terms 2500": "518cca4e1bd3c9c828447eccfa7990bdf845eff1918fd8a92c98433cdb797f35",
 }
 
 
@@ -535,6 +547,33 @@ def test_accelerate_past_the_int_str_limit(capsys):
     assert den[:100] == str(head)
     assert den[-100:] == str(low % 10**100).zfill(100)
     assert lines[-1].endswith("status=ok")
+
+
+def test_accelerate_at_the_terms_cap_is_prompt(tmp_path):
+    # 72 MB of p/q text; printing through int-to-str and Fraction products
+    # took 14.2 s on a 2-vCPU machine, the exact decimal walk about 3 s
+    from wzeta.cli import _MAX_TERMS
+
+    path = tmp_path / "out.txt"
+    with path.open("wb") as file:
+        done = run_subprocess("accelerate", "--pair", "s2", "--terms", str(_MAX_TERMS),
+                              stdout=file, timeout=8)
+    assert (done.returncode, done.stderr) == (0, "")
+    digest = hashlib.sha256()
+    with path.open("rb") as file:
+        for chunk in iter(lambda: file.read(1 << 20), b""):
+            digest.update(chunk)
+    assert digest.hexdigest() == "af18971e305ea50cacddf8dcfed8c628a6d9b8c502bd0199966e90db68bee3d1"
+
+
+def test_eval_at_the_bits_cap_is_prompt():
+    # n! at n = 128,767, 602,055 digits, is just under _MAX_EVAL_BITS;
+    # its text took 4.96 s through splitting by powers of ten
+    done = run_subprocess("eval", "--expr", "n!", "--n", "128767", timeout=3)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert len(done.stdout) == 602_056
+    digest = hashlib.sha256(done.stdout.encode()).hexdigest()
+    assert digest == "539d311c27d2d9bc12be3aa5ddcd73efe3027dcf0c7938ae9e5e8dc177e6d231"
 
 
 def test_non_geometric_series_exits_2_promptly(tmp_path):
@@ -631,6 +670,15 @@ def test_a_series_ratio_over_the_degree_limit_exits_2_promptly(tmp_path):
     path = catalog_with(tmp_path, s3="(-1)^n / (n+1)^999")
     done = run_subprocess("--catalog", path, "list", timeout=15)
     assert_refused(done, "series 's3'", "degree 999", str(_MAX_RATIO_DEGREE))
+
+
+def test_factorial_powers_over_the_degree_limit_exit_2_promptly(tmp_path):
+    # expanding the rising products took 7 s before the degree was known;
+    # the factorials alone give the ratio degree at least 1499
+    path = catalog_with(tmp_path, s3="(-1)^n * n!^999 / (2*n)!^999")
+    done = run_subprocess("--catalog", path, "digits", "--series", "s3", "--digits", "10",
+                          timeout=2)
+    assert_refused(done, "series 's3'", "degree at least 1499", "limit of 200")
 
 
 def test_catalog_size_limit(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import statistics
 import sys
@@ -7,7 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wzeta import precision
+from wzeta import accelerate, precision
 from wzeta.dsl import parse_term
 from wzeta.errors import (
     DomainError,
@@ -299,8 +300,10 @@ def test_measure_rate_rejects_a_zero_term(n_lo):
 
 @pytest.mark.parametrize(
     "value",
-    [0, 7, -7, 10**4299, 10**4300 - 1, 3**20000, -(7**9000), 10**12000],
-    ids=["0", "7", "-7", "10^4299", "10^4300-1", "3^20000", "-7^9000", "10^12000"],
+    [0, 7, -7, 10**4299, 10**4300 - 1, 3**20000, -(7**9000), 10**12000,
+     math.factorial(128767)],
+    ids=["0", "7", "-7", "10^4299", "10^4300-1", "3^20000", "-7^9000", "10^12000",
+         "128767!"],
 )
 def test_int_text_matches_str_past_the_limit(value):
     limit = sys.get_int_max_str_digits()
@@ -312,3 +315,26 @@ def test_int_text_matches_str_past_the_limit(value):
     assert precision.int_text(value) == expected[0]
     assert precision.fraction_text(Fraction(value, 3)) == expected[1]
 
+
+@pytest.mark.parametrize("text,start,count", [
+    ("(-1)^n * (n-5) / n!", 0, 40),  # t(5) = 0 from the step at n = 4
+    ("(-1)^n * (n-5) / n!", 5, 40),  # starts at the zero term
+    ("(-1)^n * (n-3)*(n-4) / n!", 0, 40),  # two zero terms, the ratio undefined at both
+])
+def test_term_texts_restart_as_terms_does(text, start, count):
+    series = SeriesSpec("z", parse_term(text), start)
+    expected = [(n, precision.fraction_text(value))
+                for n, value in itertools.islice(series.terms(), count)]
+    assert list(precision.term_texts(series, count)) == expected
+    assert "0" in dict(expected).values()
+
+
+@pytest.mark.parametrize("pair", ["s1", "s2"])
+def test_term_texts_match_the_fraction_walk(cat, pair):
+    # at the default int-to-str limit; s2's denominators pass 4300 digits
+    # from term 2996 on
+    assert sys.get_int_max_str_digits() in (0, 4300)
+    series = accelerate(cat.pair_by_name(pair))
+    values = itertools.islice(series.terms(), 3000)
+    for (n, value), (m, text) in zip(values, precision.term_texts(series, 3000), strict=True):
+        assert (m, text) == (n, precision.fraction_text(value))

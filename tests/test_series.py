@@ -341,7 +341,10 @@ def test_a_ratio_over_the_degree_limit_is_refused_before_the_gcd():
 
 @pytest.mark.parametrize("text,degree", [
     ("(-1)^n / (n+1)^201", "201"),  # the sides are exactly of this degree
-    ("(-1)^n * n! * (n+1)^201 / (2*n)!", "at least 201"),  # rising products add more
+    # rising products add more: at least half of 1 + 2 here
+    ("(-1)^n * n! * (n+1)^201 / (2*n)!", "at least 203"),
+    # the factorial powers alone are over the limit: half of 999 + 2·999
+    ("(-1)^n * n!^999 / (2*n)!^999", "at least 1499"),
 ])
 def test_a_ratio_over_the_degree_limit_is_refused_before_it_is_built(monkeypatch, text, degree):
     from wzeta.errors import WZetaError
