@@ -9,13 +9,25 @@ Polynomials in n alone also have a dense form, a tuple of integer
 coefficients from the leading one down (the zero polynomial is ()), with
 a gcd over Z[n] (content plus a primitive pseudo-remainder sequence),
 exact division, Horner evaluation and a bound on integer roots.
+
+int_text and fraction_text are the one way an exact number becomes text,
+in output and diagnostics: through decimal.Decimal, which ignores
+CPython's int-to-str limit, splitting an int in halves by its bits.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 from typing import NamedTuple
+
+# Decimal(int) is quadratic, but faster than splitting below this
+_DECIMAL_BITS = 4_096
+# exact integer arithmetic: a result that would need rounding raises
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.InvalidOperation, decimal.DivisionByZero,
+                                decimal.Overflow, decimal.Inexact, decimal.Rounded])
 
 
 class LinearForm(NamedTuple):
@@ -240,7 +252,7 @@ class Polynomial(Frozen):
             if ek:
                 factors.append("k" if ek == 1 else f"k^{ek}")
             if not factors or abs(coef) != 1:
-                factors.insert(0, str(abs(coef)))
+                factors.insert(0, int_text(abs(coef)))
             text = "*".join(factors)
             if not parts:
                 parts.append(("-" if coef < 0 else "") + text)
@@ -383,3 +395,37 @@ class RationalFunction(Frozen):
 
     def __repr__(self) -> str:
         return f"RationalFunction({self})"
+
+
+def int_text(value: int) -> str:
+    """str(value) under any int-to-str limit, in subquadratic time: the
+    text of value's exact Decimal."""
+    return str(_to_decimal(value))
+
+
+def fraction_text(value: Fraction) -> str:
+    """str(value), "p/q" or "p", at any length; see int_text."""
+    if value.denominator == 1:
+        return int_text(value.numerator)
+    return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
+
+
+def _to_decimal(value: int) -> decimal.Decimal:
+    """value as an exact Decimal: high·2^w + low for w = half its bits,
+    each half converted the same way, with each 2^w computed once."""
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:
+        if w not in powers:
+            powers[w] = _EXACT.power(2, w)
+        return powers[w]
+
+    def convert(value: int, bits: int) -> decimal.Decimal:
+        if bits < _DECIMAL_BITS:
+            return decimal.Decimal(value)
+        w = bits // 2
+        high, low = value >> w, value & ((1 << w) - 1)
+        return _EXACT.add(_EXACT.multiply(convert(high, bits - w), power(w)), convert(low, w))
+
+    magnitude = convert(abs(value), abs(value).bit_length())
+    return _EXACT.minus(magnitude) if value < 0 else magnitude

@@ -15,6 +15,7 @@ import sys
 
 from . import catalog as catalog_mod
 from . import dsl, precision, wz
+from .algebra import fraction_text, int_text
 from .errors import WZetaError
 from .terms import factorial_bits
 
@@ -24,6 +25,14 @@ _COMPARE_LHS_TERMS = 300
 # in-process and 21 s through the CLI at this size (n <= 386) on a 2-vCPU
 # machine, s1 about 10 s (n <= 547)
 _MAX_GRID_POINTS = 150_000
+# largest grid work `verify` takes on, estimated as the sum over the rows
+# of (row length)·B^1.5, B the bits of F(n+1, k) and G(n, k) at the
+# worse end of the row; a unit took 1.9-2.6e-11 s in-process on a 2-vCPU
+# machine: s2 at n <= 200, 8.3e10, 2.1 s; s2 at the point cap, n <= 386,
+# 9.9e11, about 19 s (s1 there, n <= 547, 5.4e11); a pair in 30*n,
+# 1.2e11 at n <= 40 in 3.1 s, 5.3e11 at n <= 60 in 12.9 s and 3.4e12 at
+# n <= 99 in 85 s
+_MAX_GRID_WORK = 1.1e12
 # largest `digits --digits`; s3, the slowest catalog series at this size,
 # takes 14-19 s in-process on a 2-vCPU machine (s1 11-16 s, s2 10-14 s)
 _MAX_DIGITS = 60_000
@@ -76,7 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=30,
         metavar="N",
         help=f"check every point with n <= N (default 30); grids of more "
-        f"than {_MAX_GRID_POINTS} points are refused",
+        f"than {_MAX_GRID_POINTS} points, or of more estimated work than "
+        f"{_MAX_GRID_WORK:.3g}, are refused",
     )
     p_verify.add_argument(
         "--symbolic",
@@ -117,7 +127,7 @@ def _cmd_list(cat, args) -> int:
 
 def _cmd_digits(cat, args) -> int:
     if args.digits > _MAX_DIGITS:
-        raise WZetaError(f"--digits {args.digits} is over the limit of {_MAX_DIGITS}")
+        raise WZetaError(f"--digits {int_text(args.digits)} is over the limit of {_MAX_DIGITS}")
     series = cat.series_by_name(args.series)
     bits = _tree_bits(series, args.digits)
     if bits > _MAX_TREE_BITS:
@@ -148,20 +158,35 @@ def _cmd_verify(cat, args) -> int:
         points = wz.grid_points(pair, args.nmax, stop_above=_MAX_GRID_POINTS)
         if points > _MAX_GRID_POINTS:
             raise WZetaError(
-                f"--nmax {args.nmax} gives a grid of more than "
+                f"--nmax {int_text(args.nmax)} gives a grid of more than "
                 f"{_MAX_GRID_POINTS} points (the limit)"
             )
+        work = _grid_work(pair, args.nmax)
+        if work > _MAX_GRID_WORK:
+            raise WZetaError(f"pair {pair.name} at --nmax {int_text(args.nmax)} needs about "
+                             f"{work:.3g} units of grid work, over the limit of {_MAX_GRID_WORK:.3g}")
         report = wz.verify_grid(pair, args.nmax)
     print(report.serialize())
     print("PASS" if report.outcome == "pass" else "FAIL")
     return 0 if report.outcome == "pass" else 1
 
 
+def _grid_work(pair, n_max: int) -> float:
+    """_MAX_GRID_WORK's estimate: Σ over the rows of (hi - lo + 1)·B^1.5,
+    B = _value_bits(F, n+1, k) + _value_bits(G, n, k) at the larger of
+    k = lo and k = hi."""
+    work = 0.0
+    for n, lo, hi in pair.rows(n_max):
+        bits = max(_value_bits(pair.f, n + 1, k) + _value_bits(pair.g, n, k) for k in (lo, hi))
+        work += (hi - lo + 1) * bits**1.5
+    return work
+
+
 def _cmd_accelerate(cat, args) -> int:
     if args.terms < 1:
         raise WZetaError("--terms must be at least 1")
     if args.terms > _MAX_TERMS:
-        raise WZetaError(f"--terms {args.terms} is over the limit of {_MAX_TERMS}")
+        raise WZetaError(f"--terms {int_text(args.terms)} is over the limit of {_MAX_TERMS}")
     pair = cat.pair_by_name(args.pair)
     proof = wz.verify_symbolic(pair)
     if proof.outcome != "pass":
@@ -190,7 +215,7 @@ def _cmd_accelerate(cat, args) -> int:
 def _cmd_rate(cat, args) -> int:
     index = max(args.lo, args.hi)
     if index > _MAX_RATE_INDEX:
-        raise WZetaError(f"--lo/--hi {index} is over the limit of {_MAX_RATE_INDEX}")
+        raise WZetaError(f"--lo/--hi {int_text(index)} is over the limit of {_MAX_RATE_INDEX}")
     series = cat.series_by_name(args.series)
     rate = precision.measure_rate(series, args.lo, args.hi)
     print(f"{rate:.3f}")
@@ -202,7 +227,7 @@ def _cmd_eval(args) -> int:
     bits = _value_bits(term, args.n, args.k)
     if bits > _MAX_EVAL_BITS:
         raise WZetaError(f"eval needs about {bits:.3g} bits, over the limit of {_MAX_EVAL_BITS}")
-    print(precision.fraction_text(term.value_at(args.n, args.k)))
+    print(fraction_text(term.value_at(args.n, args.k)))
     return 0
 
 

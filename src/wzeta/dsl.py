@@ -33,12 +33,13 @@ at every point, factor order and polynomial expansion may differ).
 
 from __future__ import annotations
 
+import decimal
 import math
 from collections import defaultdict
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import LinearForm, Polynomial
+from .algebra import LinearForm, Polynomial, int_text
 from .errors import ParseError, StructureError
 from .terms import HyperTerm, factorial_bits
 
@@ -54,7 +55,8 @@ _MAX_COEFFICIENTS = _MAX_EXPONENT + 1
 # 1,998,000, which takes about 0.7 s to parse; (1000*n+1)^999 took 2.7 s,
 # and (10^999)^999 or (200000)! took seconds to parse and print.
 _MAX_BITS = 2_000_000
-# longest integer literal, CPython's default int-from-str limit
+# longest integer literal: the program's own cap, read through Decimal
+# under any int-from-str limit of the interpreter
 _MAX_LITERAL_DIGITS = 4300
 # deepest nesting of parentheses; each level takes five interpreter
 # frames, so this stays well inside the default recursion limit of 1000
@@ -78,10 +80,13 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < length and text[j].isdigit():
+            while j < length and text[j].isdecimal():
                 j += 1
+            if j - i > _MAX_LITERAL_DIGITS:
+                raise StructureError(
+                    f"integer literal at offset {i} has over {_MAX_LITERAL_DIGITS} digits")
             tokens.append(_Token("int", text[i:j], i))
             i = j
         elif ch in ("n", "k"):
@@ -142,7 +147,7 @@ class _Product:
 
     def powered(self, exponent: int) -> "_Product":
         if abs(exponent) > _MAX_EXPONENT:
-            raise StructureError(f"exponent {exponent} out of range")
+            raise StructureError(f"exponent {int_text(exponent)} out of range")
         base = self if exponent >= 0 else _Product().over(self)
         e = abs(exponent)
         return _Product(
@@ -295,12 +300,8 @@ class _Parser:
     def atom(self, depth: int) -> tuple[_Product, bool]:
         token = self.peek()
         if token.kind == "int":
-            if len(token.text) > _MAX_LITERAL_DIGITS:
-                raise StructureError(
-                    f"integer literal at offset {token.offset} has over {_MAX_LITERAL_DIGITS} digits"
-                )
-            self.advance()
-            return _Product.from_poly(Polynomial.const(int(token.text))), False
+            literal = int(decimal.Decimal(self.advance().text))
+            return _Product.from_poly(Polynomial.const(literal)), False
         if token.kind == "var":
             self.advance()
             return _Product.from_poly(Polynomial.variable(token.text)), False
@@ -330,7 +331,7 @@ class _Parser:
         if form is None:
             raise StructureError("'!' requires an integer-linear argument")
         if form.is_constant and form.c < 0:
-            raise StructureError(f"factorial of negative constant {form.c}")
+            raise StructureError(f"factorial of negative constant {int_text(form.c)}")
         return _Product(factorials=((form, 1),))
 
     def apply_power(self, base: _Product, depth: int) -> _Product:
@@ -340,9 +341,8 @@ class _Parser:
             negative = token.kind == "-"
             if negative:
                 self.advance()
-            literal = self.expect("int")
-            exponent = -int(literal.text) if negative else int(literal.text)
-            return base.powered(exponent)
+            literal = int(decimal.Decimal(self.expect("int").text))
+            return base.powered(-literal if negative else literal)
         # symbolic exponent: only (-1)^var or (-1)^(linear form)
         if token.kind == "var":
             self.advance()
@@ -391,11 +391,11 @@ def render_term(term: HyperTerm) -> str:
 
     p, q = term.constant.numerator, term.constant.denominator
     if p < 0:
-        num_parts.append(f"({p})")
+        num_parts.append(f"({int_text(p)})")
     elif p != 1:
-        num_parts.append(str(p))
+        num_parts.append(int_text(p))
     if q != 1:
-        den_parts.append(str(q))
+        den_parts.append(int_text(q))
 
     if term.sign_exponent != LinearForm():
         num_parts.append(f"(-1)^{_render_linear(term.sign_exponent)}")
@@ -403,7 +403,7 @@ def render_term(term: HyperTerm) -> str:
     for form, exp in term.factorials:
         text = f"{_render_linear(form)}!"
         if abs(exp) != 1:
-            text += f"^{abs(exp)}"
+            text += f"^{int_text(abs(exp))}"
         (num_parts if exp > 0 else den_parts).append(text)
 
     one = Polynomial.const(1)
@@ -412,7 +412,7 @@ def render_term(term: HyperTerm) -> str:
     if term.poly_den != one:
         den_parts.append(f"({term.poly_den})")
 
-    text = " * ".join(num_parts) if num_parts else ("1" if p == 1 else str(p))
+    text = " * ".join(num_parts) if num_parts else "1"
     for part in den_parts:
         text += f" / {part}"
     return text

@@ -8,11 +8,8 @@ one pair of scaled floors of the sum minus and plus the error (one
 full-width division; the upper floor comes from its remainder), divided
 by 10 until they agree while the bounds straddle a decimal boundary.
 
-Large integers print through decimal.Decimal, whose text conversion is
-linear where CPython's int-to-str is quadratic: an int is converted by
-splitting its bits in halves, in fast multiplications, and term_texts
-carries each accelerated term's numerator and denominator as decimal
-integers from step to step, each step linear in their length.
+Integers print through algebra.int_text; term_texts carries each term's
+numerator and denominator as Decimals, each step linear in their length.
 """
 
 from __future__ import annotations
@@ -22,6 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
+from .algebra import _EXACT, _to_decimal, fraction_text, int_text
 from .errors import DomainError, TailBoundError
 from .series import SeriesSpec
 
@@ -31,14 +29,6 @@ SCALED = "scaled"
 # one truncation loses under 1/scale whatever the term count; 20 guard
 # digits keep that below terms/10^(D+10+log10(terms)) up to 10^10 terms
 _SCALED_GUARD = 20
-# under 4300 digits, CPython's default int-to-str limit
-_STR_BITS = 14_000
-# Decimal(int) is quadratic too, but faster than splitting below this
-_DECIMAL_BITS = 4_096
-# exact integer arithmetic: a result that would need rounding raises
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-                         traps=[decimal.InvalidOperation, decimal.DivisionByZero,
-                                decimal.Overflow, decimal.Inexact, decimal.Rounded])
 
 
 class EvalReport(NamedTuple):
@@ -130,42 +120,6 @@ def _decimal_text(negative: bool, scaled: int, places: int) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-def int_text(value: int) -> str:
-    """str(value) at any length: past CPython's int-to-str limit,
-    through the Decimal conversion, in subquadratic time."""
-    if value.bit_length() < _STR_BITS:
-        return str(value)
-    return str(_to_decimal(value))
-
-
-def fraction_text(value: Fraction) -> str:
-    """str(value), "p/q" or "p", at any length; see int_text."""
-    if value.denominator == 1:
-        return int_text(value.numerator)
-    return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
-
-
-def _to_decimal(value: int) -> decimal.Decimal:
-    """value as an exact Decimal: high·2^w + low for w = half its bits,
-    each half converted the same way, with each 2^w computed once."""
-    powers: dict[int, decimal.Decimal] = {}
-
-    def power(w: int) -> decimal.Decimal:
-        if w not in powers:
-            powers[w] = _EXACT.power(2, w)
-        return powers[w]
-
-    def convert(value: int, bits: int) -> decimal.Decimal:
-        if bits < _DECIMAL_BITS:
-            return decimal.Decimal(value)
-        w = bits // 2
-        high, low = value >> w, value & ((1 << w) - 1)
-        return _EXACT.add(_EXACT.multiply(convert(high, bits - w), power(w)), convert(low, w))
-
-    magnitude = convert(abs(value), abs(value).bit_length())
-    return _EXACT.minus(magnitude) if value < 0 else magnitude
-
-
 def term_texts(series: SeriesSpec, count: int) -> Iterator[tuple[int, str]]:
     """(n, fraction_text(t(n))) for the first `count` terms, the values
     of series.terms(), in time linear in each term's length.
@@ -207,7 +161,7 @@ def measure_rate(series: SeriesSpec, n_lo: int, n_hi: int) -> float:
     ratio steps, since the slope does not depend on t(n_lo)."""
     if n_lo < series.start_index or n_hi <= n_lo:
         raise DomainError(
-            f"need start_index <= n_lo < n_hi, got [{n_lo}, {n_hi}] "
+            f"need start_index <= n_lo < n_hi, got [{int_text(n_lo)}, {int_text(n_hi)}] "
             f"with start_index {series.start_index}"
         )
     import statistics  # only here: it costs every other command's start-up
@@ -222,7 +176,7 @@ def compare_series(a: SeriesSpec, b: SeriesSpec, digits: int) -> int:
     if a.zeta3_multiple != b.zeta3_multiple:
         raise DomainError(
             "series claim different multiples of the limit "
-            f"({a.zeta3_multiple} vs {b.zeta3_multiple})"
+            f"({fraction_text(a.zeta3_multiple)} vs {fraction_text(b.zeta3_multiple)})"
         )
     report_a = sum_to_digits(a, digits)
     report_b = sum_to_digits(b, digits)

@@ -23,7 +23,9 @@ from .algebra import (
     RationalFunction,
     dense_divide,
     dense_gcd,
+    fraction_text,
     horner,
+    int_text,
     integer_root_bound,
 )
 from .errors import (
@@ -33,19 +35,13 @@ from .errors import (
     TailBoundError,
     WZetaError,
 )
-from .terms import HyperTerm
+from .terms import _MAX_RATIO_DEGREE, HyperTerm
 
 ALTERNATING = "alternating"
 POSITIVE = "positive"
 
 # most indices past the cut checked one by one before the certificate
 _MAX_UNCERTIFIED = 10_000
-# largest degree of a side of a series' term ratio, checked from the
-# term's polynomials before the ratio is built and again before the gcd;
-# for (-1)^n/(n+1)^d the gcd takes about 0.07 s at d = 200 on a 2-vCPU
-# machine (building the ratio as long again), and the time grows about
-# as d^3, to 18 s at d = 999; the catalog's largest is 15
-_MAX_RATIO_DEGREE = 200
 # an index whose float estimate of log10|term| is this close to the
 # threshold is decided with the exact term
 _LOG_SLACK = 1e-3
@@ -115,8 +111,8 @@ class SeriesSpec(Frozen):
             num, den = ratio.num.univariate(), ratio.den.univariate()
             degree, at_least = max(len(num), len(den)) - 1, ""
         if degree > _MAX_RATIO_DEGREE:
-            raise WZetaError(f"term ratio of series {self.name!r} has degree {at_least}{degree}, "
-                             f"over the limit of {_MAX_RATIO_DEGREE}")
+            raise WZetaError(f"term ratio of series {self.name!r} has degree "
+                             f"{at_least}{int_text(degree)}, over the limit of {_MAX_RATIO_DEGREE}")
         h = dense_gcd(num, den)
         return dense_divide(num, h), dense_divide(den, h), h, integer_root_bound(h)
 
@@ -162,8 +158,8 @@ class SeriesSpec(Frozen):
         excess, lead = self._lead
         if excess > 0 or (excess == 0 and abs(lead) >= 1):
             raise TailBoundError(f"term ratio of series {self.name!r} tends to modulus "
-                                 f"{'infinity' if excess else abs(lead)}, not below 1: "
-                                 "the series does not converge geometrically")
+                                 f"{'infinity' if excess else fraction_text(abs(lead))}, "
+                                 "not below 1: the series does not converge geometrically")
 
     @cached_property
     def _certified_from(self) -> int | None:

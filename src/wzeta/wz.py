@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .algebra import Frozen, LinearForm, RationalFunction
+from .algebra import Frozen, LinearForm, RationalFunction, fraction_text
 from .errors import DomainError, SingularGrid
 from .series import SeriesSpec
 from .terms import Domain, HyperTerm, cross_ratio, factorial_ladder
@@ -82,16 +82,11 @@ class VerifyReport(NamedTuple):
         return self.failures[0] if self.failures else None
 
     def serialize(self) -> str:
-        lines = [f"{p.n} {p.k} {p.lhs} {p.rhs} fail" for p in self.failures]
-        if self.mode == "grid":
-            lines.append(
-                f"mode=grid points_checked={self.points_checked} outcome={self.outcome}"
-            )
-        else:
-            lines.append(
-                f"mode=symbolic degree_bound={self.degree_bound} "
-                f"points_checked={self.points_checked} outcome={self.outcome}"
-            )
+        lines = [f"{p.n} {p.k} {fraction_text(p.lhs)} {fraction_text(p.rhs)} fail"
+                 for p in self.failures]
+        degree = f" degree_bound={self.degree_bound}" if self.mode == "symbolic" else ""
+        lines.append(f"mode={self.mode}{degree} points_checked={self.points_checked} "
+                     f"outcome={self.outcome}")
         return "\n".join(lines)
 
 
@@ -272,9 +267,7 @@ def lhs_series(pair: WZPair) -> SeriesSpec:
     return SeriesSpec(f"lhs({pair.name})", g_column, 0, pair.zeta3_multiple)
 
 
-def two_sided_gap(
-    pair: WZPair, lhs_count: int = 300, accel_count: int = 50
-) -> tuple[Fraction, Fraction]:
+def two_sided_gap(pair: WZPair, lhs_count: int, accel_count: int) -> tuple[Fraction, Fraction]:
     """(gap, bound) where gap = |partial sums of the two sides| and
     bound = sum of their tail bounds; gap ≤ bound for a true pair."""
     slow = lhs_series(pair)

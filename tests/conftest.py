@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -9,6 +10,24 @@ from wzeta.errors import DomainError
 @pytest.fixture(scope="session")
 def cat():
     return load_catalog()
+
+
+@pytest.fixture
+def int_str_limit():
+    """A function that sets CPython's int-to-str limit (0: none) for the
+    rest of the test; the limit in force before is restored after it. On
+    an interpreter without the limit (before 3.10.7), calling it skips
+    the test."""
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+    def set_limit(digits: int) -> None:
+        if saved is None:
+            pytest.skip("this interpreter has no int-to-str limit")
+        sys.set_int_max_str_digits(digits)
+
+    yield set_limit
+    if saved is not None:
+        sys.set_int_max_str_digits(saved)
 
 
 def valid_points(term, count, seed=0, n_max=14):

@@ -32,10 +32,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_subprocess(*argv, timeout=5, stdout=subprocess.PIPE):
+def run_subprocess(*argv, timeout=5, stdout=subprocess.PIPE, max_str_digits=None):
     """The CLI in a child process of this checkout, killed after timeout s;
-    stdout is captured unless a file is given."""
+    stdout is captured unless a file is given. max_str_digits sets the
+    child's int-to-str limit."""
     env = dict(os.environ, PYTHONPATH=str(Path(wzeta.__file__).parents[1]))
+    if max_str_digits is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = str(max_str_digits)
     return subprocess.run([sys.executable, "-m", "wzeta.cli", *argv], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, env=env, timeout=timeout)
 
@@ -156,6 +159,33 @@ def test_verify_grid_over_the_cap_exits_2_promptly(cat):
         assert_refused(done, str(_MAX_GRID_POINTS))
 
 
+# a pair in 30*n: factorials to about 3000! make each point costly, and
+# 148,600 points at n <= 99, under the point cap, took 85 s
+PAIR_30N = {"f_s1": "(-1)^k * k! * (30*n-k)! / (30*n+1)!",
+            "g_s1": "(-1)^k * k! * (30*n-k+1)! / (30*n+1)!"}
+
+
+def test_verify_past_the_work_limit_exits_2_promptly(tmp_path):
+    from wzeta.cli import _MAX_GRID_WORK
+
+    path = catalog_with(tmp_path, **PAIR_30N)
+    done = run_subprocess("--catalog", path, "verify", "--pair", "s1", "--nmax", "99",
+                          timeout=2)
+    assert_refused(done, "pair s1 at --nmax 99", "3.39e+12", f"limit of {_MAX_GRID_WORK:.3g}")
+
+
+def test_the_work_estimate_admits_the_catalog_at_the_point_cap(cat, tmp_path):
+    from wzeta.cli import _MAX_GRID_POINTS, _MAX_GRID_WORK, _grid_work
+    from wzeta.wz import grid_points
+
+    for name, n_max in (("s1", 547), ("s2", 386)):
+        pair = cat.pair_by_name(name)
+        assert grid_points(pair, n_max + 1, _MAX_GRID_POINTS) > _MAX_GRID_POINTS
+        assert _grid_work(pair, n_max) < _MAX_GRID_WORK
+    slow = catalog.load_catalog(catalog_with(tmp_path, **PAIR_30N)).pair_by_name("s1")
+    assert _grid_work(slow, 60) < _MAX_GRID_WORK < _grid_work(slow, 75)
+
+
 def test_verify_grid_with_a_huge_nmax_exits_2(capsys):
     code, out, err = run(capsys, "verify", "--pair", "s2", "--nmax", str(10**18))
     assert code == 2
@@ -262,7 +292,7 @@ def test_eval_of_deep_nesting_exits_2():
 
 
 _TOKENS = st.sampled_from(["n", "k", "0", "1", "2", "10", "(", ")", "+", "-", "*", "/",
-                           "^", "!", "(-1)^", " "])
+                           "^", "!", "(-1)^", " ", "(10^999)^5"])
 _EXPRESSIONS = st.one_of(
     st.lists(_TOKENS, max_size=30).map("".join),
     st.builds(lambda depth, inner: "(" * depth + inner + ")" * depth,
@@ -508,18 +538,25 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_golden_stdout(capsys, broken_catalog, command):
+# each command at the interpreter's default int-to-str limit, then at
+# 640, the least: the output does not depend on the limit
+@pytest.mark.parametrize("command,limit", [
+    pytest.param(command, limit, id=command if limit is None else f"{command} at 640")
+    for limit in (None, 640) for command in sorted(GOLDEN)
+])
+def test_golden_stdout(capsys, broken_catalog, int_str_limit, command, limit):
+    if limit:
+        int_str_limit(limit)
     code, out, err = run(capsys, *command.format(broken=broken_catalog).split())
     assert code == (1 if "{broken}" in command else 0)
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
 
 
-def test_digits_past_the_int_str_limit(capsys):
+def test_digits_past_the_int_str_limit(capsys, int_str_limit):
     # the decimal string and tail_bound= both have more digits than
     # CPython's default int-to-str limit of 4300
-    assert sys.get_int_max_str_digits() in (0, 4300)
+    int_str_limit(4300)
     code, out, err = run(capsys, "digits", "--series", "s3", "--digits", "4400")
     assert code == 0
     assert err == ""
@@ -679,6 +716,59 @@ def test_factorial_powers_over_the_degree_limit_exit_2_promptly(tmp_path):
     done = run_subprocess("--catalog", path, "digits", "--series", "s3", "--digits", "10",
                           timeout=2)
     assert_refused(done, "series 's3'", "degree at least 1499", "limit of 200")
+
+
+@pytest.mark.parametrize("f_s1,g_s1,degree", [
+    # (30*(k+1))!^30 / (30*k)!^30: still running after 30 s
+    pytest.param("(30*k)!^30 * (n-k)!", "k * (30*k)!^30 * (n-k)!", "900", id="(30*k)!^30"),
+    # an offset loop of 10^4995 steps, which never ended
+    pytest.param("(((10^999)^5)*k)! * (n-k)!", None, "1" + "0" * 4995, id="10^4995*k"),
+])
+@pytest.mark.parametrize("command", [("verify", "--pair", "s1", "--symbolic"),
+                                     ("accelerate", "--pair", "s1", "--terms", "3")],
+                         ids=["verify", "accelerate"])
+def test_a_pair_ratio_over_the_degree_limit_exits_2_promptly(tmp_path, f_s1, g_s1, degree,
+                                                             command):
+    path = catalog_with(tmp_path, f_s1=f_s1, **({"g_s1": g_s1} if g_s1 else {}))
+    done = run_subprocess("--catalog", path, *command, timeout=2)
+    assert_refused(done, f"degree {degree}, over the limit of 200")
+
+
+# each ended in a ValueError traceback, its message holding a number of
+# 4996 digits, past the default int-to-str limit
+@pytest.mark.parametrize("expr,fragment", [
+    ("(0-(10^999)^5)!", "factorial of negative constant -1" + "0" * 4995 + "\n"),
+    ("n^((10^999)^5)", "exponent 1" + "0" * 4995 + " out of range"),
+], ids=["(0-(10^999)^5)!", "n^((10^999)^5)"])
+def test_eval_of_a_huge_number_in_a_diagnostic_exits_2(expr, fragment):
+    assert_refused(run_subprocess("eval", "--expr", expr, "--n", "1"), fragment)
+
+
+def test_a_series_of_a_huge_degree_exits_2(tmp_path):
+    path = catalog_with(tmp_path, s3="(-1)^n / (((10^999)^5)*n)!")
+    done = run_subprocess("--catalog", path, "digits", "--series", "s3", "--digits", "10")
+    assert_refused(done, "series 's3' has degree at least 5" + "0" * 4994 + ", over")
+
+
+@pytest.mark.parametrize("expr,n", [("n!^3", 500), ("7" * 700, 1)], ids=["n!^3", "700 digits"])
+def test_eval_prints_under_a_low_int_str_limit(int_str_limit, expr, n):
+    from wzeta.dsl import parse_term
+
+    int_str_limit(0)  # the reference only
+    expected = str(parse_term(expr).value_at(n)) + "\n"
+    done = run_subprocess("eval", "--expr", expr, "--n", str(n), max_str_digits=640)
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+
+
+def test_verify_failures_print_under_a_low_int_str_limit(tmp_path):
+    # the failures' values pass 640 digits from n = 44 on; the pair is not
+    # a WZ pair, so every point fails
+    path = catalog_with(tmp_path, f_s1="n!^12 * k! * (n-k)!", g_s1="k! * (n-k+1)!")
+    argv = ("--catalog", path, "verify", "--pair", "s1", "--nmax", "50")
+    done = run_subprocess(*argv, max_str_digits=640)
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout.splitlines()[-1] == "FAIL"
+    assert done.stdout == run_subprocess(*argv).stdout
 
 
 def test_catalog_size_limit(capsys, tmp_path):

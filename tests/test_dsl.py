@@ -66,6 +66,7 @@ def test_parenthesized_factorial_of_compound_argument():
         ("(-1)^n^2", 6),  # chained exponent
         ("k! ** 2", 4),  # '**' is not an operator
         ("x+1", 0),  # unknown character
+        ("n*\u00b2", 2),  # a digit, but not a decimal one: int() refuses it
         ("(n+1", 4),  # unclosed group
         ("", 0),  # empty input
         ("n!!", 2),  # double factorial
@@ -106,6 +107,10 @@ def test_parentheses_nest_up_to_the_cap(prefix):
         "(0-3)!",  # factorial of a negative constant
         "n^(k)",  # exponent must be integer or a linear form on -1
         "(n+1)^999999",  # exponent out of range
+        # the same two with 4996 digits, past the default int-to-str limit
+        "(0-(10^999)^5)!",
+        "n^((10^999)^5)",
+        pytest.param("n^" + "1" * 4301, id="n^(4301 digits)"),  # over the literal cap
     ],
 )
 def test_structure_errors(text):
@@ -155,6 +160,16 @@ def test_polynomials_at_the_coefficient_cap_are_accepted():
 def test_sizes_past_the_bit_cap_are_refused(text):
     with pytest.raises(StructureError, match="(over 2000000 bits|over 4300 digits)$"):
         parse_term(text)
+
+
+def test_render_past_the_int_str_limit(int_str_limit):
+    int_str_limit(0)  # the reference only
+    expected = str(int("7" * 4300) ** 2)
+    int_str_limit(640)
+    term = parse_term("7" * 4300 + "*" + "7" * 4300)
+    assert render_term(term) == expected
+    assert repr(term) == f"HyperTerm({expected!r})"
+    assert str(Polynomial.const(-7 * (10**4300 - 1) // 9)) == "-" + "7" * 4300
 
 
 def test_sizes_at_the_bit_cap_are_accepted():

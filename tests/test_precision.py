@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import statistics
@@ -298,20 +299,29 @@ def test_measure_rate_rejects_a_zero_term(n_lo):
         precision.measure_rate(series, n_lo, 10)
 
 
-@pytest.mark.parametrize(
-    "value",
-    [0, 7, -7, 10**4299, 10**4300 - 1, 3**20000, -(7**9000), 10**12000,
-     math.factorial(128767)],
-    ids=["0", "7", "-7", "10^4299", "10^4300-1", "3^20000", "-7^9000", "10^12000",
-         "128767!"],
-)
-def test_int_text_matches_str_past_the_limit(value):
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # the reference only; restored below
-    try:
-        expected = str(value), str(Fraction(value, 3))
-    finally:
-        sys.set_int_max_str_digits(limit)
+_INT_TEXT_CASES = [
+    (0, "0"), (7, "7"), (-7, "-7"), (10**4299, "10^4299"), (10**4300 - 1, "10^4300-1"),
+    (3**20000, "3^20000"), (-(7**9000), "-7^9000"), (10**12000, "10^12000"),
+    (math.factorial(128767), "128767!"),
+]
+
+
+@functools.cache
+def reference_texts(value):
+    """str(value) and str(value/3), computed once per value; the caller
+    lifts the int-to-str limit."""
+    return str(value), str(Fraction(value, 3))
+
+
+# each case at the interpreter's default limit, then at 640, the least
+@pytest.mark.parametrize("value,limit", [
+    pytest.param(value, limit, id=name if limit is None else f"{name} at 640")
+    for limit in (None, 640) for value, name in _INT_TEXT_CASES
+])
+def test_int_text_matches_str_past_the_limit(int_str_limit, value, limit):
+    int_str_limit(0)  # the reference only
+    expected = reference_texts(value)
+    int_str_limit(limit or sys.int_info.default_max_str_digits)
     assert precision.int_text(value) == expected[0]
     assert precision.fraction_text(Fraction(value, 3)) == expected[1]
 
@@ -330,10 +340,9 @@ def test_term_texts_restart_as_terms_does(text, start, count):
 
 
 @pytest.mark.parametrize("pair", ["s1", "s2"])
-def test_term_texts_match_the_fraction_walk(cat, pair):
-    # at the default int-to-str limit; s2's denominators pass 4300 digits
-    # from term 2996 on
-    assert sys.get_int_max_str_digits() in (0, 4300)
+def test_term_texts_match_the_fraction_walk(cat, int_str_limit, pair):
+    # s2's denominators pass the default limit of 4300 digits from term 2996 on
+    int_str_limit(4300)
     series = accelerate(cat.pair_by_name(pair))
     values = itertools.islice(series.terms(), 3000)
     for (n, value), (m, text) in zip(values, precision.term_texts(series, 3000), strict=True):

@@ -50,6 +50,10 @@ def test_value_outside_domain_raises():
         t.value_at(1, 1)  # (n-k-1)! argument negative
     with pytest.raises(DomainError):
         t.value_at(0, 0)
+    # a domain that omits the factorial argument, of 4996 digits
+    loose = HyperTerm(factorials=((LinearForm(1, 0, -10**4995), 1),), domain=Domain())
+    with pytest.raises(DomainError, match=r"argument n-10{4995} = -10{4995} < 0 at \(n=0, k=0\)$"):
+        loose.value_at(0)
 
 
 def test_vanishing_poly_denominator_raises():
@@ -86,6 +90,9 @@ def test_factorial_merge_and_cancel():
 def test_negative_constant_factorial_rejected():
     with pytest.raises(DomainError):
         HyperTerm(factorials=((LinearForm(0, 0, -2), 1),))
+    # 4996 digits, past the default int-to-str limit
+    with pytest.raises(DomainError, match="constant -10{4995}$"):
+        HyperTerm(factorials=((LinearForm(0, 0, -10**4995), 1),))
 
 
 def test_shifted_matches_evaluation():
@@ -161,6 +168,22 @@ def test_cross_ratio_requires_aligned_factorials():
     plain = HyperTerm()
     with pytest.raises(IncompatibleTerms):
         cross_ratio(HyperTerm(factorials=((K, 1),)), plain)
+
+
+@pytest.mark.parametrize("a,exp,degree", [
+    pytest.param(1, 201, "201", id="k!^201"),
+    pytest.param(30, 30, "900", id="(30*k)!^30"),
+    # an offset loop of 10^4995 steps
+    pytest.param(10**4995, 1, "10{4995}", id="(10^4995*k)!"),
+])
+def test_cross_ratio_refuses_a_high_degree_before_expanding(a, exp, degree):
+    from wzeta.errors import WZetaError
+
+    term = HyperTerm(factorials=((LinearForm(0, a, 0), exp),))
+    with pytest.raises(WZetaError, match=f"has degree {degree}, over the limit of 200$"):
+        term.shift_ratio(0, 1)
+    at_limit = HyperTerm(factorials=((K, 200),)).shift_ratio(0, 1)
+    assert at_limit.num == LinearForm(0, 1, 1).to_polynomial() ** 200
 
 
 def test_cross_ratio_requires_even_sign_difference():

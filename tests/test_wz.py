@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,15 @@ def test_report_serialization(cat, broken_pair):
 
     symbolic = wz.verify_symbolic(cat.pair_by_name("s1")).serialize()
     assert symbolic.startswith("mode=symbolic degree_bound=")
+
+
+def test_report_serialization_past_the_int_str_limit(int_str_limit):
+    lhs, rhs = Fraction(7**5916, 3), Fraction(-1, 7**5916)  # 7^5916 has 5000 digits
+    int_str_limit(0)  # the reference only
+    expected = f"3 1 {lhs} {rhs} fail\nmode=grid points_checked=9 outcome=fail"
+    int_str_limit(sys.int_info.default_max_str_digits)
+    failure = wz.FailurePoint(3, 1, lhs, rhs)
+    assert wz.VerifyReport("grid", "fail", 9, failures=(failure,)).serialize() == expected
 
 
 def narrowed(term, bound):
