@@ -74,11 +74,15 @@ class LinearForm(NamedTuple):
     def __str__(self) -> str:
         return str(self.to_polynomial())
 
+    def __repr__(self) -> str:
+        return value_repr(self)
+
 
 class Frozen:
     """Base of the immutable values. Attributes are set once, in the
     constructor, by object.__setattr__; a value is equal to one of the
-    same class with an equal _key, and is hashed and shown by _key."""
+    same class with an equal _key, and is hashed and shown by _key,
+    through value_repr."""
 
     __slots__ = ()
 
@@ -92,7 +96,7 @@ class Frozen:
         return hash(self._key)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}{self._key!r}"
+        return f"{type(self).__name__}{value_repr(self._key)}"
 
 
 class Polynomial(Frozen):
@@ -408,6 +412,23 @@ def fraction_text(value: Fraction) -> str:
     if value.denominator == 1:
         return int_text(value.numerator)
     return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
+
+
+def value_repr(value) -> str:
+    """repr(value) with the ints and Fractions in it, inside tuples and
+    named tuples at any depth, shown through int_text; other values by
+    their own repr."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, tuple)):
+        return repr(value)
+    if isinstance(value, int):
+        return int_text(value)
+    if isinstance(value, Fraction):
+        return f"Fraction({int_text(value.numerator)}, {int_text(value.denominator)})"
+    items = [value_repr(item) for item in value]
+    if hasattr(value, "_fields"):
+        fields = ", ".join(f"{name}={item}" for name, item in zip(value._fields, items))
+        return f"{type(value).__name__}({fields})"
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
 def _to_decimal(value: int) -> decimal.Decimal:

@@ -19,7 +19,6 @@ from .algebra import fraction_text, int_text
 from .errors import WZetaError
 from .terms import factorial_bits
 
-_COMPARE_DECIMALS = 30
 _COMPARE_LHS_TERMS = 300
 # largest grid `verify` checks; s2, the slower pair, takes about 19 s
 # in-process and 21 s through the CLI at this size (n <= 386) on a 2-vCPU
@@ -41,7 +40,7 @@ _MAX_DIGITS = 60_000
 # start + ⌈D/rate⌉: s1, s2 and s3 at 60,000 digits come to 10.2M, 9.9M
 # and 12.4M; a series of rate 0.044 to 15.1M at 1000 digits, a 16 s run
 _MAX_TREE_BITS = 16_000_000
-# largest `accelerate --terms`; s2, the slower pair, takes about 3 s
+# largest `accelerate --terms`; s2, the slower pair, takes 1.6-2.0 s
 # through the CLI at this size on a 2-vCPU machine and prints 72 MB
 _MAX_TERMS = 10_000
 # largest `rate --lo`/`--hi`; s3, the slowest catalog series, takes about
@@ -52,6 +51,14 @@ _MAX_RATE_INDEX = 20_000
 # denominator; n! at n = 128,767 takes about 1.1 s through the CLI on a
 # 2-vCPU machine, 0.3 s of it printing its 602,055 digits
 _MAX_EVAL_BITS = 2_000_000
+
+
+def _integer(text: str) -> int:
+    """An integer option's value, read by dsl.read_integer."""
+    try:
+        return dsl.read_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_digits = sub.add_parser("digits", help="sum a series to certified digits")
     p_digits.add_argument("--series", required=True, help="series name (e.g. s2)")
-    p_digits.add_argument("--digits", required=True, type=int, metavar="D",
+    p_digits.add_argument("--digits", required=True, type=_integer, metavar="D",
                           help=f"certified decimal places, at most {_MAX_DIGITS}")
     p_digits.add_argument(
         "--mode", choices=(precision.EXACT, precision.SCALED), default=precision.EXACT
@@ -81,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--pair", required=True, help="pair name (s1 or s2)")
     p_verify.add_argument(
         "--nmax",
-        type=int,
+        type=_integer,
         default=30,
         metavar="N",
         help=f"check every point with n <= N (default 30); grids of more "
@@ -99,20 +106,20 @@ def _build_parser() -> argparse.ArgumentParser:
         help="prove a pair symbolically, then print its diagonal series",
     )
     p_accel.add_argument("--pair", required=True)
-    p_accel.add_argument("--terms", required=True, type=int, metavar="T",
+    p_accel.add_argument("--terms", required=True, type=_integer, metavar="T",
                          help=f"terms to print, 1 to {_MAX_TERMS}")
 
     p_rate = sub.add_parser("rate", help="measure decimal digits gained per term")
     p_rate.add_argument("--series", required=True)
-    p_rate.add_argument("--lo", required=True, type=int)
-    p_rate.add_argument("--hi", required=True, type=int,
+    p_rate.add_argument("--lo", required=True, type=_integer)
+    p_rate.add_argument("--hi", required=True, type=_integer,
                         help=f"last index; --lo and --hi are at most {_MAX_RATE_INDEX}")
 
     p_eval = sub.add_parser("eval", help="evaluate a term expression exactly")
     p_eval.add_argument("--expr", required=True, metavar="TEXT")
-    p_eval.add_argument("--n", required=True, type=int, help="values over "
+    p_eval.add_argument("--n", required=True, type=_integer, help="values over "
                         f"{_MAX_EVAL_BITS} bits (Stirling estimate) are refused")
-    p_eval.add_argument("--k", type=int, default=0)
+    p_eval.add_argument("--k", type=_integer, default=0)
 
     return parser
 
@@ -199,16 +206,10 @@ def _cmd_accelerate(cat, args) -> int:
         return 1
     for n, text in precision.term_texts(wz.accelerate(pair), args.terms):
         print(f"{n} {text}")
-    gap, bound = wz.two_sided_gap(
+    gap, bound, status = wz.two_sided_gap(
         pair, lhs_count=_COMPARE_LHS_TERMS, accel_count=args.terms
     )
-    status = "ok" if gap <= bound else "fail"
-    print(
-        f"lhs_terms={_COMPARE_LHS_TERMS} "
-        f"gap={precision.truncated_decimal(gap, _COMPARE_DECIMALS)} "
-        f"bound={precision.truncated_decimal(bound, _COMPARE_DECIMALS)} "
-        f"status={status}"
-    )
+    print(f"lhs_terms={_COMPARE_LHS_TERMS} gap={gap} bound={bound} status={status}")
     return 0 if status == "ok" else 1
 
 

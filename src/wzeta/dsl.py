@@ -300,7 +300,7 @@ class _Parser:
     def atom(self, depth: int) -> tuple[_Product, bool]:
         token = self.peek()
         if token.kind == "int":
-            literal = int(decimal.Decimal(self.advance().text))
+            literal = read_integer(self.advance().text)
             return _Product.from_poly(Polynomial.const(literal)), False
         if token.kind == "var":
             self.advance()
@@ -341,7 +341,7 @@ class _Parser:
             negative = token.kind == "-"
             if negative:
                 self.advance()
-            literal = int(decimal.Decimal(self.expect("int").text))
+            literal = read_integer(self.expect("int").text)
             return base.powered(-literal if negative else literal)
         # symbolic exponent: only (-1)^var or (-1)^(linear form)
         if token.kind == "var":
@@ -366,6 +366,18 @@ class _Parser:
         if not (base.is_polynomial and base.num == Polynomial.const(-1)):
             raise StructureError("only (-1) may carry a symbolic exponent")
         return _Product(sign=exponent_form)
+
+
+def read_integer(text: str) -> int:
+    """text as an integer, read as the DSL reads its literals: an optional
+    sign, then at most _MAX_LITERAL_DIGITS decimal digits, converted
+    through Decimal, so under any int-to-str limit. ValueError otherwise."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not digits.isdecimal():
+        raise ValueError(f"not an integer: {text!r}")
+    if len(digits) > _MAX_LITERAL_DIGITS:
+        raise ValueError(f"an integer of over {_MAX_LITERAL_DIGITS} digits")
+    return int(decimal.Decimal(text))
 
 
 def parse_term(text: str) -> HyperTerm:

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .algebra import _EXACT, _to_decimal, fraction_text, int_text
+from .algebra import _EXACT, _to_decimal, fraction_text, int_text, value_repr
 from .errors import DomainError, TailBoundError
 from .series import SeriesSpec
 
@@ -39,6 +39,9 @@ class EvalReport(NamedTuple):
     tail_bound: Fraction
     rounding_bound: Fraction
     certified_digits: int
+
+    def __repr__(self) -> str:
+        return value_repr(self)
 
     def serialize(self) -> str:
         return "\n".join(

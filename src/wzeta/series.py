@@ -306,12 +306,17 @@ class SeriesSpec(Frozen):
 
     def tail_bound(self, count: int) -> Fraction:
         """Exact rational upper bound on |sum of all terms after the
-        first `count`|.
+        first `count`|, and on |sum of any finite run of them from the
+        first on|: |partial_sum(c2) - partial_sum(count)| for every c2 >
+        count.
 
         Alternating series: the first omitted term, with each ratio from
         the cut up to _certified_from checked to lie in (-1, 0), the
-        certificate for the rest, and geometric convergence. Positive
-        series: a telescoping comparison certified by coefficient checks.
+        certificate for the rest, and geometric convergence; the terms
+        alternate and shrink, so every run from the cut on sums to at
+        most the first (Leibniz). Positive series: a telescoping
+        comparison certified by coefficient checks; the terms are
+        nonnegative, so every run sums to at most the whole tail.
         """
         if count < 1:
             raise DomainError("tail_bound requires at least one summed term")

@@ -18,10 +18,17 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .algebra import Frozen, LinearForm, RationalFunction, fraction_text
-from .errors import DomainError, SingularGrid
+from .algebra import Frozen, LinearForm, RationalFunction, fraction_text, value_repr
+from .errors import DomainError, SingularGrid, WZetaError
+from .precision import truncated_decimal
 from .series import SeriesSpec
 from .terms import Domain, HyperTerm, cross_ratio, factorial_ladder
+
+# decimals of two_sided_gap's texts
+_GAP_PLACES = 30
+# diagonal terms two_sided_gap first sums exactly; the tail bound of s1's
+# diagonal there, the slower bundled one at 0.6 digits a term, is 2e-43
+_FIRST_GAP_TERMS = 64
 
 
 class WZPair(Frozen):
@@ -68,6 +75,9 @@ class FailurePoint(NamedTuple):
     k: int
     lhs: Fraction
     rhs: Fraction
+
+    def __repr__(self) -> str:
+        return value_repr(self)
 
 
 class VerifyReport(NamedTuple):
@@ -267,11 +277,52 @@ def lhs_series(pair: WZPair) -> SeriesSpec:
     return SeriesSpec(f"lhs({pair.name})", g_column, 0, pair.zeta3_multiple)
 
 
-def two_sided_gap(pair: WZPair, lhs_count: int, accel_count: int) -> tuple[Fraction, Fraction]:
-    """(gap, bound) where gap = |partial sums of the two sides| and
-    bound = sum of their tail bounds; gap ≤ bound for a true pair."""
-    slow = lhs_series(pair)
-    fast = accelerate(pair)
-    gap = abs(slow.partial_sum(lhs_count) - fast.partial_sum(accel_count))
-    bound = slow.tail_bound(lhs_count) + fast.tail_bound(accel_count)
-    return gap, bound
+def two_sided_gap(pair: WZPair, lhs_count: int, accel_count: int) -> tuple[str, str, str]:
+    """(gap, bound, verdict) for the column's first lhs_count terms and
+    the diagonal's first accel_count: gap is |the difference of the two
+    partial sums| and bound the sum of their tail bounds, each truncated
+    to _GAP_PLACES decimals, and verdict is "ok" if gap ≤ bound, "fail"
+    otherwise; a true pair is "ok".
+
+    The diagonal is summed exactly only to its first m terms. Its printed
+    terms after those sum to r with |r| ≤ s = tail_bound(m), which bounds
+    every finite run of terms after the cut, so the exact gap |x − r|,
+    x = column − diagonal to m, lies in [|x| − s, |x| + s]. Where both
+    ends truncate to the same text and lie on the same side of the bound,
+    that text and side are the line's. Otherwise, or where tail_bound(m)
+    raises or the step at the cut is zero or undefined, m doubles, up to
+    m = accel_count, where s = 0 and the gap is the exact one. Each sum
+    to m is a prefix of the exact sum, so it raises only the exact sum's
+    error, and a try decides only once the steps past its cut are checked
+    to be nonzero ratios, so that the exact sum would raise nothing: every
+    input gives the exact sums' line or raises their error.
+    """
+    slow, fast = lhs_series(pair), accelerate(pair)
+    slow_sum = slow.partial_sum(lhs_count)
+    bound = None
+    count = min(_FIRST_GAP_TERMS, accel_count)
+    while True:
+        spread = _run_bound(fast, count) if count < accel_count else Fraction(0)
+        if spread is not None:
+            x = abs(slow_sum - fast.partial_sum(count))
+            low, high = x - spread, x + spread
+            gap = truncated_decimal(high, _GAP_PLACES)
+            if truncated_decimal(low, _GAP_PLACES) == gap:
+                if bound is None:  # after the sums, so their errors come first
+                    bound =slow.tail_bound(lhs_count) + fast.tail_bound(accel_count)
+                if high <= bound or low > bound:
+                    verdict = "ok" if high <= bound else "fail"
+                    return gap, truncated_decimal(bound, _GAP_PLACES), verdict
+        count = min(2 * count, accel_count)
+
+
+def _run_bound(series: SeriesSpec, count: int) -> Fraction | None:
+    """tail_bound(count), or None where it raises or where the step at
+    the cut is zero or undefined. Past a positive series' certified cut,
+    only the step at the cut itself can be zero; partial_sum would then
+    evaluate each later term on its own, and those may raise."""
+    try:
+        bound = series.tail_bound(count)
+    except WZetaError:
+        return None
+    return bound if series.ratio_step(series.start_index + count)[0] else None

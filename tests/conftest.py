@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from wzeta import load_catalog
+from wzeta import accelerate, lhs_series, load_catalog, truncated_decimal
 from wzeta.errors import DomainError
 
 
@@ -52,3 +52,13 @@ def valid_points(term, count, seed=0, n_max=14):
             continue
         points.append((n, k))
     return points
+
+
+def exact_gap_line(pair, lhs_count, accel_count):
+    """two_sided_gap's reference: the exact gap of the two partial sums
+    and the sum of their tail bounds, truncated to 30 decimals, and
+    whether the gap is within the bound."""
+    slow, fast = lhs_series(pair), accelerate(pair)
+    gap = abs(slow.partial_sum(lhs_count) - fast.partial_sum(accel_count))
+    bound = slow.tail_bound(lhs_count) + fast.tail_bound(accel_count)
+    return truncated_decimal(gap, 30), truncated_decimal(bound, 30), "ok" if gap <= bound else "fail"

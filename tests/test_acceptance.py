@@ -8,7 +8,7 @@ import zlib
 from fractions import Fraction
 
 import pytest
-from conftest import valid_points
+from conftest import exact_gap_line, valid_points
 from handbuilt import handbuilt_series, handbuilt_terms
 
 from wzeta import (
@@ -120,11 +120,12 @@ def test_criterion_06_two_sided_limit_agreement():
     details = []
     ok = True
     for name in ("s1", "s2"):
-        gap, bound = two_sided_gap(
-            CAT.pair_by_name(name), lhs_count=300, accel_count=50
-        )
-        ok = ok and gap <= bound
-        details.append(f"{name}: gap {float(gap):.3e} <= bound {float(bound):.3e}")
+        pair = CAT.pair_by_name(name)
+        line = two_sided_gap(pair, lhs_count=300, accel_count=50)
+        gap, bound, verdict = line
+        ok = ok and verdict == "ok" and line == exact_gap_line(pair, 300, 50)
+        details.append(f"{name}: gap {float(gap):.3e} <= bound {float(bound):.3e}, "
+                       "as from the exact sums")
     report(6, ok, "; ".join(details))
 
 

@@ -603,6 +603,29 @@ def test_accelerate_at_the_terms_cap_is_prompt(tmp_path):
     assert digest.hexdigest() == "af18971e305ea50cacddf8dcfed8c628a6d9b8c502bd0199966e90db68bee3d1"
 
 
+def test_integer_options_past_the_int_str_limit():
+    # option values are read as the DSL reads its literals, not by int()
+    sevens = "7" * 700
+    done = run_subprocess("eval", "--expr", "n", "--n", sevens, max_str_digits=640)
+    assert (done.returncode, done.stdout, done.stderr) == (0, sevens + "\n", "")
+
+
+@pytest.mark.parametrize("value,message", [
+    pytest.param("abc", "not an integer: 'abc'", id="letters"),
+    pytest.param("1_000", "not an integer: '1_000'", id="underscore"),
+    pytest.param(" 5", "not an integer: ' 5'", id="space"),
+    pytest.param("--5", "not an integer: '--5'", id="two signs"),
+    pytest.param("7" * 4301, "an integer of over 4300 digits", id="4301 digits"),
+])
+def test_malformed_integer_options_exit_2(capsys, value, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["eval", "--expr", "n", f"--n={value}"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f"argument --n: {message}")
+
+
 def test_eval_at_the_bits_cap_is_prompt():
     # n! at n = 128,767, 602,055 digits, is just under _MAX_EVAL_BITS;
     # its text took 4.96 s through splitting by powers of ten

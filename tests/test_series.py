@@ -247,6 +247,18 @@ def test_positive_tail_bound_soundness(cat):
             assert bound < 4 * observed_tail
 
 
+@pytest.mark.parametrize("name", ["s1", "s2", "lhs_s1", "lhs_s2"])
+def test_tail_bound_bounds_every_finite_run(cat, name):
+    # accel(s1), accel(s2) alternate; lhs_s1, lhs_s2 are positive
+    series = (accelerate(cat.pair_by_name(name)) if name in ("s1", "s2")
+              else cat.series_by_name(name))
+    sums = [series.partial_sum(count) for count in range(121)]
+    for first in (1, 2, 5, 20, 64):
+        bound = series.tail_bound(first)
+        for last in range(first + 1, 121):
+            assert abs(sums[last] - sums[first]) <= bound, (first, last)
+
+
 def test_positive_tail_bound_rejects_negative_terms():
     series = alt_series("(-1)^(2*n+1) / (n+1)^3")  # positive ratio, negative terms
     assert series.sign_pattern == POSITIVE

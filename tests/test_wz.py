@@ -3,10 +3,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from conftest import exact_gap_line
 
 from wzeta.algebra import LinearForm, Polynomial, RationalFunction
 from wzeta.dsl import parse_term
-from wzeta.errors import DomainError
+from wzeta.errors import DomainError, TailBoundError
+from wzeta.precision import EvalReport
+from wzeta.series import SeriesSpec
 from wzeta.terms import Domain, HyperTerm
 from wzeta import wz
 
@@ -146,8 +149,75 @@ def test_lhs_matches_catalog_entries(cat):
 
 @pytest.mark.parametrize("name", ["s1", "s2"])
 def test_two_sided_gap_within_bounds(cat, name):
-    gap, bound = wz.two_sided_gap(cat.pair_by_name(name), lhs_count=200, accel_count=30)
-    assert gap <= bound
+    # the exact sums' line: below 64 terms, where the first try is the
+    # exact sum, and at the benchmark's counts and the CLI's cap, where
+    # the first 64 terms decide it
+    pair = cat.pair_by_name(name)
+    line = wz.two_sided_gap(pair, lhs_count=200, accel_count=30)
+    assert line == exact_gap_line(pair, 200, 30)
+    assert line[2] == "ok"
+    for count in [*range(1, 61), 2500, 4000, 10_000]:
+        assert wz.two_sided_gap(pair, 300, count) == exact_gap_line(pair, 300, count), count
+
+
+def test_two_sided_gap_of_a_false_pair_fails(broken_pair):
+    for count in (30, 100):
+        line = wz.two_sided_gap(broken_pair, 300, count)
+        assert line == exact_gap_line(broken_pair, 300, count)
+        assert line[2] == "fail"
+
+
+@pytest.mark.parametrize("count", [3, 64, 65, 200, 1000])
+def test_two_sided_gap_falls_through_to_the_exact_sum(cat, monkeypatch, count):
+    # with no tail bound short of count, only the exact step can decide
+    pair = cat.pair_by_name("s2")
+    expected = exact_gap_line(pair, 300, count)
+    tail_bound, partial_sum = SeriesSpec.tail_bound, SeriesSpec.partial_sum
+    summed = []
+
+    def no_short_bound(self, summed_count):
+        if self.name.startswith("accel(") and summed_count < count:
+            raise TailBoundError("refused")
+        return tail_bound(self, summed_count)
+
+    def recorded(self, summed_count, first_index=None):
+        if self.name.startswith("accel("):
+            summed.append(summed_count)
+        return partial_sum(self, summed_count, first_index)
+
+    monkeypatch.setattr(SeriesSpec, "tail_bound", no_short_bound)
+    monkeypatch.setattr(SeriesSpec, "partial_sum", recorded)
+    assert wz.two_sided_gap(pair, 300, count) == expected
+    assert summed == [count]
+
+
+def test_two_sided_gap_decides_from_a_short_sum(cat, monkeypatch):
+    # at the terms cap, s2's diagonal is stepped a few dozen times, not
+    # 10,000: the first try, 64 terms, decides the line
+    ratio_step = SeriesSpec.ratio_step
+    steps = []
+
+    def counted(self, n):
+        if self.name == "accel(s2)":
+            steps.append(n)
+        return ratio_step(self, n)
+
+    monkeypatch.setattr(SeriesSpec, "ratio_step", counted)
+    assert wz.two_sided_gap(cat.pair_by_name("s2"), 300, 10_000)[2] == "ok"
+    assert 0 < len(steps) <= 300, len(steps)
+
+
+def test_a_zero_step_at_the_cut_leaves_the_run_to_the_exact_sum(cat):
+    # a positive tail certified at n = 5, where the ratio (n-5)^2/(n+1)^3
+    # is zero: the terms after it are not evaluated by the ratio, and
+    # term_at(7) is outside the domain
+    series = SeriesSpec("t", parse_term("1/(5-n)!^2/n!^3"))
+    assert series.tail_bound(5) == Fraction(1, 864000)
+    with pytest.raises(DomainError):
+        series.partial_sum(8)
+    assert wz._run_bound(series, 5) is None
+    slow = cat.series_by_name("lhs_s1")
+    assert wz._run_bound(slow, 300) == slow.tail_bound(300)
 
 
 def test_report_serialization(cat, broken_pair):
@@ -169,6 +239,28 @@ def test_report_serialization_past_the_int_str_limit(int_str_limit):
     int_str_limit(sys.int_info.default_max_str_digits)
     failure = wz.FailurePoint(3, 1, lhs, rhs)
     assert wz.VerifyReport("grid", "fail", 9, failures=(failure,)).serialize() == expected
+
+
+def test_reprs_past_the_int_str_limit(int_str_limit):
+    big = 7**6000  # 5071 digits
+    int_str_limit(0)  # the references only
+    expected = {
+        "failure": f"FailurePoint(n=1, k=0, lhs=Fraction({big}, 1), rhs=Fraction(1, 1))",
+        "form": f"LinearForm(a={big}, b=0, c=-{big})",
+        "series": f"SeriesSpec('t', HyperTerm('(n)'), 0, Fraction(1, {big}))",
+        "report": f"VerifyReport(mode='grid', outcome='fail', points_checked=1, degree_bound=None, "
+                  f"failures=(FailurePoint(n=1, k=0, lhs=Fraction({big}, 1), rhs=Fraction(1, 1)),))",
+        "digits": f"EvalReport(series='s3', mode='exact', decimal_string='1.2', terms_used=1, "
+                  f"tail_bound=Fraction(1, {big}), rounding_bound=Fraction(0, 1), certified_digits=1)",
+    }
+    int_str_limit(sys.int_info.default_max_str_digits)
+    failure = wz.FailurePoint(1, 0, Fraction(big), Fraction(1))
+    assert repr(failure) == expected["failure"]
+    assert repr(LinearForm(big, 0, -big)) == expected["form"]
+    assert repr(SeriesSpec("t", parse_term("n"), 0, Fraction(1, big))) == expected["series"]
+    assert repr(wz.VerifyReport("grid", "fail", 1, failures=(failure,))) == expected["report"]
+    digits = EvalReport("s3", "exact", "1.2", 1, Fraction(1, big), Fraction(0), 1)
+    assert repr(digits) == expected["digits"]
 
 
 def narrowed(term, bound):
