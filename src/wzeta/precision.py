@@ -9,7 +9,8 @@ full-width division; the upper floor comes from its remainder), divided
 by 10 until they agree while the bounds straddle a decimal boundary.
 
 Integers print through algebra.int_text; term_texts carries each term's
-numerator and denominator as Decimals, each step linear in their length.
+numerator and denominator as Decimals, each step linear in their length,
+along SeriesSpec.walk, whose restart rule is the one rule.
 """
 
 from __future__ import annotations
@@ -124,31 +125,23 @@ def _decimal_text(negative: bool, scaled: int, places: int) -> str:
 
 
 def term_texts(series: SeriesSpec, count: int) -> Iterator[tuple[int, str]]:
-    """(n, fraction_text(t(n))) for the first `count` terms, the values
-    of series.terms(), in time linear in each term's length.
+    """(n, fraction_text(t(n))) for the first `count` terms, along
+    series.walk, in time linear in each term's length.
 
     The reduced numerator P and denominator Q of t(n) are carried as
     Decimal integers and multiplied by each ratio step p/q as Fraction
     does: with g1 = gcd(P, q) and g2 = gcd(p, Q), P·p/(Q·q) is
     (P/g1)·(p/g2) / ((Q/g2)·(q/g1)) in lowest terms, and each gcd, division
-    and product has one small operand. After a zero term or where the
-    ratio is undefined, the walk restarts from term_at, as terms() does.
+    and product has one small operand. Where the walk restarts, P and Q
+    come from the term it gives.
     """
-    n = series.start_index
-    end = n + count
-    num = den = None  # None: start from term_at(n)
-    while n < end:
-        if num is None:
-            value = series.term_at(n)
+    for n, value, step in series.walk(series.start_index, series.start_index + count):
+        if not step:
             num, den = _to_decimal(value.numerator), _to_decimal(value.denominator)
-        yield n, str(num) if den == 1 else f"{num}/{den}"
-        p, q = series.ratio_step(n)
-        n += 1
-        if not num or not q:
-            num = None
-        elif not p:
+        elif not step[0]:
             num, den = decimal.Decimal(0), decimal.Decimal(1)
         else:
+            p, q = step
             g1 = math.gcd(int(_EXACT.remainder(num, q)), q)
             g2 = math.gcd(int(_EXACT.remainder(den, abs(p))), p)
             if g1 > 1:
@@ -156,6 +149,7 @@ def term_texts(series: SeriesSpec, count: int) -> Iterator[tuple[int, str]]:
             if g2 > 1:
                 den = _EXACT.divide_int(den, g2)
             num, den = _EXACT.multiply(num, p // g2), _EXACT.multiply(den, q // g1)
+        yield n, str(num) if den == 1 else f"{num}/{den}"
 
 
 def measure_rate(series: SeriesSpec, n_lo: int, n_hi: int) -> float:

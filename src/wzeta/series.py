@@ -6,7 +6,8 @@ ratio at a, ..., b-1 as integers p/q, split_ratios gives P/Q = t(b)/t(a)
 and T/Q = (t(a) + ... + t(b))/t(a): the sum up to a cut and the term there.
 
 Each series reduces its ratio once, by the gcd of its two sides over
-Z[n]; every step evaluates the reduced sides by Horner.
+Z[n]; every step evaluates the reduced sides by Horner. SeriesSpec.walk
+holds the one rule for restarting from term_at; the checked walks never do.
 """
 
 from __future__ import annotations
@@ -107,7 +108,11 @@ class SeriesSpec(Frozen):
         degree = term.poly_num.degree("n") + term.poly_den.degree("n") + (rising + 1) // 2
         at_least = "at least " if term.factorials else ""
         if degree <= _MAX_RATIO_DEGREE:
-            ratio = term.shift_ratio(1, 0)
+            try:
+                ratio = term.shift_ratio(1, 0)
+            except WZetaError as exc:  # the same error, naming the series
+                exc.args = (f"term ratio of series {self.name!r}: {exc}",)
+                raise
             num, den = ratio.num.univariate(), ratio.den.univariate()
             degree, at_least = max(len(num), len(den)) - 1, ""
         if degree > _MAX_RATIO_DEGREE:
@@ -218,17 +223,21 @@ class SeriesSpec(Frozen):
             p, q = (self.term_at(n + 1) / self.term_at(n)).as_integer_ratio()
         return p, q
 
-    def terms(self, first_index: int | None = None) -> Iterator[tuple[int, Fraction]]:
-        """Yield (index, term value) from first_index (default: the start
-        of the series) onward, forever, via the term ratio; after a zero
-        term or where the ratio is undefined, from term_at."""
-        n = self.start_index if first_index is None else first_index
-        value = self.term_at(n)
-        while True:
-            yield n, value
-            p, q = self.ratio_step(n)
-            n += 1
-            value = value * Fraction(p, q) if value and q else self.term_at(n)
+    def walk(self, first: int, end: int) -> Iterator[tuple[int, Fraction | None, tuple | None]]:
+        """One entry per index n in [first, end), streamed: (n, t(n), None)
+        from term_at at first and at each restart, else (n, None, (p, q)),
+        (p, q) = ratio_step(n-1), so t(n) = t(n-1)·p/q. The walk restarts
+        after a zero term and where ratio_step is (0, 0)."""
+        live = False  # t(n-1) is known and nonzero
+        for n in range(first, end):
+            step = self.ratio_step(n - 1) if live else (0, 0)
+            if step[1]:
+                yield n, None, step
+                live = step[0] != 0
+            else:
+                value = self.term_at(n)
+                yield n, value, None
+                live = value != 0
 
     def log_terms(self, first: int, last: int) -> Iterator[float]:
         """Yield log10|t(n)/t(first)| for n = first..last, first ≥ start_index,
@@ -247,26 +256,21 @@ class SeriesSpec(Frozen):
 
     def partial_sum(self, count: int, first_index: int | None = None) -> Fraction:
         """Exact sum of `count` terms from first_index (default: the
-        start) by split_ratios; a zero term or an undefined ratio ends a
-        run of steps, and the next run starts from term_at."""
+        start): one split_ratios tree per run of walk's steps, from the
+        term at the run's start."""
         if count < 0:
             raise DomainError("count must be nonnegative")
         n = self.start_index if first_index is None else first_index
-        end = n + count
+        runs = []  # (t at the run's start, (1, 1) and the run's steps)
+        for _, value, step in self.walk(n, n + count):
+            if step:
+                runs[-1][1].append(step)
+            else:
+                runs.append((value, [(1, 1)]))
         total = Fraction(0)
-        while n < end:
-            first, steps = self.term_at(n), [(1, 1)]
-            while first and n + 1 < end:
-                p, q = self.ratio_step(n)
-                if q == 0:
-                    break
-                steps.append((p, q))
-                n += 1
-                if p == 0:
-                    break
+        for first, steps in runs:
             _, big_q, big_t = split_ratios(steps)
             total += Fraction(first.numerator * big_t, first.denominator * big_q)
-            n += 1
         return total
 
     def sum_to_cut(self, threshold: Fraction) -> tuple[int, int, Fraction, int]:

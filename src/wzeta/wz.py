@@ -309,7 +309,7 @@ def two_sided_gap(pair: WZPair, lhs_count: int, accel_count: int) -> tuple[str, 
             gap = truncated_decimal(high, _GAP_PLACES)
             if truncated_decimal(low, _GAP_PLACES) == gap:
                 if bound is None:  # after the sums, so their errors come first
-                    bound =slow.tail_bound(lhs_count) + fast.tail_bound(accel_count)
+                    bound = slow.tail_bound(lhs_count) + fast.tail_bound(accel_count)
                 if high <= bound or low > bound:
                     verdict = "ok" if high <= bound else "fail"
                     return gap, truncated_decimal(bound, _GAP_PLACES), verdict
@@ -318,9 +318,10 @@ def two_sided_gap(pair: WZPair, lhs_count: int, accel_count: int) -> tuple[str, 
 
 def _run_bound(series: SeriesSpec, count: int) -> Fraction | None:
     """tail_bound(count), or None where it raises or where the step at
-    the cut is zero or undefined. Past a positive series' certified cut,
-    only the step at the cut itself can be zero; partial_sum would then
-    evaluate each later term on its own, and those may raise."""
+    the cut is zero or undefined, so that walk, by its one restart rule,
+    restarts past the cut. Past a positive series' certified cut, only
+    that step can be zero; partial_sum would then evaluate each later term
+    on its own, and those may raise."""
     try:
         bound = series.tail_bound(count)
     except WZetaError:

@@ -1,5 +1,6 @@
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -62,3 +63,17 @@ def exact_gap_line(pair, lhs_count, accel_count):
     gap = abs(slow.partial_sum(lhs_count) - fast.partial_sum(accel_count))
     bound = slow.tail_bound(lhs_count) + fast.tail_bound(accel_count)
     return truncated_decimal(gap, 30), truncated_decimal(bound, 30), "ok" if gap <= bound else "fail"
+
+
+def fraction_terms(series, first_index=None):
+    """Reference walk, independent of SeriesSpec.walk: (n, t(n)) from
+    first_index (default: the start) onward, forever, each value a
+    Fraction product of the last and the ratio step; after a zero term or
+    where the step is undefined, from term_at."""
+    n = series.start_index if first_index is None else first_index
+    value = series.term_at(n)
+    while True:
+        yield n, value
+        p, q = series.ratio_step(n)
+        n += 1
+        value = value * Fraction(p, q) if value and q else series.term_at(n)

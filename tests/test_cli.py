@@ -8,6 +8,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from conftest import fraction_terms
 from hypothesis import given, settings, strategies as st
 
 import wzeta
@@ -222,7 +223,7 @@ def test_accelerate_term_values_match_library(capsys):
     series = accelerate(load_catalog().pair_by_name("s2"))
     lines = out.splitlines()
     assert len(lines) == 6
-    for line, (n, value) in zip(lines[:5], series.terms()):
+    for line, (n, value) in zip(lines[:5], fraction_terms(series)):
         assert line == f"{n} {value}"
     assert lines[0] == "1 29/12"
     assert lines[-1].endswith("status=ok")
@@ -732,13 +733,21 @@ def test_a_series_ratio_over_the_degree_limit_exits_2_promptly(tmp_path):
     assert_refused(done, "series 's3'", "degree 999", str(_MAX_RATIO_DEGREE))
 
 
-def test_factorial_powers_over_the_degree_limit_exit_2_promptly(tmp_path):
+@pytest.mark.parametrize("expr,degree", [
     # expanding the rising products took 7 s before the degree was known;
     # the factorials alone give the ratio degree at least 1499
-    path = catalog_with(tmp_path, s3="(-1)^n * n!^999 / (2*n)!^999")
-    done = run_subprocess("--catalog", path, "digits", "--series", "s3", "--digits", "10",
-                          timeout=2)
-    assert_refused(done, "series 's3'", "degree at least 1499", "limit of 200")
+    ("(-1)^n * n!^999 / (2*n)!^999", "degree at least 1499"),
+    # the estimate from the factorials, 200, passes; the ratio's own count
+    # refuses it, and named no series
+    ("(-1)^n * n!^133 / (2*n)!^133", "degree 266"),
+], ids=["n!^999", "n!^133"])
+@pytest.mark.parametrize("command", [("digits", "--series", "s3", "--digits", "10"),
+                                     ("list",)], ids=["digits", "list"])
+def test_factorial_powers_over_the_degree_limit_exit_2_promptly(tmp_path, expr, degree,
+                                                                command):
+    path = catalog_with(tmp_path, s3=expr)
+    done = run_subprocess("--catalog", path, *command, timeout=2)
+    assert_refused(done, "series 's3'", degree, "limit of 200")
 
 
 @pytest.mark.parametrize("f_s1,g_s1,degree", [

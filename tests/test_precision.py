@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import statistics
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from conftest import fraction_terms
 from hypothesis import given, settings, strategies as st
 
 from wzeta import accelerate, precision
@@ -260,7 +262,7 @@ def test_measure_rate_bad_range(cat):
 def reference_rate(series, n_lo, n_hi):
     """The slope from exact Fraction term values, one per index."""
     xs, ys = [], []
-    for n, value in series.terms(first_index=n_lo):
+    for n, value in fraction_terms(series, n_lo):
         if n > n_hi:
             break
         if value == 0:
@@ -306,6 +308,19 @@ _INT_TEXT_CASES = [
 ]
 
 
+# str(128767!) takes CPython's quadratic int-to-str about 14 s on a 2-vCPU
+# machine: its two texts, str(value) and str(value/3), were computed once by
+# str() with the limit lifted, and are pinned here by length and SHA-256
+_PINNED_TEXTS = {
+    "128767!": ((602055, "5b9222438e5b44d2e3066cb29ea2a5b3f67f0885e50406492a4864fb7e2beec0"),
+                (602054, "cdff32d1f771528cf0b7b0efdc65d13ef945eca9ec60431a8f968f9756d8e857")),
+}
+
+
+def text_digest(text):
+    return len(text), hashlib.sha256(text.encode()).hexdigest()
+
+
 @functools.cache
 def reference_texts(value):
     """str(value) and str(value/3), computed once per value; the caller
@@ -314,16 +329,18 @@ def reference_texts(value):
 
 
 # each case at the interpreter's default limit, then at 640, the least
-@pytest.mark.parametrize("value,limit", [
-    pytest.param(value, limit, id=name if limit is None else f"{name} at 640")
+@pytest.mark.parametrize("value,name,limit", [
+    pytest.param(value, name, limit, id=name if limit is None else f"{name} at 640")
     for limit in (None, 640) for value, name in _INT_TEXT_CASES
 ])
-def test_int_text_matches_str_past_the_limit(int_str_limit, value, limit):
+def test_int_text_matches_str_past_the_limit(int_str_limit, value, name, limit):
     int_str_limit(0)  # the reference only
-    expected = reference_texts(value)
+    expected = _PINNED_TEXTS.get(name) or reference_texts(value)
     int_str_limit(limit or sys.int_info.default_max_str_digits)
-    assert precision.int_text(value) == expected[0]
-    assert precision.fraction_text(Fraction(value, 3)) == expected[1]
+    texts = precision.int_text(value), precision.fraction_text(Fraction(value, 3))
+    if name in _PINNED_TEXTS:
+        texts = tuple(map(text_digest, texts))
+    assert texts == expected
 
 
 @pytest.mark.parametrize("text,start,count", [
@@ -334,7 +351,7 @@ def test_int_text_matches_str_past_the_limit(int_str_limit, value, limit):
 def test_term_texts_restart_as_terms_does(text, start, count):
     series = SeriesSpec("z", parse_term(text), start)
     expected = [(n, precision.fraction_text(value))
-                for n, value in itertools.islice(series.terms(), count)]
+                for n, value in itertools.islice(fraction_terms(series), count)]
     assert list(precision.term_texts(series, count)) == expected
     assert "0" in dict(expected).values()
 
@@ -344,6 +361,6 @@ def test_term_texts_match_the_fraction_walk(cat, int_str_limit, pair):
     # s2's denominators pass the default limit of 4300 digits from term 2996 on
     int_str_limit(4300)
     series = accelerate(cat.pair_by_name(pair))
-    values = itertools.islice(series.terms(), 3000)
+    values = itertools.islice(fraction_terms(series), 3000)
     for (n, value), (m, text) in zip(values, precision.term_texts(series, 3000), strict=True):
         assert (m, text) == (n, precision.fraction_text(value))

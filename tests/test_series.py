@@ -28,11 +28,56 @@ def sequential_sum(series, count, first_index=None):
     return sum((series.term_at(n) for n in range(first, first + count)), Fraction(0))
 
 
+def walk_values(series, first, end):
+    """(n, t(n)) rebuilt from series.walk: the entry's value at a restart,
+    else the last value times the entry's step."""
+    value = None
+    for n, start, step in series.walk(first, end):
+        value = start if step is None else value * Fraction(*step)
+        yield n, value
+
+
 @pytest.mark.parametrize("name", ["s1", "s2", "s3", "lhs_s1", "lhs_s2"])
 def test_terms_recurrence_matches_direct(cat, name):
     series = cat.series_by_name(name)
-    for n, value in itertools.islice(series.terms(), 100):
+    start = series.start_index
+    for n, value in walk_values(series, start, start + 100):
         assert value == series.term_at(n)
+
+
+# t(5) = 0; t(3) = t(4) = 0, and the ratio is undefined at both
+WALK_TEXTS = ["(-1)^n * (n-5) / n!", "(-1)^n * (n-3)*(n-4) / n!"]
+WALK_SPANS = [(0, 40), (0, 1), (0, 6), (2, 9), (3, 5), (4, 12), (5, 6), (5, 40), (6, 30)]
+
+
+@pytest.mark.parametrize("first,end", WALK_SPANS)
+@pytest.mark.parametrize("text", WALK_TEXTS)
+def test_walk_restarts_only_where_the_rule_says(text, first, end):
+    series = alt_series(text)
+    assert 0 in map(series.term_at, range(8))
+    entries = list(series.walk(first, end))
+    assert [n for n, _, _ in entries] == list(range(first, end))
+    for n, value, step in entries:
+        # a restart at first, after a zero term, and where the step is
+        # undefined; nowhere else
+        restart = n == first or series.term_at(n - 1) == 0 or series.ratio_step(n - 1) == (0, 0)
+        assert (step is None) == restart, n
+        if restart:
+            assert value == series.term_at(n)
+        else:
+            assert value is None and step == series.ratio_step(n - 1)
+    for n, value in walk_values(series, first, end):
+        assert value == series.term_at(n)
+
+
+@pytest.mark.parametrize("text", WALK_TEXTS)
+def test_walk_streams_and_checks_its_first_index(text):
+    series = alt_series(text, start=2)
+    for n in (0, 2, 5, 10**30):
+        assert list(series.walk(n, n)) == []
+    assert [n for n, _, _ in itertools.islice(series.walk(2, 10**30), 10)] == list(range(2, 12))
+    with pytest.raises(DomainError):
+        next(series.walk(1, 10))  # below start
 
 
 @pytest.mark.parametrize("name", ["s1", "s2", "s3", "lhs_s1", "lhs_s2"])
@@ -145,11 +190,11 @@ def test_positive_tail_stops_short_of_a_cancelled_root():
 
 def test_terms_from_index(cat):
     series = cat.series_by_name("s2")
-    gen = series.terms(first_index=7)
-    n, value = next(gen)
-    assert n == 7 and value == series.term_at(7)
+    gen = series.walk(7, 10)
+    assert next(gen) == (7, series.term_at(7), None)
+    assert next(gen) == (8, None, series.ratio_step(7))
     with pytest.raises(DomainError):
-        next(series.terms(first_index=0))  # below start
+        next(series.walk(0, 10))  # below start
 
 
 def test_term_at_below_start(cat):
@@ -214,7 +259,7 @@ def test_accelerated_term_is_the_diagonal_sum(cat):
         for n in range(1, 201):
             assert fast.term_at(n) == f.value_at(n, n - 1) + g.value_at(n - 1, n - 1)
         ratio = fast.term_ratio()  # exists: the series is one term
-        for n, value in itertools.islice(fast.terms(), 40):
+        for n, value in walk_values(fast, 1, 41):
             assert value == fast.term_at(n)
             assert fast.term_at(n + 1) == ratio.evaluate(n, 0) * value
 
