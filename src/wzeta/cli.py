@@ -32,13 +32,17 @@ _MAX_GRID_POINTS = 150_000
 # 1.2e11 at n <= 40 in 3.1 s, 5.3e11 at n <= 60 in 12.9 s and 3.4e12 at
 # n <= 99 in 85 s
 _MAX_GRID_WORK = 1.1e12
-# largest `digits --digits`; s3, the slowest catalog series at this size,
-# takes 14-19 s in-process on a 2-vCPU machine (s1 11-16 s, s2 10-14 s)
+# largest `digits --digits`; s1, the slowest catalog series at this size,
+# takes 13.8 s in-process and 14.5 s through the CLI on a 2-vCPU machine
+# (best of 3; s2 8.1 and 9.1 s, s3 8.5 and 9.5 s)
 _MAX_DIGITS = 60_000
 # largest product tree `digits` builds, in bits, estimated as N·(bits of
 # a(N) + bits of b(N)) for the reduced term ratio a/b at the cut N =
 # start + ⌈D/rate⌉: s1, s2 and s3 at 60,000 digits come to 10.2M, 9.9M
-# and 12.4M; a series of rate 0.044 to 15.1M at 1000 digits, a 16 s run
+# and 12.4M; a series of rate 0.044 to 15.1M at 1000 digits, a 16 s run.
+# The estimate counts the unsplit ratio a/b, while the tree's leaves are
+# α/β with c(n) split off, so it over-counts s2 and s3: s3 at 3000 digits
+# comes to 465,080 bits against a 116,332-bit denominator of the sum
 _MAX_TREE_BITS = 16_000_000
 # largest `accelerate --terms`; s2, the slower pair, takes 1.6-2.0 s
 # through the CLI at this size on a 2-vCPU machine and prints 72 MB

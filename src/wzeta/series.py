@@ -1,13 +1,15 @@
 """Single-variable series of one hypergeometric term t(n), whose ratio
 t(n+1)/t(n) is a rational function of n, and the binary-splitting engine
 (Haible & Papanikolaou, "Fast multiprecision evaluation of series of
-rational numbers", 1998) that sums them: for the steps (1, 1), then the
-ratio at a, ..., b-1 as integers p/q, split_ratios gives P/Q = t(b)/t(a)
-and T/Q = (t(a) + ... + t(b))/t(a): the sum up to a cut and the term there.
+rational numbers", 1998) that sums them.
 
 Each series reduces its ratio once, by the gcd of its two sides over
-Z[n]; every step evaluates the reduced sides by Horner. SeriesSpec.walk
-holds the one rule for restarting from term_at; the checked walks never do.
+Z[n], to a/b, and splits that once as (c(n+1)/c(n))·(α(n)/β(n)) by
+Gosper's first step at shift 1, so t(n) = c(n)·u(n) with u(n+1)/u(n) =
+α(n)/β(n). A sum is one streaming ProductTree whose leaves are α/β at
+each step, with c(n) as the weight of each term; every step evaluates
+the sides by Horner. SeriesSpec.walk holds the one rule for restarting
+from term_at; the checked walks never do.
 """
 
 from __future__ import annotations
@@ -48,20 +50,34 @@ _MAX_UNCERTIFIED = 10_000
 _LOG_SLACK = 1e-3
 
 
-def split_ratios(steps: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """(P, Q, T) for ratio steps (p_i, q_i), q_i > 0: P and Q are the
-    products of all p_i and all q_i, and T/Q = Σ_i Π_{m≤i} p_m/q_m.
-    Halves combine as P = P1·P2, Q = Q1·Q2, T = T1·Q2 + P1·T2. Nothing
-    is reduced, so the result does not depend on where the tree splits."""
-    if not steps:
-        return 1, 1, 0
-    if len(steps) == 1:
-        p, q = steps[0]
-        return p, q, p
-    mid = len(steps) // 2
-    p1, q1, t1 = split_ratios(steps[:mid])
-    p2, q2, t2 = split_ratios(steps[mid:])
-    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+class ProductTree:
+    """Binary splitting fed one leaf at a time. For leaves (p_i, q_i, t_i),
+    P and Q are the products of all p_i and all q_i, and T/Q =
+    Σ_i (t_i/q_i)·Π_{m<i} p_m/q_m: with t_i = w_i·p_i, the sum of the
+    weights w_i times the running products. Neighbours of equal size
+    merge as leaves arrive, P = P1·P2, Q = Q1·Q2, T = T1·Q2 + P1·T2, so
+    only O(log N) nodes are held. Nothing is reduced, so (P, Q, T) does
+    not depend on where the tree splits."""
+
+    __slots__ = ("_nodes",)
+
+    def __init__(self):
+        self._nodes = []  # (leaf count, P, Q, T), counts falling powers of two
+
+    def add(self, p: int, q: int, t: int) -> None:
+        nodes, size = self._nodes, 1
+        while nodes and nodes[-1][0] == size:
+            _, p1, q1, t1 = nodes.pop()
+            p, q, t = p1 * p, q1 * q, t1 * q + p1 * t
+            size *= 2
+        nodes.append((size, p, q, t))
+
+    def result(self) -> tuple[int, int, int]:
+        """(P, Q, T) over every leaf added; (1, 1, 0) for none."""
+        p, q, t = 1, 1, 0
+        for _, p1, q1, t1 in reversed(self._nodes):
+            p, q, t = p1 * p, q1 * q, t1 * q + p1 * t
+        return p, q, t
 
 
 class SeriesSpec(Frozen):
@@ -120,6 +136,31 @@ class SeriesSpec(Frozen):
                              f"{at_least}{int_text(degree)}, over the limit of {_MAX_RATIO_DEGREE}")
         h = dense_gcd(num, den)
         return dense_divide(num, h), dense_divide(den, h), h, integer_root_bound(h)
+
+    @cached_property
+    def _split(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(c, α, β) in dense form with a(n) = c(n+1)·α(n) and b(n) =
+        c(n)·β(n) for the reduced ratio a/b: Gosper's first step at shift
+        1, c(n) = g(n-1) for g = gcd(a(n), b(n+1)), and c = (1,) when g is
+        constant. Factors shared at larger shifts stay in α/β."""
+        a, b, _, _ = self._steps
+        g = dense_gcd(a, _shifted(b, 1))
+        if len(g) == 1:
+            return (1,), a, b
+        c = _shifted(g, -1)
+        return c, dense_divide(a, g), dense_divide(b, c)
+
+    def _leaf(self, n: int, step: tuple[int, int]) -> tuple[int, int, int]:
+        """The ProductTree leaf for index n, given the step (p, q) =
+        t(n)/t(n-1) with q ≠ 0: (p, q, p) when c = 1, else (α, β, c(n)·α)
+        at n-1, α/β in lowest terms."""
+        c, alpha, beta = self._split
+        if len(c) == 1:
+            return step[0], step[1], step[0]
+        p, q = horner(alpha, n - 1), horner(beta, n - 1)
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        return p, q, horner(c, n) * p
 
     @cached_property
     def _ratio(self) -> RationalFunction:
@@ -256,32 +297,45 @@ class SeriesSpec(Frozen):
 
     def partial_sum(self, count: int, first_index: int | None = None) -> Fraction:
         """Exact sum of `count` terms from first_index (default: the
-        start): one split_ratios tree per run of walk's steps, from the
-        term at the run's start."""
+        start), along walk: each restart adds its term t(m), and the
+        steps after it are one ProductTree over α/β with c(n) as weights,
+        which adds u(m)·T/Q, u(m) = t(m)/c(m)."""
         if count < 0:
             raise DomainError("count must be nonnegative")
         n = self.start_index if first_index is None else first_index
-        runs = []  # (t at the run's start, (1, 1) and the run's steps)
-        for _, value, step in self.walk(n, n + count):
-            if step:
-                runs[-1][1].append(step)
-            else:
-                runs.append((value, [(1, 1)]))
         total = Fraction(0)
-        for first, steps in runs:
-            _, big_q, big_t = split_ratios(steps)
-            total += Fraction(first.numerator * big_t, first.denominator * big_q)
-        return total
+        anchor, tree = None, ProductTree()  # the run's (m, t(m)) and its steps
+        for n, value, step in self.walk(n, n + count):
+            if step is None:  # the last run ends; t(n) starts the next
+                total += self._run_sum(anchor, tree) + value
+                anchor, tree = (n, value), ProductTree()
+            else:
+                tree.add(*self._leaf(n, step))
+        return total + self._run_sum(anchor, tree)
+
+    def _run_sum(self, anchor: tuple[int, Fraction] | None, tree: ProductTree) -> Fraction:
+        """u(m)·T/Q for the steps of a run from (m, t(m)): 0 where T is 0,
+        as for a run without steps; else the run has a step from m, so
+        b(m) = c(m)·β(m) ≠ 0 and c(m) ≠ 0."""
+        _, big_q, big_t = tree.result()
+        if not big_t:
+            return Fraction(0)
+        m, value = anchor
+        return Fraction(value.numerator * big_t,
+                        value.denominator * horner(self._split[0], m) * big_q)
 
     def sum_to_cut(self, threshold: Fraction) -> tuple[int, int, Fraction, int]:
         """(a, b, tail, count) at the first index N > start with |t(N)| <
         threshold: a/b (b > 0, unreduced) sums the count = N - start terms
         before N, and tail bounds the rest as tail_bound(count) does.
 
-        Each step is checked by alternating_step and log10|t(n)| is summed
-        in floats, decided exactly only within _LOG_SLACK of the threshold.
-        One tree over the steps gives the sum and t(N) = t(start)·P/Q; with
-        the last step, t(N-1) = t(N)·q/p. Both must confirm the cut.
+        Each step is checked by alternating_step on the full ratio and
+        log10|t(n)| is summed in floats, decided exactly only within
+        _LOG_SLACK of the threshold. One ProductTree, fed as the steps are
+        checked, has leaves α/β and weights c(n): with u(start) =
+        t(start)/c(start), the sum is u(start)·(T - c(N)·P)/Q and t(N) =
+        c(N)·u(start)·P/Q; with the last step, t(N-1) = t(N)·q/p. Both
+        must confirm the cut.
         """
         n = self.start_index
         first = self.term_at(n)
@@ -290,23 +344,32 @@ class SeriesSpec(Frozen):
         log_threshold = math.log10(threshold.numerator) - math.log10(threshold.denominator)
         # estimate of log10(|t(n)| / threshold)
         gap = math.log10(abs(first.numerator)) - math.log10(first.denominator) - log_threshold
-        steps = [(1, 1)]
+        c = self._split[0]
+        # c(start) ≠ 0 once the first step is checked: b(start) = c(start)·β(start) ≠ 0
+        anchor = horner(c, n)
+        tree = ProductTree()
+        tree.add(1, 1, anchor)
         while True:
             p, q = self.alternating_step(n)
-            if len(steps) == 1:  # after the first step, so a concrete violation there wins
+            if n == self.start_index:  # after the first step, so a concrete violation there wins
                 self.require_geometric()
-            steps.append((p, q))
-            gap += math.log10(-p) - math.log10(q)
             n += 1
+            tree.add(*self._leaf(n, (p, q)))
+            gap += math.log10(-p) - math.log10(q)
             if (abs(self.term_at(n)) < threshold) if abs(gap) <= _LOG_SLACK else gap < 0:
                 break
-        big_p, big_q, big_t = split_ratios(steps)
-        last = Fraction(first.numerator * big_p, first.denominator * big_q)
+        big_p, big_q, big_t = tree.result()
+        weight = horner(c, n)
+        last = Fraction(first.numerator * weight * big_p, first.denominator * anchor * big_q)
         tail = self._tail_past(n, last)
-        count = len(steps) - 1
+        count = n - self.start_index
         if tail >= threshold or (count > 1 and abs(last * q / p) < threshold):
             raise TailBoundError(f"stopping index n={n} not confirmed by exact terms")
-        return first.numerator * (big_t - big_p), first.denominator * big_q, tail, count
+        numerator = first.numerator * (big_t - weight * big_p)
+        denominator = first.denominator * anchor * big_q
+        if denominator < 0:
+            numerator, denominator = -numerator, -denominator
+        return numerator, denominator, tail, count
 
     def tail_bound(self, count: int) -> Fraction:
         """Exact rational upper bound on |sum of all terms after the
@@ -386,3 +449,9 @@ def _shifted_coeffs_nonneg(poly: Polynomial, shift: int) -> bool:
     sufficient certificate that poly ≥ 0 for all n ≥ shift."""
     shifted = poly.substituted(LinearForm(1, 0, shift), LinearForm(0, 1, 0))
     return all(c >= 0 for c in shifted.coeffs.values())
+
+
+def _shifted(coeffs: tuple[int, ...], shift: int) -> tuple[int, ...]:
+    """The dense polynomial coeffs at n + shift."""
+    poly = Polynomial.from_univariate(coeffs)
+    return poly.substituted(LinearForm(1, 0, shift), LinearForm(0, 1, 0)).univariate()

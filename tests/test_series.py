@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import fraction_terms
 
-from wzeta.algebra import LinearForm, Polynomial, RationalFunction, horner
+from wzeta.algebra import LinearForm, Polynomial, RationalFunction, dense_gcd, horner
 from wzeta.dsl import parse_term
 from wzeta.errors import (
     DomainError,
@@ -14,7 +15,7 @@ from wzeta.errors import (
     NonAlternating,
     TailBoundError,
 )
-from wzeta.series import ALTERNATING, POSITIVE, SeriesSpec, split_ratios
+from wzeta.series import ALTERNATING, POSITIVE, ProductTree, SeriesSpec
 from wzeta import accelerate, precision
 
 
@@ -221,23 +222,104 @@ def test_partial_sum_matches_sequential(cat):
         )
 
 
-def test_split_ratios_matches_a_left_fold():
+def test_product_tree_matches_a_left_fold():
     rng = random.Random(7)
-    steps = [(rng.randrange(-50, 50), rng.randrange(1, 50)) for _ in range(45)]
-    for size in range(len(steps) + 1):
+    leaves = [(rng.randrange(-50, 50), rng.randrange(1, 50), rng.randrange(-9, 10))
+              for _ in range(45)]
+    for size in range(len(leaves) + 1):
         total = Fraction(0)
         running = Fraction(1)
-        # the same merge one step at a time, on unreduced integers
+        tree = ProductTree()
+        # the same merge one leaf at a time, on unreduced integers
         big_p = big_q = 1
         big_t = 0
-        for p, q in steps[:size]:
+        for p, q, weight in leaves[:size]:
             running *= Fraction(p, q)
-            total += running
-            big_p, big_q, big_t = big_p * p, big_q * q, big_t * q + big_p * p
-        assert split_ratios(steps[:size]) == (big_p, big_q, big_t)
-        assert big_p == math.prod(p for p, _ in steps[:size])
-        assert big_q == math.prod(q for _, q in steps[:size])
+            total += weight * running
+            big_p, big_q, big_t = big_p * p, big_q * q, big_t * q + big_p * weight * p
+            tree.add(p, q, weight * p)
+        assert tree.result() == (big_p, big_q, big_t)
+        assert big_p == math.prod(p for p, _, _ in leaves[:size])
+        assert big_q == math.prod(q for _, q, _ in leaves[:size])
         assert Fraction(big_t, big_q) == total
+
+
+def test_product_tree_holds_a_logarithmic_number_of_nodes():
+    tree = ProductTree()
+    for size in range(1, 1025):
+        tree.add(1, 1, 1)
+        assert len(tree._nodes) == bin(size).count("1")
+    assert tree.result() == (1, 1, 1024)
+
+
+def dense_shifted(coeffs, shift):
+    """The dense polynomial coeffs at n + shift, from Polynomial."""
+    poly = Polynomial.from_univariate(coeffs)
+    return poly.substituted(LinearForm(1, 0, shift), LinearForm(0, 1, 0)).univariate()
+
+
+def dense_product(a, b):
+    return (Polynomial.from_univariate(a) * Polynomial.from_univariate(b)).univariate()
+
+
+# the weight c(n) split off each reduced ratio a/b = (c(n+1)/c(n))·(α/β)
+SPLIT_WEIGHTS = [
+    ("s1", (1,)),
+    ("s2", (56, -32, 5)),
+    ("s3", (5265, 13878, 13761, 6120, 1040)),
+    ("(-1)^n * (n^2+1) * (n-7) / (2*n)!", (1, -7, 1, -7)),  # (n^2+1)(n-7)
+    # a(n) = 2-n and b(n+2) = (n-2)(n+3) share n-2: shift 2 stays in α/β
+    ("(-1)^n * (n-3)*(n-4) / n!", (1,)),
+]
+
+
+@pytest.mark.parametrize("name,weight", SPLIT_WEIGHTS)
+def test_the_split_is_exact(cat, name, weight):
+    series = cat.series_by_name(name) if name in cat.series_names else alt_series(name)
+    a, b, _, _ = series._steps
+    c, alpha, beta = series._split
+    assert c == weight
+    assert a == dense_product(dense_shifted(c, 1), alpha)
+    assert b == dense_product(c, beta)
+    # nothing is left to split at shift 1
+    assert len(dense_gcd(alpha, dense_shifted(beta, 1))) == 1
+
+
+def test_a_weight_with_an_integer_root_restarts_the_walk():
+    # c(7) = 0 makes t(7) zero: the walk restarts at 8, where c(8) = 65
+    text = "(-1)^n * (n^2+1) * (n-7) / (2*n)!"
+    series = alt_series(text)
+    assert series.term_at(7) == 0 and horner(series._split[0], 7) == 0
+    for first in (0, 3, 8):
+        terms = fraction_terms(series, first)
+        values = [value for _, value in itertools.islice(terms, 40)]
+        for count in range(1, 41):
+            assert series.partial_sum(count, first) == sum(values[:count], Fraction(0))
+    report = precision.sum_to_digits(alt_series(text, 8), 50)
+    assert report.decimal_string.startswith("0.00000000000308116887624")
+    assert report.terms_used == 15
+
+
+@pytest.mark.parametrize("digits", [80, 40])
+def test_a_cancelled_root_past_the_cut_is_still_refused(digits):
+    # the ratio reduces to -1/(n+1), but the term is undefined at n=50;
+    # at 80 digits the cut is near n=59, so only the step check at n=49
+    # sees the root; at 40 digits the tail check does
+    series = SeriesSpec("x", parse_term("(-1)^n * (n-50) / (n-50) / n!"), 2)
+    with pytest.raises(DomainError) as raised:
+        precision.sum_to_digits(series, digits)
+    assert str(raised.value) == "denominator polynomial vanishes at (n=50, k=0)"
+
+
+@pytest.mark.parametrize("name,most", [("s1", 169_119), ("s2", 110_000), ("s3", 120_000)])
+def test_the_sum_denominator_stays_small(cat, name, most):
+    # at 3000 digits; unsplit, s2 and s3 came to 153,319 and 190,070 bits
+    _, denominator, _, _ = cat.series_by_name(name).sum_to_cut(Fraction(1, 10**3002))
+    assert denominator > 0
+    if name == "s1":  # c = 1: the leaves are the reduced steps themselves
+        assert denominator.bit_length() == most
+    else:
+        assert denominator.bit_length() <= most
 
 
 def test_partial_sum_restarts_at_a_zero_term():
