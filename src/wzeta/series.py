@@ -7,9 +7,10 @@ Each series reduces its ratio once, by the gcd of its two sides over
 Z[n], to a/b, and splits that once as (c(n+1)/c(n))·(α(n)/β(n)) by
 Gosper's first step at shift 1, so t(n) = c(n)·u(n) with u(n+1)/u(n) =
 α(n)/β(n). A sum is one streaming ProductTree whose leaves are α/β at
-each step, with c(n) as the weight of each term; every step evaluates
-the sides by Horner. SeriesSpec.walk holds the one rule for restarting
-from term_at; the checked walks never do.
+each step, with c(n) as the weight of each term. Each step is evaluated
+once, from the split, for both its value and its leaf. SeriesSpec.walk
+holds the one rule for restarting from term_at; the checked walks never
+do, and share one checked step.
 """
 
 from __future__ import annotations
@@ -150,17 +151,25 @@ class SeriesSpec(Frozen):
         c = _shifted(g, -1)
         return c, dense_divide(a, g), dense_divide(b, c)
 
-    def _leaf(self, n: int, step: tuple[int, int]) -> tuple[int, int, int]:
-        """The ProductTree leaf for index n, given the step (p, q) =
-        t(n)/t(n-1) with q ≠ 0: (p, q, p) when c = 1, else (α, β, c(n)·α)
-        at n-1, α/β in lowest terms."""
+    def _evaluated(self, n: int, weight: int | None = None) -> tuple | None:
+        """(step, leaf, c(n), c(n+1)), the one evaluation of a step's
+        polynomials (h only within its root bound), or None where the
+        unreduced denominator h(n)·c(n)·β(n) is 0. step = (p, q), q > 0, is
+        t(n+1)/t(n) = c(n+1)·α/(c(n)·β); leaf = (α, β, c(n+1)·α) is index
+        n+1's ProductTree leaf; both in lowest terms. weight: c(n), if known."""
         c, alpha, beta = self._split
-        if len(c) == 1:
-            return step[0], step[1], step[0]
-        p, q = horner(alpha, n - 1), horner(beta, n - 1)
+        _, _, h, bound = self._steps
+        weight = horner(c, n) if weight is None else weight
+        den = horner(beta, n)
+        if not weight or not den or (-bound <= n <= bound and horner(h, n) == 0):
+            return None
+        num, after = horner(alpha, n), horner(c, n + 1)
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        p, q = after * num, weight * den
         g = math.gcd(p, q)
-        p, q = p // g, q // g
-        return p, q, horner(c, n) * p
+        step = (-p // g, -q // g) if q < 0 else (p // g, q // g)
+        return step, (num, den, after * num), weight, after
 
     @cached_property
     def _ratio(self) -> RationalFunction:
@@ -232,20 +241,21 @@ class SeriesSpec(Frozen):
     def ratio_step(self, n: int) -> tuple[int, int]:
         """The term ratio at n as integers (p, q) in lowest terms with
         q > 0, or (0, 0) where the unreduced ratio h·a/(h·b) has a zero
-        denominator (a zero term at n, or a removable singularity).
+        denominator (a zero term at n, or a removable singularity)."""
+        evaluated = self._evaluated(n)
+        return evaluated[0] if evaluated else (0, 0)
 
-        a and b are evaluated by Horner, and h only within its root bound."""
-        a, b, h, bound = self._steps
-        p, q = horner(a, n), horner(b, n)
-        if q == 0 or (-bound <= n <= bound and horner(h, n) == 0):
-            return 0, 0
-        g = math.gcd(p, q)
-        return (-p // g, -q // g) if q < 0 else (p // g, q // g)
-
-    def alternating_step(self, n: int) -> tuple[int, int]:
-        """The term ratio at n as (p, q), checked to satisfy -q < p < 0
-        (alternation and strict decrease); needs t(n) != 0."""
-        p, q = self._defined_step(n)
+    def _checked_step(self, n: int, weight: int | None = None) -> tuple:
+        """_evaluated(n, weight), its step p/q checked to satisfy -q < p < 0
+        (alternation and strict decrease); needs t(n) != 0. Where the step
+        is undefined, t(n+1) is zero or undefined: every factor of the
+        unreduced ratio is nonzero where t(n) and t(n+1) are both defined
+        and nonzero (each rising-product factor is at least 1 there). So
+        term_at(n+1) is called only for its DomainError."""
+        evaluated = self._evaluated(n, weight)
+        if evaluated is None:
+            self.term_at(n + 1)
+        p, q = evaluated[0] if evaluated else (0, 0)
         if p == 0:
             raise NonAlternating(f"term at n={n + 1} is zero")
         if p > 0:
@@ -254,15 +264,7 @@ class SeriesSpec(Frozen):
             raise MonotonicityViolation(
                 f"|term| did not decrease from n={n} to n={n + 1}"
             )
-        return p, q
-
-    def _defined_step(self, n: int) -> tuple[int, int]:
-        """ratio_step(n), or, where its denominator vanishes, the exact
-        t(n+1)/t(n) in lowest terms; needs t(n) != 0."""
-        p, q = self.ratio_step(n)
-        if q == 0:
-            p, q = (self.term_at(n + 1) / self.term_at(n)).as_integer_ratio()
-        return p, q
+        return evaluated
 
     def walk(self, first: int, end: int) -> Iterator[tuple[int, Fraction | None, tuple | None]]:
         """One entry per index n in [first, end), streamed: (n, t(n), None)
@@ -289,8 +291,10 @@ class SeriesSpec(Frozen):
         log_term = 0.0
         yield log_term
         for n in range(first, last):
-            p, q = self._defined_step(n)
+            p, q = self.ratio_step(n)
             if p == 0:
+                if q == 0:  # t(n+1) is zero or undefined, as in _checked_step
+                    self.term_at(n + 1)
                 raise DomainError(f"term at n={n + 1} is zero; rate undefined")
             log_term += math.log10(abs(p)) - math.log10(q)
             yield log_term
@@ -310,7 +314,7 @@ class SeriesSpec(Frozen):
                 total += self._run_sum(anchor, tree) + value
                 anchor, tree = (n, value), ProductTree()
             else:
-                tree.add(*self._leaf(n, step))
+                tree.add(*self._evaluated(n - 1)[1])
         return total + self._run_sum(anchor, tree)
 
     def _run_sum(self, anchor: tuple[int, Fraction] | None, tree: ProductTree) -> Fraction:
@@ -329,13 +333,12 @@ class SeriesSpec(Frozen):
         threshold: a/b (b > 0, unreduced) sums the count = N - start terms
         before N, and tail bounds the rest as tail_bound(count) does.
 
-        Each step is checked by alternating_step on the full ratio and
-        log10|t(n)| is summed in floats, decided exactly only within
-        _LOG_SLACK of the threshold. One ProductTree, fed as the steps are
-        checked, has leaves α/β and weights c(n): with u(start) =
-        t(start)/c(start), the sum is u(start)·(T - c(N)·P)/Q and t(N) =
-        c(N)·u(start)·P/Q; with the last step, t(N-1) = t(N)·q/p. Both
-        must confirm the cut.
+        Each index is evaluated once, by _checked_step, and log10|t(n)| is
+        summed in floats, decided exactly only within _LOG_SLACK of the
+        threshold. One ProductTree, fed as the steps are checked, has
+        leaves α/β and weights c(n): with u(start) = t(start)/c(start),
+        the sum is u(start)·(T - c(N)·P)/Q and t(N) = c(N)·u(start)·P/Q;
+        with the last step, t(N-1) = t(N)·q/p. Both must confirm the cut.
         """
         n = self.start_index
         first = self.term_at(n)
@@ -344,22 +347,18 @@ class SeriesSpec(Frozen):
         log_threshold = math.log10(threshold.numerator) - math.log10(threshold.denominator)
         # estimate of log10(|t(n)| / threshold)
         gap = math.log10(abs(first.numerator)) - math.log10(first.denominator) - log_threshold
-        c = self._split[0]
-        # c(start) ≠ 0 once the first step is checked: b(start) = c(start)·β(start) ≠ 0
-        anchor = horner(c, n)
+        (p, q), leaf, anchor, weight = self._checked_step(n)  # c(start), c(start+1)
+        self.require_geometric()  # after the first step, so a concrete violation there wins
         tree = ProductTree()
-        tree.add(1, 1, anchor)
+        tree.add(1, 1, anchor)  # c(start) ≠ 0, as b(start) = c(start)·β(start) ≠ 0
         while True:
-            p, q = self.alternating_step(n)
-            if n == self.start_index:  # after the first step, so a concrete violation there wins
-                self.require_geometric()
             n += 1
-            tree.add(*self._leaf(n, (p, q)))
+            tree.add(*leaf)
             gap += math.log10(-p) - math.log10(q)
             if (abs(self.term_at(n)) < threshold) if abs(gap) <= _LOG_SLACK else gap < 0:
                 break
+            (p, q), leaf, _, weight = self._checked_step(n, weight)
         big_p, big_q, big_t = tree.result()
-        weight = horner(c, n)
         last = Fraction(first.numerator * weight * big_p, first.denominator * anchor * big_q)
         tail = self._tail_past(n, last)
         count = n - self.start_index
@@ -396,14 +395,14 @@ class SeriesSpec(Frozen):
             return self._positive_tail_bound(cut, first)
         if first == 0:
             raise NonAlternating(f"term at n={cut} is zero")
-        self.alternating_step(cut)  # a concrete violation at the cut wins
+        weight = self._checked_step(cut)[3]  # a concrete violation at the cut wins
         self.require_geometric()
         certified = self._certified_from
         if certified is None or certified - cut > _MAX_UNCERTIFIED:
             raise TailBoundError(f"no alternation certificate for series {self.name!r} "
                                  f"within {_MAX_UNCERTIFIED} indices past n={cut}")
         for n in range(cut + 1, certified):
-            self.alternating_step(n)
+            weight = self._checked_step(n, weight)[3]
         return abs(first)
 
     def _positive_tail_bound(self, cut: int, first: Fraction) -> Fraction:

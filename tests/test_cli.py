@@ -536,6 +536,18 @@ GOLDEN = {
     # the benchmark's two accelerate commands
     "accelerate --pair s1 --terms 4000": "0386230b31c9b20e0eadb9b7c508817d896b89414dea43f58893c28fba24ac39",
     "accelerate --pair s2 --terms 2500": "518cca4e1bd3c9c828447eccfa7990bdf845eff1918fd8a92c98433cdb797f35",
+    # the benchmark's digits commands past 1000 digits, and a rate that
+    # walks the steps of a series split with c ≠ 1; recorded from the
+    # walk that evaluated each checked step twice (the reduced ratio for
+    # its checks, then the split for the tree) before it was replaced
+    "digits --series s1 --digits 3000": "925e1e13c079ff8fc374c048fe6acf123ccc6a123e7cffc3ee4aa1359e7f2b29",
+    "digits --series s2 --digits 3000": "e0cbd843f5da367608633efe4ce34304bf93013345b7ccf1e4733a6556dc679c",
+    "digits --series s3 --digits 3000": "001878604d94bbe403fed1df5ebc0bde4c01f083e75b5afc6b01258e927a1277",
+    "digits --series s1 --digits 3000 --mode scaled": "4c19269a08c79aebcfb48dbe70971a2c191df9ea19b3010bc7cf01c55e425257",
+    "digits --series s2 --digits 3000 --mode scaled": "57987dc8a6c545faa4a12c8e3a6e052f50bf2ac2e34ad430d84ca76f91eaeebe",
+    "digits --series s3 --digits 3000 --mode scaled": "f41cffb465909b3108271a962e7eb9b4b3f04355c3b7e1ce7096d4c4a8e9a34c",
+    "digits --series s3 --digits 4500": "344733e67b9726222ece4972fbc110d46c0f83e62b707e96cffba4bbe00cc14d",
+    "rate --series s3 --lo 0 --hi 2000": "e6aec5e49a9c55aa5133f8ca8c75552e3664691dbaa4b0009018cf8628099a23",
 }
 
 

@@ -513,3 +513,73 @@ def test_sign_and_rate_are_read_from_the_ratio(text, sign, rate):
     series = alt_series(text)
     assert series.sign_pattern == sign
     assert series.rate_estimate == rate
+
+
+def random_term_text(rng):
+    """A term built from factorials of ±n and ±2n with offsets, polynomial
+    factors with integer roots and, sometimes, the removable (n-50)/(n-50);
+    the offsets of -n and -2n run to 60, so their factorials are defined
+    at the first indices."""
+    num, den = ["(-1)^n" if rng.random() < 0.5 else "1"], []
+    for _ in range(rng.randrange(1, 4)):
+        a = rng.choice([1, -1, 2, -2])
+        c = rng.randrange(-6, 13) if a > 0 else rng.randrange(0, 61)
+        side = num if rng.random() < 0.5 else den
+        side.append(f"({a}*n{c:+d})!^{rng.choice([1, 2])}")
+    for _ in range(rng.randrange(0, 3)):
+        side = num if rng.random() < 0.5 else den
+        side.append(f"(n{rng.randrange(-20, 4):+d})^{rng.choice([1, 2])}")
+    if rng.random() < 0.2:
+        num.append("(n-50)")
+        den.append("(n-50)")
+    return " / ".join([" * ".join(num)] + den)
+
+
+def term_or_none(series, n):
+    try:
+        return series.term_at(n)
+    except DomainError:
+        return None
+
+
+def test_an_undefined_step_after_a_nonzero_term_leads_to_no_term():
+    # where t(n) and t(n+1) are both defined and nonzero, every factor of
+    # the unreduced ratio is nonzero, so a step whose unreduced
+    # denominator vanishes after a nonzero t(n) meets a zero or undefined
+    # t(n+1); the checked steps raise on that without evaluating t(n+1)/t(n)
+    rng = random.Random(18)
+    undefined = 0
+    for _ in range(250):
+        series = alt_series(random_term_text(rng))
+        values = [term_or_none(series, n) for n in range(62)]
+        for n in range(61):
+            if not values[n]:  # zero or undefined
+                continue
+            step = series.ratio_step(n)
+            if step == (0, 0):
+                undefined += 1
+                assert not values[n + 1], (series.term, n)
+            elif values[n + 1] is not None:
+                assert values[n + 1] == values[n] * Fraction(*step), (series.term, n)
+    assert undefined > 150, undefined
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "s3"])
+def test_the_checked_walk_evaluates_each_index_once(cat, monkeypatch, name):
+    # one evaluation per index gives the checks and the leaf: α(n), β(n)
+    # and c(n+1), with c(n) carried from the index before, and h only
+    # within its root bound
+    import wzeta.series
+
+    calls = 0
+
+    def counted(coeffs, x):
+        nonlocal calls
+        calls += 1
+        return horner(coeffs, x)
+
+    series = cat.series_by_name(name)
+    monkeypatch.setattr(wzeta.series, "horner", counted)
+    _, _, _, count = series.sum_to_cut(Fraction(1, 10**3002))
+    assert count > 1000
+    assert calls <= 4 * count, calls / count
