@@ -20,17 +20,18 @@ from .errors import WZetaError
 from .terms import factorial_bits
 
 _COMPARE_LHS_TERMS = 300
-# largest grid `verify` checks; s2, the slower pair, takes about 19 s
-# in-process and 21 s through the CLI at this size (n <= 386) on a 2-vCPU
-# machine, s1 about 10 s (n <= 547)
+# largest grid `verify` checks; s2, the slower pair, takes 3.0-4.7 s
+# in-process and 3.5 s through the CLI at this size (n <= 386) on a
+# 2-vCPU machine, s1 2.0-3.0 s and 2.7 s (n <= 547)
 _MAX_GRID_POINTS = 150_000
 # largest grid work `verify` takes on, estimated as the sum over the rows
 # of (row length)·B^1.5, B the bits of F(n+1, k) and G(n, k) at the
-# worse end of the row; a unit took 1.9-2.6e-11 s in-process on a 2-vCPU
-# machine: s2 at n <= 200, 8.3e10, 2.1 s; s2 at the point cap, n <= 386,
-# 9.9e11, about 19 s (s1 there, n <= 547, 5.4e11); a pair in 30*n,
-# 1.2e11 at n <= 40 in 3.1 s, 5.3e11 at n <= 60 in 12.9 s and 3.4e12 at
-# n <= 99 in 85 s
+# worse end of the row; a unit took 3.1-7.5e-12 s in-process on a 2-vCPU
+# machine: s2 at n <= 200, 8.3e10, 0.56 s; s2 at the point cap, n <= 386,
+# 9.9e11, 3.0-4.7 s (s1 there, n <= 547, 5.4e11); a pair in 30*n,
+# 1.2e11 at n <= 40 in 0.9-1.0 s, 5.3e11 at n <= 60 in 2.6-2.8 s and
+# 3.4e12 at n <= 99 in 11.1 s. The walks along k cost about B per point,
+# not B^1.5, so the estimate now over-counts large values
 _MAX_GRID_WORK = 1.1e12
 # largest `digits --digits`; s1, the slowest catalog series at this size,
 # takes 13.8 s in-process and 14.5 s through the CLI on a 2-vCPU machine

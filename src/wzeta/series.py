@@ -271,12 +271,19 @@ class SeriesSpec(Frozen):
         from term_at at first and at each restart, else (n, None, (p, q)),
         (p, q) = ratio_step(n-1), so t(n) = t(n-1)·p/q. The walk restarts
         after a zero term and where ratio_step is (0, 0)."""
+        for n, value, evaluated in self._walk(first, end):
+            yield n, value, evaluated and evaluated[0]
+
+    def _walk(self, first: int, end: int) -> Iterator[tuple[int, Fraction | None, tuple | None]]:
+        """walk with each step's whole _evaluated(n-1), leaf included, in
+        place of its (p, q); c(n-1) is carried from the step before."""
         live = False  # t(n-1) is known and nonzero
+        evaluated = None  # the step to n-1, if the walk made one
         for n in range(first, end):
-            step = self.ratio_step(n - 1) if live else (0, 0)
-            if step[1]:
-                yield n, None, step
-                live = step[0] != 0
+            evaluated = self._evaluated(n - 1, evaluated and evaluated[3]) if live else None
+            if evaluated:
+                yield n, None, evaluated
+                live = evaluated[0][0] != 0
             else:
                 value = self.term_at(n)
                 yield n, value, None
@@ -309,12 +316,12 @@ class SeriesSpec(Frozen):
         n = self.start_index if first_index is None else first_index
         total = Fraction(0)
         anchor, tree = None, ProductTree()  # the run's (m, t(m)) and its steps
-        for n, value, step in self.walk(n, n + count):
-            if step is None:  # the last run ends; t(n) starts the next
+        for n, value, evaluated in self._walk(n, n + count):
+            if evaluated is None:  # the last run ends; t(n) starts the next
                 total += self._run_sum(anchor, tree) + value
                 anchor, tree = (n, value), ProductTree()
             else:
-                tree.add(*self._evaluated(n - 1)[1])
+                tree.add(*evaluated[1])
         return total + self._run_sum(anchor, tree)
 
     def _run_sum(self, anchor: tuple[int, Fraction] | None, tree: ProductTree) -> Fraction:

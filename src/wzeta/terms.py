@@ -20,7 +20,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .algebra import Frozen, LinearForm, Polynomial, RationalFunction, int_text
+from .algebra import Frozen, LinearForm, Polynomial, RationalFunction, horner, int_text
 from .errors import DomainError, IncompatibleTerms, WZetaError
 
 _ONE = Polynomial.const(1)
@@ -169,7 +169,7 @@ class HyperTerm(Frozen):
         object.__setattr__(
             self, "_key", (sign, tuple(kept), poly_num, poly_den, constant)
         )
-        # value_at's inputs as plain integers: domain bounds, factorial
+        # along_k's inputs as plain integers: domain bounds, factorial
         # forms with exponents, sign form, polynomial terms, constant
         object.__setattr__(self, "_plan", (
             tuple((f.a, f.b, f.c) for f in domain.constraints),
@@ -182,39 +182,105 @@ class HyperTerm(Frozen):
         ))
 
     def value_at(self, n: int, k: int = 0, factorial=math.factorial) -> Fraction:
-        """Exact value at an integer point; DomainError outside the domain.
+        """Exact value at an integer point, the first value of
+        along_k(n, k, factorial); DomainError outside the domain."""
+        return Fraction(*next(self.along_k(n, k, factorial)))
 
-        factorial(m) supplies m! for every factorial argument m, which is
-        checked to be nonnegative first; a caller that evaluates many
-        points can pass a factorial_ladder() instead of math.factorial.
+    def along_k(self, n: int, k_first: int,
+                factorial=math.factorial) -> Iterator[tuple[int, int]]:
+        """The exact values at k = k_first, k_first + 1, ... of row n, each
+        as integers (num, den) with den ≠ 0, not always in lowest terms.
+
+        At every point the walk makes value_at's checks, in its order and
+        with its messages: each domain bound, each factorial argument
+        (≥ 0), then the denominator polynomial (≠ 0); it raises DomainError
+        at the first point that fails. The bounds and the arguments are
+        linear in k, so the walk finds at its start the first k at which
+        one of them is negative, and there checks them one by one.
+
+        factorial(m) supplies m! for the arguments at k_first only; a
+        caller that starts many walks can pass a factorial_ladder()
+        instead of math.factorial. The first value's factorial part, the
+        constant times the factorials, is reduced once after it is
+        yielded (value_at takes only the first value) and kept in lowest
+        terms from then on. From k to k+1 each factorial whose argument m
+        moves by b is multiplied by the exact quotient (m+b)!/m!, a
+        product of the |b| integers between m and m+b. Where k and k+1
+        both lie in the domain, m and m+b are nonnegative, so each of
+        those integers is at least 1: the factorial part never vanishes,
+        and the walk never restarts. The polynomials are collapsed to
+        polynomials in k at this n and evaluated at each k.
         """
-        bounds, factorials, sign, num_terms, den_terms, c_num, c_den = self._plan
-        for a, b, c in bounds:
-            if a * n + b * k + c < 0:
-                raise DomainError(f"(n={int_text(n)}, k={int_text(k)}) outside term domain")
-        numerator = c_num
-        denominator = c_den
-        for form, a, b, c, exp in factorials:
-            arg = a * n + b * k + c
-            if arg < 0:
-                raise DomainError(f"factorial argument {form} = {int_text(arg)} < 0 "
+        bounds, factorials, sign, num_terms, den_terms, top, bottom = self._plan
+        bounds = [(a * n + c, b) for a, b, c in bounds]
+        factorials = [(form, a * n + c, b, e) for form, a, b, c, e in factorials]
+        # per moving factorial (low, b, |e|, whether it multiplies the
+        # numerator): from k-1 to k its quotient is the product of the |b|
+        # integers after low + b·k, the smaller of its two arguments
+        moving = [(base - max(b, 0), b, abs(e), (b > 0) == (e > 0))
+                  for _, base, b, e in factorials if b]
+        num_poly, den_poly = _in_k(num_terms, n), _in_k(den_terms, n)
+        sign_base = sign[0] * n + sign[2]
+        # k_first if a bound or an argument is negative there, else the
+        # first k past the last one at which a falling one is nonnegative
+        first_bad = min((k_first if base + b * k_first < 0 else base // -b + 1
+                         for base, b in bounds + [f[1:3] for f in factorials]
+                         if b < 0 or base + b * k_first < 0), default=math.inf)
+
+        def checked(k: int) -> int:
+            """The denominator polynomial at k, after every check at (n, k)."""
+            if k >= first_bad:
+                for base, b in bounds:
+                    if base + b * k < 0:
+                        raise DomainError(f"(n={int_text(n)}, k={int_text(k)}) outside term domain")
+                for form, base, b, _ in factorials:
+                    if base + b * k < 0:
+                        raise DomainError(f"factorial argument {form} = {int_text(base + b * k)} "
+                                          f"< 0 at (n={int_text(n)}, k={int_text(k)})")
+            den_val = horner(den_poly, k)
+            if den_val == 0:
+                raise DomainError(f"denominator polynomial vanishes "
                                   f"at (n={int_text(n)}, k={int_text(k)})")
+            return den_val
+
+        k = k_first
+        den_val = checked(k)
+        for _, base, b, exp in factorials:
             if exp > 0:
-                numerator *= factorial(arg) ** exp
+                top *= factorial(base + b * k) ** exp
             else:
-                denominator *= factorial(arg) ** (-exp)
-        den_val = 0
-        for coef, en, ek in den_terms:
-            den_val += coef * n**en * k**ek
-        if den_val == 0:
-            raise DomainError(f"denominator polynomial vanishes "
-                              f"at (n={int_text(n)}, k={int_text(k)})")
-        num_val = 0
-        for coef, en, ek in num_terms:
-            num_val += coef * n**en * k**ek
-        if (sign[0] * n + sign[1] * k + sign[2]) % 2:
-            num_val = -num_val
-        return Fraction(numerator * num_val, denominator * den_val)
+                bottom *= factorial(base + b * k) ** -exp
+        while True:
+            num_val = horner(num_poly, k)
+            if (sign_base + sign[1] * k) % 2:
+                num_val = -num_val
+            yield top * num_val, bottom * den_val
+            if k == k_first:
+                g = math.gcd(top, bottom)
+                top, bottom = top // g, bottom // g
+            k += 1
+            den_val = checked(k)
+            up = down = 1
+            for low, b, power, to_top in moving:
+                low += b * k
+                if b == 1 or b == -1:
+                    quotient = low + 1
+                else:
+                    quotient = math.prod(range(low + 1, low + abs(b) + 1))
+                if to_top:
+                    up *= quotient**power
+                else:
+                    down *= quotient**power
+            g = math.gcd(up, down)
+            if g > 1:
+                up, down = up // g, down // g
+            g = math.gcd(top, down)
+            if g > 1:
+                top, down = top // g, down // g
+            g = math.gcd(bottom, up)
+            if g > 1:
+                bottom, up = bottom // g, up // g
+            top, bottom = top * up, bottom * down
 
     def substituted(self, n_to: LinearForm, k_to: LinearForm) -> "HyperTerm":
         """The term with n := n_to and k := k_to, domain included."""
@@ -238,7 +304,7 @@ class HyperTerm(Frozen):
 
 
 def factorial_ladder():
-    """A function m ↦ m! for m ≥ 0, to pass to HyperTerm.value_at. It
+    """A function m ↦ m! for m ≥ 0, to pass to HyperTerm.along_k. It
     keeps every factorial it has reached in one list, so a new entry
     costs one multiplication and a repeated one a lookup; the list lives
     as long as the function."""
@@ -268,6 +334,14 @@ def factorial_bits(m: int) -> float:
 def _poly_terms(poly: Polynomial) -> tuple[tuple[int, int, int], ...]:
     """(coefficient, deg_n, deg_k) per monomial."""
     return tuple((c, en, ek) for (en, ek), c in poly.coeffs.items())
+
+
+def _in_k(terms: tuple[tuple[int, int, int], ...], n: int) -> tuple[int, ...]:
+    """The polynomial of _poly_terms at this n, as dense coefficients in k."""
+    coeffs = [0] * (max((ek for _, _, ek in terms), default=-1) + 1)
+    for c, en, ek in terms:
+        coeffs[ek] += c * n**en
+    return tuple(reversed(coeffs))
 
 
 def cross_ratio(g: HyperTerm, f: HyperTerm) -> RationalFunction:

@@ -14,6 +14,7 @@ pairs converges geometrically.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple
@@ -104,16 +105,18 @@ def verify_grid(pair: WZPair, n_max: int) -> VerifyReport:
     """Check the pair identity exactly at every point of check_domain
     with n ≤ n_max.
 
-    The grid is swept row by row, and each F and G value is computed
-    once: the F(n+1, k) of row n are row n+1's F(n, k), and G(n, k+1) at
-    one point is G(n, k) at the next. Values are requested in the order
-    F(n+1,k), F(n,k), G(n,k+1), G(n,k), skipping those already known, so
-    a DomainError names the same point as a point-by-point check would.
-
-    Every value is a direct evaluation of F or G by value_at, which reads
-    its factorials from one factorial_ladder built for this call. A point
-    with values F(n+1,k) = a1/b1, F(n,k) = a0/b0, G(n,k+1) = c1/d1 and
-    G(n,k) = c0/d0 passes iff
+    The grid is swept row by row, and each row reads its values from
+    walks along k (HyperTerm.along_k): each walk starts directly from
+    factorials, read from one factorial_ladder built for this call, and
+    steps by exact factorial quotients. The F(n+1, k) of a row are kept
+    as the next row's F(n, k), and a walk of F(n, ·) supplies only the
+    values they lack. Values are requested in the order F(n+1,k), F(n,k),
+    G(n,k+1), G(n,k), the last only at the row's first k, lo, since
+    G(n,k+1) at one point is G(n,k) at the next: so G's walk starts at
+    lo+1 and G(n, lo) has a walk of its own, and a DomainError names the
+    same point as a point-by-point check would. A point with values
+    F(n+1,k) = a1/b1, F(n,k) = a0/b0, G(n,k+1) = c1/d1 and G(n,k) = c0/d0
+    passes iff
 
         (a1·b0 − a0·b1)·(d1·d0) == (c1·d0 − c0·d1)·(b1·b0),
 
@@ -127,28 +130,42 @@ def verify_grid(pair: WZPair, n_max: int) -> VerifyReport:
     factorial = factorial_ladder()
     checked = 0
     failures = []
-    f_known: dict[tuple[int, int], Fraction] = {}  # F(n, k) of this row, from the last
+    f_known = {}  # F(n, k) of this row, from the last
     for n, lo, hi in pair.rows(n_max):
+        f_up_row = f.along_k(n + 1, lo, factorial)
+        f_row = _filled_row(f, n, lo, f_known, factorial)
+        g_up_row = g.along_k(n, lo + 1, factorial)
         f_next = {}
         for k in range(lo, hi + 1):
-            f_up = f_next[n + 1, k] = f.value_at(n + 1, k, factorial)
-            f_here = f_known.pop((n, k), None)
-            if f_here is None:
-                f_here = f.value_at(n, k, factorial)
-            g_up = g.value_at(n, k + 1, factorial)
+            a1, b1 = f_next[n + 1, k] = next(f_up_row)
+            a0, b0 = next(f_row)
+            c1, d1 = next(g_up_row)
             if k == lo:
-                g_here = g.value_at(n, k, factorial)
-            a1, b1 = f_up.numerator, f_up.denominator
-            a0, b0 = f_here.numerator, f_here.denominator
-            c1, d1 = g_up.numerator, g_up.denominator
-            c0, d0 = g_here.numerator, g_here.denominator
+                c0, d0 = next(g.along_k(n, lo, factorial))
             checked += 1
             if (a1 * b0 - a0 * b1) * (d1 * d0) != (c1 * d0 - c0 * d1) * (b1 * b0):
-                failures.append(FailurePoint(n, k, f_up - f_here, g_up - g_here))
-            g_here = g_up
+                failures.append(FailurePoint(n, k, Fraction(a1, b1) - Fraction(a0, b0),
+                                             Fraction(c1, d1) - Fraction(c0, d0)))
+            c0, d0 = c1, d1
         f_known = f_next
     outcome = "pass" if not failures else "fail"
     return VerifyReport("grid", outcome, checked, failures=tuple(failures))
+
+
+def _filled_row(term: HyperTerm, n: int, lo: int, known: dict,
+                factorial) -> Iterator[tuple[int, int]]:
+    """term's values at (n, k) for k = lo, lo+1, ...: known[n, k] where
+    known has it, else from a walk started at the first k of each run it
+    lacks. Lazy, so each value is evaluated when it is requested."""
+    walk = None
+    for k in itertools.count(lo):
+        if (n, k) in known:
+            walk = None
+            yield known[n, k]
+        else:
+            if walk is None:
+                walk = term.along_k(n, k, factorial)
+            yield next(walk)
 
 
 def grid_points(pair: WZPair, n_max: int, stop_above: int) -> int:

@@ -161,7 +161,7 @@ def test_verify_grid_over_the_cap_exits_2_promptly(cat):
 
 
 # a pair in 30*n: factorials to about 3000! make each point costly, and
-# 148,600 points at n <= 99, under the point cap, took 85 s
+# 148,600 points at n <= 99, under the point cap, took 11 s in-process
 PAIR_30N = {"f_s1": "(-1)^k * k! * (30*n-k)! / (30*n+1)!",
             "g_s1": "(-1)^k * k! * (30*n-k+1)! / (30*n+1)!"}
 

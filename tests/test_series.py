@@ -583,3 +583,22 @@ def test_the_checked_walk_evaluates_each_index_once(cat, monkeypatch, name):
     _, _, _, count = series.sum_to_cut(Fraction(1, 10**3002))
     assert count > 1000
     assert calls <= 4 * count, calls / count
+
+
+@pytest.mark.parametrize("name", ["s1", "s2"])
+def test_partial_sum_evaluates_each_index_once(cat, monkeypatch, name):
+    # the walk's step and the tree's leaf come from one evaluation, with
+    # c(n) carried from the step before
+    import wzeta.series
+
+    calls = 0
+
+    def counted(coeffs, x):
+        nonlocal calls
+        calls += 1
+        return horner(coeffs, x)
+
+    series = accelerate(cat.pair_by_name(name))
+    monkeypatch.setattr(wzeta.series, "horner", counted)
+    series.partial_sum(2000)
+    assert calls <= 4 * 2000, calls / 2000

@@ -1,4 +1,5 @@
 import math
+import random
 import os
 import subprocess
 import sys
@@ -435,3 +436,121 @@ def test_value_at_with_a_ladder_matches_math_factorial():
 
     check()
     assert outcomes == {"value", "no factorial", "error"}
+
+
+def field_value(term, n, k):
+    """The term's value read from its fields, with math.factorial and
+    Polynomial.evaluate, or the DomainError message value_at raises:
+    domain, then each factorial argument in order, then the denominator."""
+    if any(form.value(n, k) < 0 for form in term.domain.constraints):
+        return f"(n={n}, k={k}) outside term domain"
+    for form, _ in term.factorials:
+        if form.value(n, k) < 0:
+            return f"factorial argument {form} = {form.value(n, k)} < 0 at (n={n}, k={k})"
+    den = term.poly_den.evaluate(n, k)
+    if den == 0:
+        return f"denominator polynomial vanishes at (n={n}, k={k})"
+    value = term.constant * Fraction(term.poly_num.evaluate(n, k), den)
+    for form, exp in term.factorials:
+        value *= Fraction(math.factorial(form.value(n, k))) ** exp
+    return -value if term.sign_exponent.value(n, k) % 2 else value
+
+
+def expected_at(term, n, k):
+    """(field_value, the product of the two polynomials' values) at (n, k)."""
+    return field_value(term, n, k), term.poly_num.evaluate(n, k) * term.poly_den.evaluate(n, k)
+
+
+def check_walk(term, n, k_first, expected, ladder=math.factorial):
+    """Walk row n from k_first against expected, the expected_at of each
+    k from k_first on: exact pairs with a nonzero denominator, after the
+    first with a common factor that divides the two polynomial values
+    (the factorial part is kept in lowest terms), and past the last value
+    the same DomainError text as value_at's, if expected ends in one."""
+    walk = term.along_k(n, k_first, ladder)
+    for k, (want, polys) in enumerate(expected, k_first):
+        if isinstance(want, str):
+            with pytest.raises(DomainError) as raised:
+                next(walk)
+            assert str(raised.value) == want, (term, n, k)
+            with pytest.raises(DomainError) as direct:
+                term.value_at(n, k)
+            assert str(direct.value) == want
+            return
+        num, den = next(walk)
+        assert den != 0 and Fraction(num, den) == want, (term, n, k)
+        assert k == k_first or num == 0 or polys % math.gcd(num, den) == 0, (term, n, k)
+
+
+@pytest.mark.parametrize("name", ["s1", "s2"])
+def test_walks_along_k_match_the_fields_on_the_check_region(cat, name):
+    # every row of F and G up to n = 61, which holds every value the
+    # check region to n <= 60 reads, walked from each of its points to
+    # one past its end
+    pair = cat.pair_by_name(name)
+    ladder = factorial_ladder()
+    for term in (pair.f, pair.g):
+        for n in range(62):
+            lo, hi = term.domain.k_range(n) or (0, -1)
+            if hi < lo:
+                continue
+            expected = [expected_at(term, n, k) for k in range(lo, hi + 2)]
+            assert isinstance(expected[-1][0], str)
+            for k_first in range(lo, hi + 1):
+                check_walk(term, n, k_first, expected[k_first - lo:], ladder)
+
+
+def random_walk_term(rng):
+    """A random two-variable term: factorials in the k-directions ±1, ±2
+    and 30 with offsets and exponents up to 3, maybe a sign (-1)^(n+k),
+    a numerator with integer roots inside the row, a denominator that is
+    negative over part of it (or vanishes at one k), maybe a zero
+    constant, and a domain that may omit factorial arguments and may
+    add the bound k <= n + 4."""
+    factorials = [(LinearForm(rng.randrange(3), b, rng.randrange(-3, 4)),
+                   rng.choice([-3, -2, -1, 1, 2, 3]))
+                  for b in rng.sample([1, -1, 2, -2, 30], rng.randrange(1, 4))]
+    n, k = N.to_polynomial(), K.to_polynomial()
+    num = Polynomial.const(rng.randrange(1, 4))
+    for _ in range(rng.randrange(3)):
+        num = num * (k - Polynomial.const(rng.randrange(1, 6)))
+    if rng.random() < 0.5:
+        num = num + n * k
+    den = Polynomial.const(2) * k - Polynomial.const(2 * rng.randrange(0, 6) + rng.choice([1, 0]))
+    if rng.random() < 0.5:
+        den = den * (n + Polynomial.const(1))
+    constant = Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))
+    sign = LinearForm(1, 1, 0) if rng.random() < 0.5 else LinearForm()
+    bounds = [form for form, _ in factorials if rng.random() < 0.7]
+    if rng.random() < 0.3:
+        bounds.append(LinearForm(1, -1, 4))
+    return HyperTerm(sign, tuple(factorials), num, den, constant, Domain(tuple(bounds)))
+
+
+def test_walks_along_k_match_the_fields_on_random_terms():
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(200):
+        term = random_walk_term(rng)
+        if term.constant == 0:
+            seen.add("zero constant")
+        for n in rng.sample(range(8), 2):
+            k_first = rng.randrange(-2, 5)
+            expected = []
+            for k in range(k_first, k_first + 16):
+                expected.append(expected_at(term, n, k))
+                want = expected[-1][0]
+                if isinstance(want, str):
+                    seen.add(next(w for w in ("outside", "factorial", "vanishes") if w in want))
+                    break
+            check_walk(term, n, k_first, expected)
+            values = [v for v, _ in expected if not isinstance(v, str)]
+            if any(a == 0 and b for a, b in zip(values, values[1:])):
+                seen.add("zero, then nonzero")
+            if any(term.poly_den.evaluate(n, k) < 0 < term.poly_den.evaluate(n, k + 1)
+                   for k in range(k_first, k_first + len(values) - 1)):
+                seen.add("denominator changes sign")
+            if len(values) > 1:
+                seen.add("steps")
+    assert seen == {"zero constant", "outside", "factorial", "vanishes",
+                    "zero, then nonzero", "denominator changes sign", "steps"}

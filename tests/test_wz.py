@@ -366,9 +366,13 @@ def vanishing_at(n, k):
         (None, vanishing_at(5, 1), None, (5, 1)),
         # G(5, 0) is needed only as G(n, k) at (5, 0)
         (None, vanishing_at(5, 0), None, (5, 0)),
+        # G(5, 0) and G(5, 1) both vanish: G(n, k+1) is requested first
+        (None, vanishing_at(5, 0) * vanishing_at(5, 1), None, (5, 1)),
+        # F(6, 2) and F(6, 3) both vanish: row 5 reaches k = 2 first
+        (vanishing_at(6, 2) * vanishing_at(6, 3), None, None, (6, 2)),
     ],
     ids=["f-up-mid-row", "f-up-row-start", "f-up-after-empty-rows", "f-here", "g-up",
-         "g-here"],
+         "g-here", "g-both", "f-up-both"],
 )
 def test_row_sweep_raises_the_reference_domain_error(cat, f_zero, g_zero, f_bound, point):
     # in a region derived from the terms only a vanishing denominator
@@ -440,3 +444,28 @@ def test_negative_polynomial_denominators(cat, broken_pair, name):
     assert swept.failures == reference.failures
     assert swept.serialize() == wz.verify_grid(pair, 12).serialize()
     assert swept.outcome == ("fail" if name == "broken" else "pass")
+
+
+@pytest.mark.parametrize("name,n_max,rows", [("s1", 200, 200), ("s2", 120, 120)])
+def test_the_grid_reads_factorials_only_where_a_walk_starts(cat, monkeypatch, name, n_max, rows):
+    # a walk reads its factorials once, at its first k, and steps by
+    # quotients after that: per row, the walks of F(n+1, ·) and G(n, ·),
+    # the single value G(n, lo), and F(n, ·) where the last row lacks it
+    reads = 0
+    ladder = wz.factorial_ladder
+
+    def counting_ladder():
+        factorial = ladder()
+
+        def counted(m):
+            nonlocal reads
+            reads += 1
+            return factorial(m)
+
+        return counted
+
+    monkeypatch.setattr(wz, "factorial_ladder", counting_ladder)
+    pair = cat.pair_by_name(name)
+    assert len(list(pair.rows(n_max))) == rows
+    assert wz.verify_grid(pair, n_max).outcome == "pass"
+    assert reads <= 12 * rows, reads
