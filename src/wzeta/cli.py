@@ -20,19 +20,22 @@ from .errors import WZetaError
 from .terms import factorial_bits
 
 _COMPARE_LHS_TERMS = 300
-# largest grid `verify` checks; s2, the slower pair, takes 3.0-4.7 s
-# in-process and 3.5 s through the CLI at this size (n <= 386) on a
-# 2-vCPU machine, s1 2.0-3.0 s and 2.7 s (n <= 547)
-_MAX_GRID_POINTS = 150_000
-# largest grid work `verify` takes on, estimated as the sum over the rows
-# of (row length)·B^1.5, B the bits of F(n+1, k) and G(n, k) at the
-# worse end of the row; a unit took 3.1-7.5e-12 s in-process on a 2-vCPU
-# machine: s2 at n <= 200, 8.3e10, 0.56 s; s2 at the point cap, n <= 386,
-# 9.9e11, 3.0-4.7 s (s1 there, n <= 547, 5.4e11); a pair in 30*n,
-# 1.2e11 at n <= 40 in 0.9-1.0 s, 5.3e11 at n <= 60 in 2.6-2.8 s and
-# 3.4e12 at n <= 99 in 11.1 s. The walks along k cost about B per point,
-# not B^1.5, so the estimate now over-counts large values
-_MAX_GRID_WORK = 1.1e12
+# `verify`'s grid estimate, in seconds: _GRID_ROW_S per n of the row
+# span, and per point _GRID_POINT_S plus _GRID_BIT_S per bit of B, B the
+# bits of F(n+1, k) plus those of G(n, k) at the larger end of the row.
+# Fitted to 25 grids timed in-process on a 2-vCPU machine (span, points
+# and Σ B; estimated and measured seconds):
+#   s1 n <= 547                547  149,878  3.4e9   2.22  1.67
+#   s2 n <= 386                386  149,382  5.1e9   3.18  2.75
+#   pair in 30*n, n <= 60       61   54,961  2.4e9   1.48  1.94
+#   pair in 30*n, n <= 99      100  148,600  1.1e10  6.84  8.70
+#   3 rows in 50 nonempty  300,001   18,000  8.1e6   2.74  2.65
+# Points of B over 40,000 run over the fit. The cap, the slowest estimate
+# the replaced caps admitted, allows 1.6M points or 355,000 rows
+_GRID_ROW_S = 9e-6
+_GRID_POINT_S = 2e-6
+_GRID_BIT_S = 5.7e-10
+_MAX_GRID_S = 3.2
 # largest `digits --digits`; s1, the slowest catalog series at this size,
 # takes 13.8 s in-process and 14.5 s through the CLI on a 2-vCPU machine
 # (best of 3; s2 8.1 and 9.1 s, s3 8.5 and 9.5 s)
@@ -96,9 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_integer,
         default=30,
         metavar="N",
-        help=f"check every point with n <= N (default 30); grids of more "
-        f"than {_MAX_GRID_POINTS} points, or of more estimated work than "
-        f"{_MAX_GRID_WORK:.3g}, are refused",
+        help=f"check every point with n <= N (default 30); grids estimated "
+        f"to take over {_MAX_GRID_S} s on a 2-vCPU machine are refused",
     )
     p_verify.add_argument(
         "--symbolic",
@@ -167,31 +169,27 @@ def _cmd_verify(cat, args) -> int:
     if args.symbolic:
         report = wz.verify_symbolic(pair)
     else:
-        points = wz.grid_points(pair, args.nmax, stop_above=_MAX_GRID_POINTS)
-        if points > _MAX_GRID_POINTS:
-            raise WZetaError(
-                f"--nmax {int_text(args.nmax)} gives a grid of more than "
-                f"{_MAX_GRID_POINTS} points (the limit)"
-            )
-        work = _grid_work(pair, args.nmax)
-        if work > _MAX_GRID_WORK:
-            raise WZetaError(f"pair {pair.name} at --nmax {int_text(args.nmax)} needs about "
-                             f"{work:.3g} units of grid work, over the limit of {_MAX_GRID_WORK:.3g}")
+        if _grid_seconds(pair, args.nmax) > _MAX_GRID_S:
+            raise WZetaError(f"pair {pair.name} at --nmax {int_text(args.nmax)} is estimated "
+                             f"to take over {_MAX_GRID_S} s of grid checks (the limit)")
         report = wz.verify_grid(pair, args.nmax)
     print(report.serialize())
     print("PASS" if report.outcome == "pass" else "FAIL")
     return 0 if report.outcome == "pass" else 1
 
 
-def _grid_work(pair, n_max: int) -> float:
-    """_MAX_GRID_WORK's estimate: Σ over the rows of (hi - lo + 1)·B^1.5,
-    B = _value_bits(F, n+1, k) + _value_bits(G, n, k) at the larger of
-    k = lo and k = hi."""
-    work = 0.0
+def _grid_seconds(pair, n_max: int) -> float:
+    """verify_grid(pair, n_max)'s estimate, in one pass over its rows
+    that stops once past _MAX_GRID_S. The span is charged first, so a run
+    of empty rows is refused without being walked."""
+    span = pair.check_domain.n_span(n_max)
+    seconds = _GRID_ROW_S * max(span.stop - span.start, 0)
     for n, lo, hi in pair.rows(n_max):
+        if seconds > _MAX_GRID_S:
+            break
         bits = max(_value_bits(pair.f, n + 1, k) + _value_bits(pair.g, n, k) for k in (lo, hi))
-        work += (hi - lo + 1) * bits**1.5
-    return work
+        seconds += (hi - lo + 1) * (_GRID_POINT_S + _GRID_BIT_S * bits)
+    return seconds
 
 
 def _cmd_accelerate(cat, args) -> int:

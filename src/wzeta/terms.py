@@ -46,11 +46,11 @@ class Domain(NamedTuple):
     constraints: tuple[LinearForm, ...] = ()
 
     @property
-    def n_min(self) -> int | None:
-        """The least n at which some real k meets every constraint; None
-        if there is no least such n. Adding each lower bound on k, scaled,
-        to each upper bound eliminates k (Fourier–Motzkin) and leaves,
-        with the constraints that have no k, constraints a·n + c >= 0."""
+    def n_bounds(self) -> tuple[int | None, int | None] | None:
+        """(least, most) n with a real k meeting every constraint, None
+        where unbounded; None if there is no such n. Adding each lower
+        bound on k, scaled, to each upper bound eliminates k (Fourier–
+        Motzkin) and leaves, with those without k, a·n + c >= 0."""
         in_n = [f for f in self.constraints if f.b == 0]
         in_n += [lo.scaled(-up.b) + up.scaled(lo.b)
                  for lo in self.constraints if lo.b > 0
@@ -59,7 +59,12 @@ class Domain(NamedTuple):
         most = min((f.c // -f.a for f in in_n if f.a < 0), default=None)
         empty = any(f.a == 0 and f.c < 0 for f in in_n) or (
             least is not None and most is not None and least > most)
-        return None if empty else least
+        return None if empty else (least, most)
+
+    @property
+    def n_min(self) -> int | None:
+        """n_bounds' least n; None if there is none."""
+        return (self.n_bounds or (None, None))[0]
 
     def k_range(self, n: int) -> tuple[int, int] | None:
         """Inclusive k interval at fixed n, or None if empty.
@@ -87,11 +92,15 @@ class Domain(NamedTuple):
             return None
         return lo, hi
 
+    def n_span(self, n_max: int) -> range:
+        """The n of rows(n_max): n_bounds up to n_max, from 0 if there is
+        no least n; empty if no n has a real k."""
+        least, most = self.n_bounds or (0, -1)
+        return range(least or 0, (n_max if most is None else min(most, n_max)) + 1)
+
     def rows(self, n_max: int) -> Iterator[tuple[int, int, int]]:
-        """(n, lo, hi) for every nonempty row lo <= k <= hi, n from n_min
-        (0 if there is no least n) up to n_max."""
-        n_min = self.n_min
-        for n in range(0 if n_min is None else n_min, n_max + 1):
+        """(n, lo, hi) for every nonempty row lo <= k <= hi, n in n_span(n_max)."""
+        for n in self.n_span(n_max):
             k_range = self.k_range(n)
             if k_range is not None:
                 yield n, *k_range

@@ -168,18 +168,6 @@ def _filled_row(term: HyperTerm, n: int, lo: int, known: dict,
             yield next(walk)
 
 
-def grid_points(pair: WZPair, n_max: int, stop_above: int) -> int:
-    """How many points verify_grid(pair, n_max) checks, counted over
-    the same check_domain rows without evaluating a term. Counting ends as
-    soon as the count passes stop_above, so a huge n_max returns promptly."""
-    count = 0
-    for _, lo, hi in pair.rows(n_max):
-        count += hi - lo + 1
-        if count > stop_above:
-            break
-    return count
-
-
 def certificate(pair: WZPair) -> RationalFunction:
     """The rational function R(n, k) = G(n, k)/F(n, k)."""
     return cross_ratio(pair.g, pair.f)
@@ -301,35 +289,39 @@ def two_sided_gap(pair: WZPair, lhs_count: int, accel_count: int) -> tuple[str, 
     to _GAP_PLACES decimals, and verdict is "ok" if gap ≤ bound, "fail"
     otherwise; a true pair is "ok".
 
-    The diagonal is summed exactly only to its first m terms. Its printed
-    terms after those sum to r with |r| ≤ s = tail_bound(m), which bounds
-    every finite run of terms after the cut, so the exact gap |x − r|,
-    x = column − diagonal to m, lies in [|x| − s, |x| + s]. Where both
-    ends truncate to the same text and lie on the same side of the bound,
-    that text and side are the line's. Otherwise, or where tail_bound(m)
+    The diagonal is summed exactly only to its first m terms, and s =
+    tail_bound(m) bounds every finite run of terms after the cut, so the
+    exact gap lies within s of |x|, x = column − diagonal to m, and the
+    exact bound in [c, c + s], c the column's tail bound: the diagonal's
+    at accel_count is at most s (alternating: each step past the cut is
+    checked or certified to lie in (−1, 0); positive: the d certified at
+    m certifies past it, where t(n)·(n+d−1)/(d−1) does not grow). Where
+    both intervals' ends truncate alike and the gap's lie on one side of
+    the bound's, they decide the line. Otherwise, or where tail_bound(m)
     raises or the step at the cut is zero or undefined, m doubles, up to
-    m = accel_count, where s = 0 and the gap is the exact one. Each sum
-    to m is a prefix of the exact sum, so it raises only the exact sum's
-    error, and a try decides only once the steps past its cut are checked
-    to be nonzero ratios, so that the exact sum would raise nothing: every
-    input gives the exact sums' line or raises their error.
-    """
+    accel_count, where s = 0. Each sum to m is a prefix of the exact sum,
+    and a try decides only once the steps past its cut are checked to be
+    nonzero ratios, so the exact sum would raise nothing; the one check
+    of the exact bound left, the domain at the diagonal's cut, is made
+    without factorials. So every input gives the exact line or raises its
+    error."""
     slow, fast = lhs_series(pair), accelerate(pair)
     slow_sum = slow.partial_sum(lhs_count)
-    bound = None
     count = min(_FIRST_GAP_TERMS, accel_count)
     while True:
         spread = _run_bound(fast, count) if count < accel_count else Fraction(0)
         if spread is not None:
             x = abs(slow_sum - fast.partial_sum(count))
-            low, high = x - spread, x + spread
-            gap = truncated_decimal(high, _GAP_PLACES)
-            if truncated_decimal(low, _GAP_PLACES) == gap:
-                if bound is None:  # after the sums, so their errors come first
-                    bound = slow.tail_bound(lhs_count) + fast.tail_bound(accel_count)
-                if high <= bound or low > bound:
-                    verdict = "ok" if high <= bound else "fail"
-                    return gap, truncated_decimal(bound, _GAP_PLACES), verdict
+            least = slow.tail_bound(lhs_count)  # after the sums, so their errors come first
+            if count == accel_count:
+                least += fast.tail_bound(accel_count)
+            low, high, most = x - spread, x + spread, least + spread
+            gap, bound = truncated_decimal(high, _GAP_PLACES), truncated_decimal(most, _GAP_PLACES)
+            if (truncated_decimal(low, _GAP_PLACES) == gap
+                    and truncated_decimal(least, _GAP_PLACES) == bound
+                    and (high <= least or low > most)):
+                fast.term.value_at(fast.start_index + accel_count, 0, factorial=lambda m: 1)
+                return gap, bound, "ok" if high <= least else "fail"
         count = min(2 * count, accel_count)
 
 

@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -13,8 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 import wzeta
 from wzeta import catalog
+from wzeta.algebra import LinearForm
 from wzeta.catalog import bundled_text
 from wzeta.cli import main
+from wzeta.terms import Domain, HyperTerm
+from wzeta.wz import WZPair
 
 LIST_OUTPUT = """\
 s1 series 1 0.602
@@ -145,53 +150,103 @@ def test_verify_failure_reports_points_and_exits_1(capsys, broken_catalog):
     assert first_bad[:2] == ["1", "0"] and first_bad[-1] == "fail"
 
 
-def test_verify_grid_over_the_cap_exits_2_promptly(cat):
-    # for each pair, the smallest --nmax whose grid passes the cap
-    from wzeta.cli import _MAX_GRID_POINTS
-    from wzeta.wz import grid_points
+def last_admitted(pair, n_max=1):
+    """The largest --nmax from n_max on whose grid estimate is within
+    the cap, by bisection; every grid estimate grows with --nmax."""
+    from wzeta.cli import _MAX_GRID_S, _grid_seconds
 
-    for name in ("s1", "s2"):
+    high = 2 * n_max
+    while _grid_seconds(pair, high) <= _MAX_GRID_S:
+        n_max, high = high, 2 * high
+    while high - n_max > 1:
+        mid = (n_max + high) // 2
+        n_max, high = (mid, high) if _grid_seconds(pair, mid) <= _MAX_GRID_S else (n_max, mid)
+    return n_max
+
+
+def test_verify_grid_over_the_cap_exits_2_promptly(cat):
+    # for each pair, the smallest --nmax whose estimate passes the cap,
+    # past the largest grid the point cap it replaced admitted
+    from wzeta.cli import _MAX_GRID_S, _grid_seconds
+
+    for name, admitted in (("s1", 547), ("s2", 386)):
         pair = cat.pair_by_name(name)
-        n_max = 1
-        while grid_points(pair, n_max, _MAX_GRID_POINTS) <= _MAX_GRID_POINTS:
-            n_max += 1
-        assert grid_points(pair, n_max - 1, _MAX_GRID_POINTS) > 0.99 * _MAX_GRID_POINTS
-        done = run_subprocess("verify", "--pair", name, "--nmax", str(n_max))
-        assert_refused(done, str(_MAX_GRID_POINTS))
+        n_max = last_admitted(pair) + 1
+        assert n_max > admitted
+        assert _grid_seconds(pair, n_max - 1) <= _MAX_GRID_S < _grid_seconds(pair, n_max)
+        done = run_subprocess("verify", "--pair", name, "--nmax", str(n_max), timeout=2)
+        assert_refused(done, f"pair {name} at --nmax {n_max} ", f"over {_MAX_GRID_S} s")
 
 
 # a pair in 30*n: factorials to about 3000! make each point costly, and
-# 148,600 points at n <= 99, under the point cap, took 11 s in-process
+# 148,600 points at n <= 99 took 8.7-11.1 s in-process
 PAIR_30N = {"f_s1": "(-1)^k * k! * (30*n-k)! / (30*n+1)!",
             "g_s1": "(-1)^k * k! * (30*n-k+1)! / (30*n+1)!"}
 
 
 def test_verify_past_the_work_limit_exits_2_promptly(tmp_path):
-    from wzeta.cli import _MAX_GRID_WORK
+    from wzeta.cli import _MAX_GRID_S
 
     path = catalog_with(tmp_path, **PAIR_30N)
     done = run_subprocess("--catalog", path, "verify", "--pair", "s1", "--nmax", "99",
                           timeout=2)
-    assert_refused(done, "pair s1 at --nmax 99", "3.39e+12", f"limit of {_MAX_GRID_WORK:.3g}")
+    assert_refused(done, "pair s1 at --nmax 99 ", f"over {_MAX_GRID_S} s")
 
 
 def test_the_work_estimate_admits_the_catalog_at_the_point_cap(cat, tmp_path):
-    from wzeta.cli import _MAX_GRID_POINTS, _MAX_GRID_WORK, _grid_work
-    from wzeta.wz import grid_points
+    # the largest grids the two caps it replaced admitted in tests and
+    # benchmark are admitted, and the cap is the slowest one's estimate
+    from wzeta.cli import _GRID_POINT_S, _MAX_GRID_S, _grid_seconds
 
-    for name, n_max in (("s1", 547), ("s2", 386)):
-        pair = cat.pair_by_name(name)
-        assert grid_points(pair, n_max + 1, _MAX_GRID_POINTS) > _MAX_GRID_POINTS
-        assert _grid_work(pair, n_max) < _MAX_GRID_WORK
     slow = catalog.load_catalog(catalog_with(tmp_path, **PAIR_30N)).pair_by_name("s1")
-    assert _grid_work(slow, 60) < _MAX_GRID_WORK < _grid_work(slow, 75)
+    estimates = [_grid_seconds(cat.pair_by_name("s1"), 547),
+                 _grid_seconds(cat.pair_by_name("s2"), 386), _grid_seconds(slow, 60)]
+    assert max(estimates) <= _MAX_GRID_S < 1.01 * max(estimates)
+    assert 60 <= last_admitted(slow) < 99
+    # each point is charged at least _GRID_POINT_S, so a row of values
+    # of a few bits is refused once its points pass _MAX_GRID_S/_GRID_POINT_S
+    points = math.ceil(_MAX_GRID_S / _GRID_POINT_S)
+    one = HyperTerm(domain=Domain((LinearForm(0, 1, 0), LinearForm(0, -1, points))))
+    band = WZPair("band", one, one, Fraction(1))
+    assert list(band.rows(0)) == [(0, 0, points - 1)]
+    assert _grid_seconds(band, 0) > _MAX_GRID_S
 
 
-def test_verify_grid_with_a_huge_nmax_exits_2(capsys):
-    code, out, err = run(capsys, "verify", "--pair", "s2", "--nmax", str(10**18))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ")
+def test_verify_grid_with_a_huge_nmax_exits_2():
+    # the rows of the span are charged before any is visited
+    for name in ("s1", "s2"):
+        done = run_subprocess("verify", "--pair", name, "--nmax", str(10**18), timeout=2)
+        assert_refused(done, f"pair {name} at --nmax {10**18} ")
+
+
+def test_verify_stops_where_the_region_ends(tmp_path):
+    # (10-n)! in F and G: the region ends at n = 9, so a huge --nmax
+    # checks s1's rows n = 1..9 (the identity no longer holds)
+    path = catalog_with(tmp_path,
+                        f_s1="(-1)^k * k!^2 * (n-k-1)! * (10-n)! / ((n+k+1)! * (k+1))",
+                        g_s1="2 * (-1)^k * k!^2 * (n-k)! * (10-n)! / ((n+k+1)! * (n+1)^2)")
+    done = run_subprocess("--catalog", path, "verify", "--pair", "s1", "--nmax", str(10**12),
+                          timeout=2)
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout.splitlines()[-2:] == ["mode=grid points_checked=45 outcome=fail", "FAIL"]
+
+
+@pytest.mark.parametrize("f,g,refused", [
+    # no real point: 5n+6 <= 5k <= 5n-1 from F(n+1, k) and G(n, k+1)
+    ("(5*k-5*n-1)! * (5*n+4-5*k)!", "(5*k-5*n-1)! * (5*n+4-5*k)!", False),
+    # a real point in every row, an integer one in 3 rows of 50: the
+    # span is charged before any row is walked
+    ("(50*k-n-1)! * (n+4-50*k)!", "(50*k-n+48)! * (n+54-50*k)!", True),
+])
+def test_rows_without_integer_points_end_promptly(tmp_path, f, g, refused):
+    path = catalog_with(tmp_path, f_s1=f, g_s1=g)
+    done = run_subprocess("--catalog", path, "verify", "--pair", "s1", "--nmax", str(10**12),
+                          timeout=2)
+    if refused:
+        assert_refused(done, f"pair s1 at --nmax {10**12} ")
+    else:
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "mode=grid points_checked=0 outcome=pass\nPASS\n"
 
 
 def test_verify_symbolic_failure_exits_1(capsys, broken_catalog):

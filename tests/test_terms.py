@@ -288,6 +288,23 @@ def test_domain_rows():
     assert list(low.rows(0)) == [(-2, 0, 0), (-1, 0, 1), (0, 0, 2)]
 
 
+def test_domain_rows_end_at_the_last_n():
+    # 0 <= k <= n and n <= 10: the rows stop at n = 10 at any n_max
+    dom = Domain((LinearForm(0, 1, 0), LinearForm(1, -1, 0), LinearForm(-1, 0, 10)))
+    assert dom.n_bounds == (0, 10)
+    assert dom.n_span(10**18) == range(0, 11)
+    assert list(dom.rows(10**18)) == [(n, 0, n) for n in range(11)]
+    assert list(dom.rows(4)) == [(n, 0, n) for n in range(5)]
+    # bounded above through k alone, 0 <= k <= 9 - 2n: the last n is 4
+    through_k = Domain((LinearForm(0, 1, 0), LinearForm(-2, -1, 9)))
+    assert through_k.n_bounds == (None, 4)
+    assert list(through_k.rows(10**18)) == [(n, 0, 9 - 2 * n) for n in range(5)]
+    # no n has a real k: no rows at all
+    empty = Domain((LinearForm(1, 0, -5), LinearForm(-1, 1, 3), LinearForm(0, -1, 0)))
+    assert empty.n_bounds is None and empty.n_span(10**18) == range(0)
+    assert list(empty.rows(10**18)) == []
+
+
 def test_domain_substituted():
     dom = Domain((LinearForm(1, 0, -1), LinearForm(0, 1, 0), LinearForm(1, -1, -1)))
     n_to, k_to = LinearForm(1, 0, 2), LinearForm(1, -1, 0)  # n + 2, n - k

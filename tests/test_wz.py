@@ -6,6 +6,7 @@ import pytest
 from conftest import exact_gap_line
 
 from wzeta.algebra import LinearForm, Polynomial, RationalFunction
+from wzeta.cli import _grid_seconds
 from wzeta.dsl import parse_term
 from wzeta.errors import DomainError, TailBoundError
 from wzeta.precision import EvalReport
@@ -156,7 +157,7 @@ def test_two_sided_gap_within_bounds(cat, name):
     line = wz.two_sided_gap(pair, lhs_count=200, accel_count=30)
     assert line == exact_gap_line(pair, 200, 30)
     assert line[2] == "ok"
-    for count in [*range(1, 61), 2500, 4000, 10_000]:
+    for count in [*range(1, 61), 64, 65, 2500, 4000, 10_000]:
         assert wz.two_sided_gap(pair, 300, count) == exact_gap_line(pair, 300, count), count
 
 
@@ -205,6 +206,29 @@ def test_two_sided_gap_decides_from_a_short_sum(cat, monkeypatch):
     monkeypatch.setattr(SeriesSpec, "ratio_step", counted)
     assert wz.two_sided_gap(cat.pair_by_name("s2"), 300, 10_000)[2] == "ok"
     assert 0 < len(steps) <= 300, len(steps)
+
+
+@pytest.mark.parametrize("name,counts", [("s1", (4000, 10_000)), ("s2", (2500, 10_000))])
+def test_two_sided_gap_evaluates_no_factorial_at_the_cut(cat, monkeypatch, name, counts):
+    # decided from the first try, the diagonal's tail bound at accel_count
+    # is not evaluated: value_at is called as often at each count, and at
+    # the diagonal's cut only without factorials, for its domain check
+    value_at = HyperTerm.value_at
+    calls = []
+
+    def counted(self, n, k=0, factorial=math.factorial):
+        calls.append((n, factorial is math.factorial))
+        return value_at(self, n, k, factorial)
+
+    monkeypatch.setattr(HyperTerm, "value_at", counted)
+    pair = cat.pair_by_name(name)
+    made = []
+    for count in counts:
+        calls.clear()
+        assert wz.two_sided_gap(pair, 300, count)[2] == "ok"
+        assert (1 + count, False) in calls and (1 + count, True) not in calls
+        made.append(len(calls))
+    assert made[0] == made[1], made
 
 
 def test_a_zero_step_at_the_cut_leaves_the_run_to_the_exact_sum(cat):
@@ -285,14 +309,14 @@ def test_domain_respected_by_grid(cat):
 
 def test_an_unbounded_region_names_its_pair():
     # no factorial bounds k: the grid has no rows to sweep, and both the
-    # grid check and its point count say which pair is at fault
+    # grid check and verify's estimate of it say which pair is at fault
     pair = wz.WZPair("loose", parse_term("(-1)^k / (k+1)"), parse_term("(-1)^k / (n+1)"),
                      Fraction(1))
     message = "^pair loose: the region does not bound k on both sides at n=0$"
     with pytest.raises(DomainError, match=message):
         wz.verify_grid(pair, 4)
     with pytest.raises(DomainError, match=message):
-        wz.grid_points(pair, 4, stop_above=100)
+        _grid_seconds(pair, 4)
 
 
 def test_check_domain_is_the_four_values_region(cat):
