@@ -22,16 +22,11 @@ from .terms import factorial_bits
 _COMPARE_LHS_TERMS = 300
 # `verify`'s grid estimate, in seconds: _GRID_ROW_S per n of the row
 # span, and per point _GRID_POINT_S plus _GRID_BIT_S per bit of B, B the
-# bits of F(n+1, k) plus those of G(n, k) at the larger end of the row.
-# Fitted to 25 grids timed in-process on a 2-vCPU machine (span, points
-# and Σ B; estimated and measured seconds):
-#   s1 n <= 547                547  149,878  3.4e9   2.22  1.67
-#   s2 n <= 386                386  149,382  5.1e9   3.18  2.75
-#   pair in 30*n, n <= 60       61   54,961  2.4e9   1.48  1.94
-#   pair in 30*n, n <= 99      100  148,600  1.1e10  6.84  8.70
-#   3 rows in 50 nonempty  300,001   18,000  8.1e6   2.74  2.65
-# Points of B over 40,000 run over the fit. The cap, the slowest estimate
-# the replaced caps admitted, allows 1.6M points or 355,000 rows
+# bits of F(n+1, k) plus those of G(n, k) at the larger end of the row,
+# fitted to grids timed in-process on a 2-vCPU machine. The cap is the
+# estimate of s2 at n <= 386 (3.18 s; measured 2.75 s), the slowest
+# bundled grid the tests run; it admits at most 1.6M points and a span
+# of at most 355,000 rows
 _GRID_ROW_S = 9e-6
 _GRID_POINT_S = 2e-6
 _GRID_BIT_S = 5.7e-10
@@ -180,15 +175,18 @@ def _cmd_verify(cat, args) -> int:
 
 def _grid_seconds(pair, n_max: int) -> float:
     """verify_grid(pair, n_max)'s estimate, in one pass over its rows
-    that stops once past _MAX_GRID_S. The span is charged first, so a run
-    of empty rows is refused without being walked."""
+    that stops once past _MAX_GRID_S; infinity, before any row is
+    visited, when the span alone passes it, so a run of empty rows is
+    refused without being walked."""
     span = pair.check_domain.n_span(n_max)
+    if span.stop - span.start > _MAX_GRID_S / _GRID_ROW_S:
+        return math.inf
     seconds = _GRID_ROW_S * max(span.stop - span.start, 0)
     for n, lo, hi in pair.rows(n_max):
-        if seconds > _MAX_GRID_S:
-            break
         bits = max(_value_bits(pair.f, n + 1, k) + _value_bits(pair.g, n, k) for k in (lo, hi))
         seconds += (hi - lo + 1) * (_GRID_POINT_S + _GRID_BIT_S * bits)
+        if seconds > _MAX_GRID_S:
+            break
     return seconds
 
 

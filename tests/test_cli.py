@@ -213,10 +213,21 @@ def test_the_work_estimate_admits_the_catalog_at_the_point_cap(cat, tmp_path):
 
 
 def test_verify_grid_with_a_huge_nmax_exits_2():
-    # the rows of the span are charged before any is visited
-    for name in ("s1", "s2"):
-        done = run_subprocess("verify", "--pair", name, "--nmax", str(10**18), timeout=2)
-        assert_refused(done, f"pair {name} at --nmax {10**18} ")
+    # the rows of the span are counted before any is visited, as an
+    # integer: a span past the float range is refused, not an overflow
+    for n_max in (10**18, 10**309, 10**400):
+        for name in ("s1", "s2"):
+            done = run_subprocess("verify", "--pair", name, "--nmax", str(n_max), timeout=2)
+            assert_refused(done, f"pair {name} at --nmax {n_max} ")
+
+
+def test_a_region_from_a_very_negative_n_exits_2(tmp_path):
+    # k runs over -n-10^400 <= k <= -1, so the rows start at n = 1-10^400
+    term = f"(k+n+{10**400})! * (-k)!"
+    path = catalog_with(tmp_path, f_s1=term, g_s1=term)
+    done = run_subprocess("--catalog", path, "verify", "--pair", "s1", "--nmax", "10",
+                          timeout=2)
+    assert_refused(done, "pair s1 at --nmax 10 ")
 
 
 def test_verify_stops_where_the_region_ends(tmp_path):
@@ -237,6 +248,9 @@ def test_verify_stops_where_the_region_ends(tmp_path):
     # a real point in every row, an integer one in 3 rows of 50: the
     # span is charged before any row is walked
     ("(50*k-n-1)! * (n+4-50*k)!", "(50*k-n+48)! * (n+54-50*k)!", True),
+    # the real point k = n+3/2 in every row and no integer one: the
+    # span alone is refused, so no row is walked to find a first point
+    ("(2*k-2*n-1)! * (2*n+3-2*k)!", "(2*k-2*n-3)! * (2*n+5-2*k)!", True),
 ])
 def test_rows_without_integer_points_end_promptly(tmp_path, f, g, refused):
     path = catalog_with(tmp_path, f_s1=f, g_s1=g)
