@@ -1,78 +1,36 @@
 """Exact verification of discrete telescoping pairs and certified
-high-precision summation of the fast ζ(3) series they produce."""
+high-precision summation of the fast ζ(3) series they produce.
 
-from .algebra import LinearForm, Polynomial, RationalFunction
-from .catalog import Catalog, load_catalog
-from .dsl import parse_term, render_term
-from .errors import (
-    CatalogError,
-    DomainError,
-    IncompatibleTerms,
-    MonotonicityViolation,
-    NonAlternating,
-    ParseError,
-    SingularGrid,
-    StructureError,
-    TailBoundError,
-    WZetaError,
-)
-from .precision import (
-    EvalReport,
-    compare_series,
-    measure_rate,
-    sum_to_digits,
-    truncated_decimal,
-)
-from .series import ALTERNATING, POSITIVE, SeriesSpec
-from .terms import Domain, HyperTerm, cross_ratio
-from .wz import (
-    VerifyReport,
-    WZPair,
-    accelerate,
-    certificate,
-    lhs_series,
-    two_sided_gap,
-    verify_grid,
-    verify_symbolic,
-)
+The public names resolve on first access (PEP 562), each from its own
+module, so that `import wzeta` loads nothing and a command loads only the
+modules it runs: `verify` never loads the summation engine."""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALTERNATING",
-    "Catalog",
-    "CatalogError",
-    "Domain",
-    "DomainError",
-    "EvalReport",
-    "HyperTerm",
-    "IncompatibleTerms",
-    "LinearForm",
-    "MonotonicityViolation",
-    "NonAlternating",
-    "POSITIVE",
-    "ParseError",
-    "Polynomial",
-    "RationalFunction",
-    "SeriesSpec",
-    "SingularGrid",
-    "StructureError",
-    "TailBoundError",
-    "VerifyReport",
-    "WZPair",
-    "WZetaError",
-    "accelerate",
-    "certificate",
-    "compare_series",
-    "cross_ratio",
-    "lhs_series",
-    "load_catalog",
-    "measure_rate",
-    "parse_term",
-    "render_term",
-    "sum_to_digits",
-    "two_sided_gap",
-    "truncated_decimal",
-    "verify_grid",
-    "verify_symbolic",
-]
+_HOMES = {
+    "algebra": ("LinearForm", "Polynomial", "RationalFunction"),
+    "catalog": ("Catalog", "load_catalog"),
+    "dsl": ("parse_term", "render_term"),
+    "errors": ("CatalogError", "DomainError", "IncompatibleTerms", "MonotonicityViolation",
+               "NonAlternating", "ParseError", "SingularGrid", "StructureError",
+               "TailBoundError", "WZetaError"),
+    "precision": ("EvalReport", "compare_series", "measure_rate", "sum_to_digits",
+                  "truncated_decimal"),
+    "series": ("ALTERNATING", "POSITIVE", "SeriesSpec"),
+    "terms": ("Domain", "HyperTerm", "cross_ratio"),
+    "wz": ("VerifyReport", "WZPair", "accelerate", "certificate", "lhs_series",
+           "two_sided_gap", "verify_grid", "verify_symbolic"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

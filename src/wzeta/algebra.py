@@ -22,6 +22,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+# precision.sum_to_digits' modes, named here so that the command line
+# can offer them without loading the summation engine
+EXACT = "exact"
+SCALED = "scaled"
 # Decimal(int) is quadratic, but faster than splitting below this
 _DECIMAL_BITS = 4_096
 # exact integer arithmetic: a result that would need rounding raises

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebra import Frozen
 from .errors import CatalogError, WZetaError
-from .series import SeriesSpec
 from .terms import HyperTerm
 from .wz import WZPair, accelerate, lhs_series
 from . import dsl
+
+if TYPE_CHECKING:
+    from .series import SeriesSpec
 
 # pair name -> multiple of ζ(3) that Σ G(n, 0) sums to
 _PAIRS = {"s1": Fraction(2), "s2": Fraction(2)}
@@ -64,10 +67,17 @@ class Catalog(Frozen):
         return self._derived[key]
 
     def _derive(self, key: str) -> SeriesSpec:
+        from .series import SeriesSpec  # only here: pair checks never load the engine
+
         if key == "s3":
             return SeriesSpec("s3", self.s3)
         if key in self.pairs:
-            return _per_zeta3(accelerate(self.pairs[key]), key)
+            # the diagonal divided by its limit multiple: it sums to ζ(3)
+            series = accelerate(self.pairs[key])
+            t = series.term
+            term = HyperTerm(t.sign_exponent, t.factorials, t.poly_num, t.poly_den,
+                             t.constant / series.zeta3_multiple, t.domain)
+            return SeriesSpec(key, term, series.start_index)
         column = lhs_series(self.pairs[key.removeprefix("lhs_")])
         return SeriesSpec(key, column.term, column.start_index, column.zeta3_multiple)
 
@@ -173,10 +183,3 @@ def _read_replacement(path: str) -> str:
         raise CatalogError(f"catalog {path} is not UTF-8 text: {exc.reason} "
                            f"at byte {exc.start}") from None
 
-
-def _per_zeta3(series: SeriesSpec, name: str) -> SeriesSpec:
-    """The series renamed and divided by its limit multiple: it sums to ζ(3)."""
-    t = series.term
-    term = HyperTerm(t.sign_exponent, t.factorials, t.poly_num, t.poly_den,
-                     t.constant / series.zeta3_multiple, t.domain)
-    return SeriesSpec(name, term, series.start_index)

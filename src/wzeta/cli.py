@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import Callable
 
 from . import catalog as catalog_mod
-from . import dsl, precision, wz
-from .algebra import fraction_text, int_text
+from . import dsl, wz
+from .algebra import EXACT, SCALED, fraction_text, int_text
 from .errors import WZetaError
 from .terms import factorial_bits
 
@@ -23,10 +24,12 @@ _COMPARE_LHS_TERMS = 300
 # `verify`'s grid estimate, in seconds: _GRID_ROW_S per n of the row
 # span, and per point _GRID_POINT_S plus _GRID_BIT_S per bit of B, B the
 # bits of F(n+1, k) plus those of G(n, k) at the larger end of the row,
-# fitted to grids timed in-process on a 2-vCPU machine. The cap is the
-# estimate of s2 at n <= 386 (3.18 s; measured 2.75 s), the slowest
-# bundled grid the tests run; it admits at most 1.6M points and a span
-# of at most 355,000 rows
+# fitted to grids timed in-process on a 2-vCPU machine before the walks
+# stepped by iterators; since then the bundled grids take 0.7-1.0 of
+# their estimate and the 30n test pair 1.06-1.14 (table in CHANGES.md).
+# The cap is the estimate of s2 at n <= 386 (3.18 s; measured 2.36 s),
+# the slowest bundled grid the tests run; it admits at most 1.6M points
+# and a span of at most 355,000 rows
 _GRID_ROW_S = 9e-6
 _GRID_POINT_S = 2e-6
 _GRID_BIT_S = 5.7e-10
@@ -83,9 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_digits.add_argument("--series", required=True, help="series name (e.g. s2)")
     p_digits.add_argument("--digits", required=True, type=_integer, metavar="D",
                           help=f"certified decimal places, at most {_MAX_DIGITS}")
-    p_digits.add_argument(
-        "--mode", choices=(precision.EXACT, precision.SCALED), default=precision.EXACT
-    )
+    p_digits.add_argument("--mode", choices=(EXACT, SCALED), default=EXACT)
 
     p_verify = sub.add_parser("verify", help="check the pair identity")
     p_verify.add_argument("--pair", required=True, help="pair name (s1 or s2)")
@@ -135,6 +136,8 @@ def _cmd_list(cat, args) -> int:
 
 
 def _cmd_digits(cat, args) -> int:
+    from . import precision  # the summation engine loads only for the commands that sum
+
     if args.digits > _MAX_DIGITS:
         raise WZetaError(f"--digits {int_text(args.digits)} is over the limit of {_MAX_DIGITS}")
     series = cat.series_by_name(args.series)
@@ -182,8 +185,9 @@ def _grid_seconds(pair, n_max: int) -> float:
     if span.stop - span.start > _MAX_GRID_S / _GRID_ROW_S:
         return math.inf
     seconds = _GRID_ROW_S * max(span.stop - span.start, 0)
+    f_bits, g_bits = _value_bits(pair.f), _value_bits(pair.g)
     for n, lo, hi in pair.rows(n_max):
-        bits = max(_value_bits(pair.f, n + 1, k) + _value_bits(pair.g, n, k) for k in (lo, hi))
+        bits = max(f_bits(n + 1, lo) + g_bits(n, lo), f_bits(n + 1, hi) + g_bits(n, hi))
         seconds += (hi - lo + 1) * (_GRID_POINT_S + _GRID_BIT_S * bits)
         if seconds > _MAX_GRID_S:
             break
@@ -191,6 +195,8 @@ def _grid_seconds(pair, n_max: int) -> float:
 
 
 def _cmd_accelerate(cat, args) -> int:
+    from . import precision
+
     if args.terms < 1:
         raise WZetaError("--terms must be at least 1")
     if args.terms > _MAX_TERMS:
@@ -215,6 +221,8 @@ def _cmd_accelerate(cat, args) -> int:
 
 
 def _cmd_rate(cat, args) -> int:
+    from . import precision
+
     index = max(args.lo, args.hi)
     if index > _MAX_RATE_INDEX:
         raise WZetaError(f"--lo/--hi {int_text(index)} is over the limit of {_MAX_RATE_INDEX}")
@@ -226,24 +234,32 @@ def _cmd_rate(cat, args) -> int:
 
 def _cmd_eval(args) -> int:
     term = dsl.parse_term(args.expr)
-    bits = _value_bits(term, args.n, args.k)
+    bits = _value_bits(term)(args.n, args.k)
     if bits > _MAX_EVAL_BITS:
         raise WZetaError(f"eval needs about {bits:.3g} bits, over the limit of {_MAX_EVAL_BITS}")
     print(fraction_text(term.value_at(args.n, args.k)))
     return 0
 
 
-def _value_bits(term, n: int, k: int) -> float:
-    """Bits of value_at(n, k)'s unreduced numerator plus denominator: the
-    folded constant's, Stirling's log2 m! per factorial (negative m is
-    left to value_at), and per polynomial the bits of its coefficient sum
-    plus its degrees times the bits of n and k."""
-    bits = float(term.constant.numerator.bit_length() + term.constant.denominator.bit_length())
-    for form, exp in term.factorials:
-        bits += abs(exp) * factorial_bits(form.value(n, k))
-    for poly in (term.poly_num, term.poly_den):
-        norm = sum(abs(c) for c in poly.coeffs.values())
-        bits += norm.bit_length() + poly.degree("n") * n.bit_length() + poly.degree("k") * k.bit_length()
+def _value_bits(term) -> Callable[[int, int], float]:
+    """(n, k) ↦ bits of term.value_at(n, k)'s unreduced numerator plus
+    denominator: the folded constant's, Stirling's log2 m! per factorial
+    (negative m is left to value_at), and per polynomial the bits of its
+    coefficient sum plus its degrees times the bits of n and k. What does
+    not depend on (n, k) is read from the term once."""
+    constant = float(term.constant.numerator.bit_length() + term.constant.denominator.bit_length())
+    factorials = [(form, abs(exp)) for form, exp in term.factorials]
+    polys = [(sum(abs(c) for c in poly.coeffs.values()).bit_length(),
+              poly.degree("n"), poly.degree("k")) for poly in (term.poly_num, term.poly_den)]
+
+    def bits(n: int, k: int) -> float:
+        total = constant
+        for form, exp in factorials:
+            total += exp * factorial_bits(form.value(n, k))
+        for norm, deg_n, deg_k in polys:
+            total += norm + deg_n * n.bit_length() + deg_k * k.bit_length()
+        return total
+
     return bits
 
 

@@ -23,12 +23,9 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .algebra import _EXACT, _to_decimal, fraction_text, int_text, value_repr
+from .algebra import EXACT, SCALED, _EXACT, _to_decimal, fraction_text, int_text, value_repr
 from .errors import DomainError, TailBoundError
 from .series import SeriesSpec
-
-EXACT = "exact"
-SCALED = "scaled"
 
 # one truncation loses under 1/scale whatever the term count; 20 guard
 # digits keep that below terms/10^(D+10+log10(terms)) up to 10^10 terms

@@ -15,7 +15,9 @@ F(n+1, k), and a restriction to a line, F(n, n-1), are both this.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections import defaultdict
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -31,6 +33,11 @@ _ONE = Polynomial.const(1)
 # as long again), and the time grows about as d^3, to 18 s at d = 999;
 # the catalog's largest is 15
 _MAX_RATIO_DEGREE = 200
+# largest degree in k of a polynomial that along_k steps by differences:
+# their build, degree + 1 evaluations by Horner's rule, takes about 5 µs
+# at this degree on a 2-vCPU machine, a few steps of an s1 walk, and
+# grows as the degree squared
+_MAX_DIFFERENCE_DEGREE = 4
 
 
 class Domain(NamedTuple):
@@ -99,11 +106,20 @@ class Domain(NamedTuple):
         return range(least or 0, (n_max if most is None else min(most, n_max)) + 1)
 
     def rows(self, n_max: int) -> Iterator[tuple[int, int, int]]:
-        """(n, lo, hi) for every nonempty row lo <= k <= hi, n in n_span(n_max)."""
-        for n in self.n_span(n_max):
-            k_range = self.k_range(n)
-            if k_range is not None:
-                yield n, *k_range
+        """(n, lo, hi) for every nonempty row lo <= k <= hi, n in
+        n_span(n_max): k_range(n) there, from the constraints split once
+        into lower and upper bounds on k. Those in n alone hold across
+        n_span, as n_bounds counts them."""
+        lower = [(f.a, f.b, f.c) for f in self.constraints if f.b > 0]
+        upper = [(f.a, -f.b, f.c) for f in self.constraints if f.b < 0]
+        span = self.n_span(n_max)
+        if span and not (lower and upper):
+            raise DomainError(f"the region does not bound k on both sides at n={span.start}")
+        for n in span:
+            lo = max([-((a * n + c) // b) for a, b, c in lower])
+            hi = min([(a * n + c) // b for a, b, c in upper])
+            if lo <= hi:
+                yield n, lo, hi
 
     def substituted(self, n_to: LinearForm, k_to: LinearForm) -> "Domain":
         return Domain(tuple(f.substituted(n_to, k_to) for f in self.constraints))
@@ -210,34 +226,33 @@ class HyperTerm(Frozen):
         factorial(m) supplies m! for the arguments at k_first only; a
         caller that starts many walks can pass a factorial_ladder()
         instead of math.factorial. The first value's factorial part, the
-        constant times the factorials, is reduced once after it is
-        yielded (value_at takes only the first value) and kept in lowest
-        terms from then on. From k to k+1 each factorial whose argument m
-        moves by b is multiplied by the exact quotient (m+b)!/m!, a
-        product of the |b| integers between m and m+b. Where k and k+1
-        both lie in the domain, m and m+b are nonnegative, so each of
-        those integers is at least 1: the factorial part never vanishes,
-        and the walk never restarts. The polynomials are collapsed to
-        polynomials in k at this n and evaluated at each k.
+        constant times the factorials and the sign, is reduced once after
+        it is yielded (value_at takes only the first value) and kept in
+        lowest terms from then on. From k-1 to k each factorial whose
+        argument m moves by b is multiplied by the exact quotient, a
+        product of the |b| integers after the smaller of its two
+        arguments, each linear in k. Where k-1 and k both lie in the
+        domain those integers are at least 1: the factorial part never
+        vanishes, and the walk never restarts. Only after the first value
+        does the walk build its steppers: the linear factors, with the
+        sign's flip, multiplied into two polynomials in k, one per side of
+        the fraction (_step_quotients), and the term's polynomials,
+        collapsed to k at this n (_values_from). Each is an iterator along
+        k, so a step runs no Python code per factor and, up to degree
+        _MAX_DIFFERENCE_DEGREE, none per coefficient.
         """
         bounds, factorials, sign, num_terms, den_terms, top, bottom = self._plan
         bounds = [(a * n + c, b) for a, b, c in bounds]
         factorials = [(form, a * n + c, b, e) for form, a, b, c, e in factorials]
-        # per moving factorial (low, b, |e|, whether it multiplies the
-        # numerator): from k-1 to k its quotient is the product of the |b|
-        # integers after low + b·k, the smaller of its two arguments
-        moving = [(base - max(b, 0), b, abs(e), (b > 0) == (e > 0))
-                  for _, base, b, e in factorials if b]
         num_poly, den_poly = _in_k(num_terms, n), _in_k(den_terms, n)
-        sign_base = sign[0] * n + sign[2]
         # k_first if a bound or an argument is negative there, else the
         # first k past the last one at which a falling one is nonnegative
         first_bad = min((k_first if base + b * k_first < 0 else base // -b + 1
                          for base, b in bounds + [f[1:3] for f in factorials]
                          if b < 0 or base + b * k_first < 0), default=math.inf)
 
-        def checked(k: int) -> int:
-            """The denominator polynomial at k, after every check at (n, k)."""
+        def check(k: int, den_val: int) -> None:
+            """value_at's checks at (n, k), den_val the denominator polynomial there."""
             if k >= first_bad:
                 for base, b in bounds:
                     if base + b * k < 0:
@@ -246,50 +261,41 @@ class HyperTerm(Frozen):
                     if base + b * k < 0:
                         raise DomainError(f"factorial argument {form} = {int_text(base + b * k)} "
                                           f"< 0 at (n={int_text(n)}, k={int_text(k)})")
-            den_val = horner(den_poly, k)
             if den_val == 0:
                 raise DomainError(f"denominator polynomial vanishes "
                                   f"at (n={int_text(n)}, k={int_text(k)})")
-            return den_val
 
-        k = k_first
-        den_val = checked(k)
+        den_val = horner(den_poly, k_first)
+        check(k_first, den_val)
         for _, base, b, exp in factorials:
             if exp > 0:
-                top *= factorial(base + b * k) ** exp
+                top *= factorial(base + b * k_first) ** exp
             else:
-                bottom *= factorial(base + b * k) ** -exp
-        while True:
-            num_val = horner(num_poly, k)
-            if (sign_base + sign[1] * k) % 2:
-                num_val = -num_val
-            yield top * num_val, bottom * den_val
-            if k == k_first:
-                g = math.gcd(top, bottom)
-                top, bottom = top // g, bottom // g
-            k += 1
-            den_val = checked(k)
-            up = down = 1
-            for low, b, power, to_top in moving:
-                low += b * k
-                if b == 1 or b == -1:
-                    quotient = low + 1
-                else:
-                    quotient = math.prod(range(low + 1, low + abs(b) + 1))
-                if to_top:
-                    up *= quotient**power
-                else:
-                    down *= quotient**power
-            g = math.gcd(up, down)
-            if g > 1:
-                up, down = up // g, down // g
-            g = math.gcd(top, down)
-            if g > 1:
-                top, down = top // g, down // g
+                bottom *= factorial(base + b * k_first) ** -exp
+        if (sign[0] * n + sign[1] * k_first + sign[2]) % 2:
+            top = -top
+        yield top * horner(num_poly, k_first), bottom * den_val
+        g = math.gcd(top, bottom)
+        top, bottom = top // g, bottom // g
+        k = k_first + 1
+        ups, downs = _step_quotients(factorials, sign[1], k)
+        steps = zip(itertools.count(k), ups, downs, _values_from(num_poly, k),
+                    _values_from(den_poly, k))
+        for k, up, down, num_val, den_val in steps:
+            if k >= first_bad or den_val == 0:
+                check(k, den_val)
+            # bottom and up lose their common factor, then top·up, which
+            # shares none with what is left of bottom, loses its common
+            # factor with down: two gcds keep the fraction in lowest terms
             g = math.gcd(bottom, up)
             if g > 1:
                 bottom, up = bottom // g, up // g
-            top, bottom = top * up, bottom * down
+            top *= up
+            g = math.gcd(top, down)
+            if g > 1:
+                top, down = top // g, down // g
+            bottom *= down
+            yield top * num_val, bottom * den_val
 
     def substituted(self, n_to: LinearForm, k_to: LinearForm) -> "HyperTerm":
         """The term with n := n_to and k := k_to, domain included."""
@@ -338,6 +344,55 @@ def factorial_bits(m: int) -> float:
     if m.bit_length() > 1000:
         return math.inf
     return m * math.log2(m / math.e) + math.log2(2 * math.pi * m) / 2
+
+
+def _step_quotients(factorials, sign_k: int, k: int) -> tuple[Iterator[int], Iterator[int]]:
+    """along_k's quotients from k-1 to k, for k, k+1, ...: two polynomials
+    in k, for the numerator and the denominator side, kept as products of
+    their linear factors and stepped as iterators. A factorial
+    (form, base, b, e) has the argument base + b·k; its quotient is the
+    product of low + b·k + j for j = 1..|b|, low = base − max(b, 0), to
+    the power |e|, on the numerator side where it grows a numerator
+    factorial ((b > 0) == (e > 0)). Each linear factor steps as an
+    itertools.count and the products as a balanced tree of maps, so the
+    build takes one object per factor, as one step's products did, and
+    not the degree squared that expanding them would; an odd sign_k adds
+    −1 to the numerator side."""
+    sides = ([itertools.repeat(-1)] if sign_k % 2 else [], [])
+    for _, base, b, e in factorials:
+        low = base - max(b, 0)
+        for j in range(low + 1, low + abs(b) + 1):
+            factor = itertools.count(b * k + j, b)
+            if abs(e) > 1:
+                factor = map(pow, factor, itertools.repeat(abs(e)))
+            sides[(b > 0) != (e > 0)].append(factor)
+    return _product(sides[0]), _product(sides[1])
+
+
+def _product(factors: list[Iterator[int]]) -> Iterator[int]:
+    """The elementwise product of the iterators, paired off level by
+    level so that one step nests only log2 of their number deep."""
+    while len(factors) > 1:
+        factors = [map(operator.mul, *pair)
+                   for pair in zip(factors[::2], factors[1::2])] + factors[len(factors) & ~1:]
+    return factors[0] if factors else itertools.repeat(1)
+
+
+def _values_from(coeffs: tuple[int, ...], k: int) -> Iterator[int]:
+    """The dense polynomial coeffs at k, k+1, ...: up to degree
+    _MAX_DIFFERENCE_DEGREE its differences at k, from its values at
+    k..k+degree, summed by nested itertools.accumulate; past it, Horner's
+    rule at each k."""
+    if len(coeffs) > _MAX_DIFFERENCE_DEGREE + 1:
+        return map(horner, itertools.repeat(coeffs), itertools.count(k))
+    values = [horner(coeffs, x) for x in range(k, k + len(coeffs))] or [0]
+    for i in range(1, len(values)):  # values[i] becomes the i-th difference
+        for j in range(len(values) - 1, i - 1, -1):
+            values[j] -= values[j - 1]
+    steps = itertools.repeat(values.pop())
+    while values:
+        steps = itertools.accumulate(steps, initial=values.pop())
+    return steps
 
 
 def _poly_terms(poly: Polynomial) -> tuple[tuple[int, int, int], ...]:

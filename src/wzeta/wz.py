@@ -14,16 +14,16 @@ pairs converges geometrically.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .algebra import Frozen, LinearForm, RationalFunction, fraction_text, value_repr
 from .errors import DomainError, SingularGrid, WZetaError
-from .precision import truncated_decimal
-from .series import SeriesSpec
 from .terms import Domain, HyperTerm, cross_ratio, factorial_ladder
+
+if TYPE_CHECKING:
+    from .series import SeriesSpec
 
 # decimals of two_sided_gap's texts
 _GAP_PLACES = 30
@@ -108,13 +108,14 @@ def verify_grid(pair: WZPair, n_max: int) -> VerifyReport:
     The grid is swept row by row, and each row reads its values from
     walks along k (HyperTerm.along_k): each walk starts directly from
     factorials, read from one factorial_ladder built for this call, and
-    steps by exact factorial quotients. The F(n+1, k) of a row are kept
-    as the next row's F(n, k), and a walk of F(n, ·) supplies only the
-    values they lack. Values are requested in the order F(n+1,k), F(n,k),
-    G(n,k+1), G(n,k), the last only at the row's first k, lo, since
-    G(n,k+1) at one point is G(n,k) at the next: so G's walk starts at
-    lo+1 and G(n, lo) has a walk of its own, and a DomainError names the
-    same point as a point-by-point check would. A point with values
+    steps by exact factorial quotients. The F(n+1, k) of a row are kept,
+    in a list indexed by k − lo, as the next row's F(n, k), and a walk
+    of F(n, ·) supplies only the values they lack. Values are requested
+    in the order F(n+1,k), F(n,k), G(n,k+1), G(n,k), the last only at
+    the row's first k, lo, since G(n,k+1) at one point is G(n,k) at the
+    next: so G's walk starts at lo+1 and G(n, lo) has a walk of its own,
+    and a DomainError names the same point as a point-by-point check
+    would. A point with values
     F(n+1,k) = a1/b1, F(n,k) = a0/b0, G(n,k+1) = c1/d1 and G(n,k) = c0/d0
     passes iff
 
@@ -130,15 +131,24 @@ def verify_grid(pair: WZPair, n_max: int) -> VerifyReport:
     factorial = factorial_ladder()
     checked = 0
     failures = []
-    f_known = {}  # F(n, k) of this row, from the last
+    # F(n+1, known_lo + i) of the last row; a row after a gap shares no k
+    # with it, since the region is convex
+    f_known, known_lo = [], 0
     for n, lo, hi in pair.rows(n_max):
         f_up_row = f.along_k(n + 1, lo, factorial)
-        f_row = _filled_row(f, n, lo, f_known, factorial)
         g_up_row = g.along_k(n, lo + 1, factorial)
-        f_next = {}
+        f_row = None  # a walk of F(n, ·) through a run f_known lacks
+        f_next = []
         for k in range(lo, hi + 1):
-            a1, b1 = f_next[n + 1, k] = next(f_up_row)
-            a0, b0 = next(f_row)
+            a1, b1 = value = next(f_up_row)
+            f_next.append(value)
+            if 0 <= k - known_lo < len(f_known):
+                a0, b0 = f_known[k - known_lo]
+                f_row = None
+            else:
+                if f_row is None:
+                    f_row = f.along_k(n, k, factorial)
+                a0, b0 = next(f_row)
             c1, d1 = next(g_up_row)
             if k == lo:
                 c0, d0 = next(g.along_k(n, lo, factorial))
@@ -147,25 +157,9 @@ def verify_grid(pair: WZPair, n_max: int) -> VerifyReport:
                 failures.append(FailurePoint(n, k, Fraction(a1, b1) - Fraction(a0, b0),
                                              Fraction(c1, d1) - Fraction(c0, d0)))
             c0, d0 = c1, d1
-        f_known = f_next
+        f_known, known_lo = f_next, lo
     outcome = "pass" if not failures else "fail"
     return VerifyReport("grid", outcome, checked, failures=tuple(failures))
-
-
-def _filled_row(term: HyperTerm, n: int, lo: int, known: dict,
-                factorial) -> Iterator[tuple[int, int]]:
-    """term's values at (n, k) for k = lo, lo+1, ...: known[n, k] where
-    known has it, else from a walk started at the first k of each run it
-    lacks. Lazy, so each value is evaluated when it is requested."""
-    walk = None
-    for k in itertools.count(lo):
-        if (n, k) in known:
-            walk = None
-            yield known[n, k]
-        else:
-            if walk is None:
-                walk = term.along_k(n, k, factorial)
-            yield next(walk)
 
 
 def certificate(pair: WZPair) -> RationalFunction:
@@ -255,6 +249,8 @@ def accelerate(pair: WZPair) -> SeriesSpec:
     the pair's zeta3_multiple times ζ(3). Verification is the caller's
     responsibility.
     """
+    from .series import SeriesSpec  # the summation engine, which verification never loads
+
     n, n_less_1 = LinearForm(1, 0, 0), LinearForm(1, 0, -1)
     f_diag = pair.f.substituted(n, n_less_1)  # F(n, n-1)
     g_diag = pair.g.substituted(n_less_1, n_less_1)  # G(n-1, n-1)
@@ -278,6 +274,8 @@ def lhs_series(pair: WZPair) -> SeriesSpec:
     """The column series Σ_{n≥0} G(n, 0), summing to the pair's
     zeta3_multiple times ζ(3) (the slow side for the bundled pairs, with
     positive terms and polynomial-rate decay)."""
+    from .series import SeriesSpec
+
     g_column = pair.g.substituted(LinearForm(1, 0, 0), LinearForm())  # G(n, 0)
     return SeriesSpec(f"lhs({pair.name})", g_column, 0, pair.zeta3_multiple)
 
@@ -305,6 +303,8 @@ def two_sided_gap(pair: WZPair, lhs_count: int, accel_count: int) -> tuple[str, 
     of the exact bound left, the domain at the diagonal's cut, is made
     without factorials. So every input gives the exact line or raises its
     error."""
+    from .precision import truncated_decimal
+
     slow, fast = lhs_series(pair), accelerate(pair)
     slow_sum = slow.partial_sum(lhs_count)
     count = min(_FIRST_GAP_TERMS, accel_count)

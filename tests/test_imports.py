@@ -63,11 +63,73 @@ def test_a_third_party_import_is_caught(tmp_path):
 KEPT_OUT_OF_START_UP = ("dataclasses", "inspect", "ast", "dis", "tokenize", "statistics")
 
 
-def test_start_up_leaves_the_slow_modules_unloaded():
-    # -S: no site module, so nothing but the CLI's own imports is loaded
-    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import wzeta.cli; "
-            f"print(' '.join(m for m in {KEPT_OUT_OF_START_UP!r} if m in sys.modules))")
+def run_fresh(code):
+    """The stdout of code, run in a fresh process that imports wzeta from
+    src/; -S: no site module, so nothing but what code imports is loaded."""
+    code = f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n{code}"
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           timeout=30)
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.split() == []
+    return done.stdout
+
+
+def test_start_up_leaves_the_slow_modules_unloaded():
+    loaded = run_fresh(f"import wzeta.cli; "
+                       f"print(' '.join(m for m in {KEPT_OUT_OF_START_UP!r} if m in sys.modules))")
+    assert loaded.split() == []
+
+
+# the summation engine: a pair check runs none of it, and `list` reads
+# each series' rate without summing
+ENGINE = ("wzeta.series", "wzeta.precision")
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    (["verify", "--pair", "s1", "--nmax", "5"], ENGINE),
+    (["verify", "--pair", "s2", "--symbolic"], ENGINE),
+    (["list"], ("wzeta.precision",)),
+], ids=["verify-grid", "verify-symbolic", "list"])
+def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
+    out = run_fresh(f"import contextlib, io\n"
+                    f"from wzeta.cli import main\n"
+                    f"with contextlib.redirect_stdout(io.StringIO()):\n"
+                    f"    code = main({argv!r})\n"
+                    f"print(code, *(m for m in {unloaded!r} if m in sys.modules))")
+    assert out.split() == ["0"]
+
+
+PUBLIC = {
+    "ALTERNATING", "Catalog", "CatalogError", "Domain", "DomainError", "EvalReport",
+    "HyperTerm", "IncompatibleTerms", "LinearForm", "MonotonicityViolation", "NonAlternating",
+    "POSITIVE", "ParseError", "Polynomial", "RationalFunction", "SeriesSpec", "SingularGrid",
+    "StructureError", "TailBoundError", "VerifyReport", "WZPair", "WZetaError", "accelerate",
+    "certificate", "compare_series", "cross_ratio", "lhs_series", "load_catalog",
+    "measure_rate", "parse_term", "render_term", "sum_to_digits", "two_sided_gap",
+    "truncated_decimal", "verify_grid", "verify_symbolic",
+}
+
+
+def test_the_public_names_resolve_on_first_access():
+    # `import wzeta` loads no module of its own; each public name then
+    # resolves to its defining module's object, and a star import binds
+    # every one of them
+    out = run_fresh("import wzeta\n"
+                    "print(sorted(m for m in sys.modules if m.startswith('wzeta.')))\n"
+                    "names = {}\n"
+                    "exec('from wzeta import *', names)\n"
+                    "print(sorted(set(names) - {'__builtins__'}))\n"
+                    "print(sorted(name for name in wzeta.__all__ if getattr(wzeta, name) is not "
+                    "getattr(sys.modules[f'wzeta.{wzeta._HOME[name]}'], name)))\n"
+                    "print(sorted(wzeta.__all__))")
+    loaded, starred, misplaced, public = out.splitlines()
+    assert loaded == "[]"
+    assert starred == public == str(sorted(PUBLIC))
+    assert misplaced == "[]"
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    import wzeta
+
+    with pytest.raises(AttributeError, match="^module 'wzeta' has no attribute 'sum_digits'$"):
+        wzeta.sum_digits
+    assert not hasattr(wzeta, "no_such_name")

@@ -354,18 +354,35 @@ def reference_grid(pair, n_max):
     return wz.VerifyReport("grid", outcome, checked, failures=tuple(failures))
 
 
-@pytest.mark.parametrize("name", ["s1", "s2"])
+# a pair whose factorials step by 2 in k: F = H(n, k+1) − H(n, k) and
+# G = H(n+1, k) − H(n, k), halved, for H = (2k)!·(2n−2k)!/(2n+1)!, so
+# that F(n+1, k) − F(n, k) = G(n, k+1) − G(n, k) wherever H is defined
+STEP_2_G = parse_term("(2*k)! * (2*n-2*k)! * (2*k^2-4*n*k-2*n-3*k-2) / (2*n+3)!")
+STEP_2 = wz.WZPair("step2", parse_term(
+    "(2*k)! * (2*n-2*k-2)! * (4*n*k-2*n^2+n+2*k+1) / (2*n+1)!"), STEP_2_G, Fraction(1))
+# ... and with k(k−1)(k−2) added to F's polynomial: wrong wherever k ≥ 3
+STEP_2_BROKEN = wz.WZPair("step2-broken", parse_term(
+    "(2*k)! * (2*n-2*k-2)! * (k^3-3*k^2+4*n*k-2*n^2+n+4*k+1) / (2*n+1)!"), STEP_2_G, Fraction(1))
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "step2"])
 def test_row_sweep_matches_reference_grid(cat, name):
-    pair = cat.pair_by_name(name)
-    assert wz.verify_grid(pair, 40).serialize() == reference_grid(pair, 40).serialize()
+    pair = STEP_2 if name == "step2" else cat.pair_by_name(name)
+    swept = wz.verify_grid(pair, 40)
+    assert swept.serialize() == reference_grid(pair, 40).serialize()
+    assert swept.outcome == "pass"
 
 
 def test_row_sweep_matches_reference_failures(broken_pair):
-    swept = wz.verify_grid(broken_pair, 12)
-    reference = reference_grid(broken_pair, 12)
-    assert swept.serialize() == reference.serialize()
-    assert swept.failures == reference.failures
-    assert len(swept.failures) == swept.points_checked == 78
+    # the broken s1 pair fails at every point, the step-2 one where k >= 3
+    for pair, failing in [(broken_pair, [(n, k) for n in range(1, 13) for k in range(n)]),
+                          (STEP_2_BROKEN, [(n, k) for n in range(4, 13) for k in range(3, n)])]:
+        swept = wz.verify_grid(pair, 12)
+        reference = reference_grid(pair, 12)
+        assert swept.serialize() == reference.serialize()
+        assert swept.failures == reference.failures
+        assert swept.points_checked == 78
+        assert [(p.n, p.k) for p in swept.failures] == failing
 
 
 def vanishing_at(n, k):
