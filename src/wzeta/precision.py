@@ -2,14 +2,15 @@
 
 sum_to_digits takes from SeriesSpec.sum_to_cut the sum up to the first
 term negligible for the requested precision and that term t(N), which
-bounds the tail. Both are read from one streaming product tree whose
+bounds the tail. The sum is read from one streaming product tree whose
 leaves are the ratio's linear part α/β, with the series' nonlinear
 factor c(n) as each term's weight; each step is evaluated once, from
-that split. Scaled mode truncates the sum once to a fixed point,
-adding 1/scale to the error. The digits come from
-one pair of scaled floors of the sum minus and plus the error (one
-full-width division; the upper floor comes from its remainder), divided
-by 10 until they agree while the bounds straddle a decimal boundary.
+that split. t(N) is evaluated from the term itself. Scaled mode
+truncates the sum once to a fixed point, adding 1/scale to the error.
+The digits come from one pair of scaled floors of the sum minus and
+plus the error (one full-width division; the upper floor comes from its
+remainder), divided by 10 until they agree while the bounds straddle a
+decimal boundary.
 
 Integers print through algebra.int_text; term_texts carries each term's
 numerator and denominator as Decimals, each step linear in their length,

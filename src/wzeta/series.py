@@ -6,11 +6,14 @@ rational numbers", 1998) that sums them.
 Each series reduces its ratio once, by the gcd of its two sides over
 Z[n], to a/b, and splits that once as (c(n+1)/c(n))·(α(n)/β(n)) by
 Gosper's first step at shift 1, so t(n) = c(n)·u(n) with u(n+1)/u(n) =
-α(n)/β(n). A sum is one streaming ProductTree whose leaves are α/β at
-each step, with c(n) as the weight of each term. Each step is evaluated
-once, from the split, for both its value and its leaf. SeriesSpec.walk
-holds the one rule for restarting from term_at; the checked walks never
-do, and share one checked step.
+α(n)/β(n). A run of terms from t(m) sums to t(m) plus u(m) times one
+streaming ProductTree whose leaves are α/β at each later step, with
+c(n) as the weight of each term; partial_sum and sum_to_cut both sum
+their runs this way. Each step is evaluated once, from the split, for
+both its value and its leaf. The first omitted term of sum_to_cut comes
+from term_at, not from the tree. SeriesSpec.walk holds the one rule for
+restarting from term_at; the checked walks never do, and share one
+checked step.
 """
 
 from __future__ import annotations
@@ -53,12 +56,13 @@ _LOG_SLACK = 1e-3
 
 class ProductTree:
     """Binary splitting fed one leaf at a time. For leaves (p_i, q_i, t_i),
-    P and Q are the products of all p_i and all q_i, and T/Q =
-    Σ_i (t_i/q_i)·Π_{m<i} p_m/q_m: with t_i = w_i·p_i, the sum of the
-    weights w_i times the running products. Neighbours of equal size
-    merge as leaves arrive, P = P1·P2, Q = Q1·Q2, T = T1·Q2 + P1·T2, so
-    only O(log N) nodes are held. Nothing is reduced, so (P, Q, T) does
-    not depend on where the tree splits."""
+    Q is the product of all q_i and T/Q = Σ_i (t_i/q_i)·Π_{m<i} p_m/q_m:
+    with t_i = w_i·p_i, the sum of the weights w_i times the running
+    products. Neighbours of equal size merge as leaves arrive, P = P1·P2,
+    Q = Q1·Q2, T = T1·Q2 + P1·T2, so only O(log N) nodes are held. Each
+    merge needs P only of its left part, so the final fold, from the
+    right, never forms the whole tree's P. Nothing is reduced, so (Q, T)
+    does not depend on where the tree splits."""
 
     __slots__ = ("_nodes",)
 
@@ -73,12 +77,12 @@ class ProductTree:
             size *= 2
         nodes.append((size, p, q, t))
 
-    def result(self) -> tuple[int, int, int]:
-        """(P, Q, T) over every leaf added; (1, 1, 0) for none."""
-        p, q, t = 1, 1, 0
+    def result(self) -> tuple[int, int]:
+        """(Q, T) over every leaf added; (1, 0) for none."""
+        q, t = 1, 0
         for _, p1, q1, t1 in reversed(self._nodes):
-            p, q, t = p1 * p, q1 * q, t1 * q + p1 * t
-        return p, q, t
+            q, t = q1 * q, t1 * q + p1 * t
+        return q, t
 
 
 class SeriesSpec(Frozen):
@@ -308,32 +312,30 @@ class SeriesSpec(Frozen):
 
     def partial_sum(self, count: int, first_index: int | None = None) -> Fraction:
         """Exact sum of `count` terms from first_index (default: the
-        start), along walk: each restart adds its term t(m), and the
-        steps after it are one ProductTree over α/β with c(n) as weights,
-        which adds u(m)·T/Q, u(m) = t(m)/c(m)."""
+        start), run by run along walk: each restart starts a run, summed
+        by _run_sum from its term and a ProductTree over its steps."""
         if count < 0:
             raise DomainError("count must be nonnegative")
         n = self.start_index if first_index is None else first_index
-        total = Fraction(0)
-        anchor, tree = None, ProductTree()  # the run's (m, t(m)) and its steps
+        runs = []  # (m, t(m), tree) per run, m its first index
         for n, value, evaluated in self._walk(n, n + count):
-            if evaluated is None:  # the last run ends; t(n) starts the next
-                total += self._run_sum(anchor, tree) + value
-                anchor, tree = (n, value), ProductTree()
+            if evaluated is None:
+                runs.append((n, value, ProductTree()))
             else:
-                tree.add(*evaluated[1])
-        return total + self._run_sum(anchor, tree)
+                runs[-1][2].add(*evaluated[1])
+        return sum((Fraction(*self._run_sum(*run)) for run in runs), Fraction(0))
 
-    def _run_sum(self, anchor: tuple[int, Fraction] | None, tree: ProductTree) -> Fraction:
-        """u(m)·T/Q for the steps of a run from (m, t(m)): 0 where T is 0,
-        as for a run without steps; else the run has a step from m, so
-        b(m) = c(m)·β(m) ≠ 0 and c(m) ≠ 0."""
-        _, big_q, big_t = tree.result()
+    def _run_sum(self, m: int, value: Fraction, tree: ProductTree) -> tuple[int, int]:
+        """(a, b), b > 0 and unreduced: a/b sums a run of terms from m,
+        t(m) = value, whose steps after m are the tree's leaves α/β with
+        weights c(n). That is t(m) + u(m)·T/Q, u(m) = t(m)/c(m); a run
+        with T ≠ 0 has a step from m, so b(m) = c(m)·β(m) ≠ 0 and c(m) ≠ 0."""
+        big_q, big_t = tree.result()
         if not big_t:
-            return Fraction(0)
-        m, value = anchor
-        return Fraction(value.numerator * big_t,
-                        value.denominator * horner(self._split[0], m) * big_q)
+            return value.numerator, value.denominator
+        weighted = horner(self._split[0], m) * big_q
+        numerator, denominator = value.numerator * (weighted + big_t), value.denominator * weighted
+        return (-numerator, -denominator) if denominator < 0 else (numerator, denominator)
 
     def sum_to_cut(self, threshold: Fraction) -> tuple[int, int, Fraction, int]:
         """(a, b, tail, count) at the first index N > start with |t(N)| <
@@ -342,10 +344,10 @@ class SeriesSpec(Frozen):
 
         Each index is evaluated once, by _checked_step, and log10|t(n)| is
         summed in floats, decided exactly only within _LOG_SLACK of the
-        threshold. One ProductTree, fed as the steps are checked, has
-        leaves α/β and weights c(n): with u(start) = t(start)/c(start),
-        the sum is u(start)·(T - c(N)·P)/Q and t(N) = c(N)·u(start)·P/Q;
-        with the last step, t(N-1) = t(N)·q/p. Both must confirm the cut.
+        threshold. The steps before N feed one ProductTree, summed as a
+        run of partial_sum is. t(N) is term_at(N), evaluated once; with
+        the last step, t(N-1) = t(N)·q/p. Both must confirm the cut, so
+        the term checks the walk's steps.
         """
         n = self.start_index
         first = self.term_at(n)
@@ -354,28 +356,24 @@ class SeriesSpec(Frozen):
         log_threshold = math.log10(threshold.numerator) - math.log10(threshold.denominator)
         # estimate of log10(|t(n)| / threshold)
         gap = math.log10(abs(first.numerator)) - math.log10(first.denominator) - log_threshold
-        (p, q), leaf, anchor, weight = self._checked_step(n)  # c(start), c(start+1)
+        (p, q), leaf, _, weight = self._checked_step(n)
         self.require_geometric()  # after the first step, so a concrete violation there wins
         tree = ProductTree()
-        tree.add(1, 1, anchor)  # c(start) ≠ 0, as b(start) = c(start)·β(start) ≠ 0
         while True:
             n += 1
-            tree.add(*leaf)
             gap += math.log10(-p) - math.log10(q)
-            if (abs(self.term_at(n)) < threshold) if abs(gap) <= _LOG_SLACK else gap < 0:
+            last = self.term_at(n) if abs(gap) <= _LOG_SLACK else None
+            if (abs(last) < threshold) if last is not None else gap < 0:
                 break
+            tree.add(*leaf)
             (p, q), leaf, _, weight = self._checked_step(n, weight)
-        big_p, big_q, big_t = tree.result()
-        last = Fraction(first.numerator * weight * big_p, first.denominator * anchor * big_q)
+        if last is None:
+            last = self.term_at(n)
         tail = self._tail_past(n, last)
         count = n - self.start_index
         if tail >= threshold or (count > 1 and abs(last * q / p) < threshold):
             raise TailBoundError(f"stopping index n={n} not confirmed by exact terms")
-        numerator = first.numerator * (big_t - weight * big_p)
-        denominator = first.denominator * anchor * big_q
-        if denominator < 0:
-            numerator, denominator = -numerator, -denominator
-        return numerator, denominator, tail, count
+        return (*self._run_sum(self.start_index, first, tree), tail, count)
 
     def tail_bound(self, count: int) -> Fraction:
         """Exact rational upper bound on |sum of all terms after the

@@ -30,6 +30,9 @@ _GAP_PLACES = 30
 # diagonal terms two_sided_gap first sums exactly; the tail bound of s1's
 # diagonal there, the slower bundled one at 0.6 digits a term, is 2e-43
 _FIRST_GAP_TERMS = 64
+# failing points a report keeps, the first in sweep order; the rest are
+# counted, so a pair that fails everywhere prints a bounded report
+_MAX_FAILURES = 100
 
 
 class WZPair(Frozen):
@@ -86,7 +89,8 @@ class VerifyReport(NamedTuple):
     outcome: str  # "pass" or "fail"
     points_checked: int
     degree_bound: int | None = None
-    failures: tuple[FailurePoint, ...] = ()
+    failures: tuple[FailurePoint, ...] = ()  # the first _MAX_FAILURES
+    more_failures: int = 0  # failing points past those
 
     @property
     def first_failure(self) -> FailurePoint | None:
@@ -95,6 +99,8 @@ class VerifyReport(NamedTuple):
     def serialize(self) -> str:
         lines = [f"{p.n} {p.k} {fraction_text(p.lhs)} {fraction_text(p.rhs)} fail"
                  for p in self.failures]
+        if self.more_failures:
+            lines.append(f"more_failures={self.more_failures}")
         degree = f" degree_bound={self.degree_bound}" if self.mode == "symbolic" else ""
         lines.append(f"mode={self.mode}{degree} points_checked={self.points_checked} "
                      f"outcome={self.outcome}")
@@ -122,14 +128,14 @@ def verify_grid(pair: WZPair, n_max: int) -> VerifyReport:
         (a1·b0 − a0·b1)·(d1·d0) == (c1·d0 − c0·d1)·(b1·b0),
 
     which is the identity multiplied by the nonzero b1·b0·d1·d0 and is
-    decided in integers; the two sides are formed as Fractions only at a
-    failing point.
+    decided in integers; the two sides are formed as Fractions only at the
+    failing points the report keeps.
     """
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     f, g = pair.f, pair.g
     factorial = factorial_ladder()
-    checked = 0
+    checked = more = 0
     failures = []
     # F(n+1, known_lo + i) of the last row; a row after a gap shares no k
     # with it, since the region is convex
@@ -154,12 +160,15 @@ def verify_grid(pair: WZPair, n_max: int) -> VerifyReport:
                 c0, d0 = next(g.along_k(n, lo, factorial))
             checked += 1
             if (a1 * b0 - a0 * b1) * (d1 * d0) != (c1 * d0 - c0 * d1) * (b1 * b0):
-                failures.append(FailurePoint(n, k, Fraction(a1, b1) - Fraction(a0, b0),
-                                             Fraction(c1, d1) - Fraction(c0, d0)))
+                if len(failures) == _MAX_FAILURES:
+                    more += 1
+                else:
+                    failures.append(FailurePoint(n, k, Fraction(a1, b1) - Fraction(a0, b0),
+                                                 Fraction(c1, d1) - Fraction(c0, d0)))
             c0, d0 = c1, d1
         f_known, known_lo = f_next, lo
     outcome = "pass" if not failures else "fail"
-    return VerifyReport("grid", outcome, checked, failures=tuple(failures))
+    return VerifyReport("grid", outcome, checked, failures=tuple(failures), more_failures=more)
 
 
 def certificate(pair: WZPair) -> RationalFunction:
@@ -198,7 +207,7 @@ def verify_symbolic(pair: WZPair) -> VerifyReport:
     need_k = degree_bound("k") + 1
     n_values, k_values = _zero_free_grid(denominators, need_n, need_k)
 
-    checked = 0
+    checked = more = 0
     failures = []
     for n in n_values:
         for k in k_values:
@@ -206,7 +215,10 @@ def verify_symbolic(pair: WZPair) -> VerifyReport:
             rhs = cert_up.evaluate(n, k) * r2.evaluate(n, k) - cert.evaluate(n, k)
             checked += 1
             if lhs != rhs:
-                failures.append(FailurePoint(n, k, lhs, rhs))
+                if len(failures) == _MAX_FAILURES:
+                    more += 1
+                else:
+                    failures.append(FailurePoint(n, k, lhs, rhs))
     outcome = "pass" if not failures else "fail"
     return VerifyReport(
         "symbolic",
@@ -214,6 +226,7 @@ def verify_symbolic(pair: WZPair) -> VerifyReport:
         checked,
         degree_bound=max(need_n, need_k) - 1,
         failures=tuple(failures),
+        more_failures=more,
     )
 
 

@@ -242,6 +242,23 @@ def test_verify_stops_where_the_region_ends(tmp_path):
     assert done.stdout.splitlines()[-2:] == ["mode=grid points_checked=45 outcome=fail", "FAIL"]
 
 
+def test_a_pair_failing_everywhere_prints_a_bounded_report(tmp_path):
+    # every one of the 11,325 points fails, with values of up to 190,000
+    # bits: the report prints the first 100 in sweep order and the number
+    # of the rest, and forms no value for those
+    term = "(100*k)! * (n-k)! * k!"
+    path = catalog_with(tmp_path, f_s1=term, g_s1=term)
+    done = run_subprocess("--catalog", path, "verify", "--pair", "s1", "--nmax", "150",
+                          timeout=30)
+    assert (done.returncode, done.stderr) == (1, "")
+    lines = done.stdout.splitlines()
+    first = [(n, k) for n in range(1, 15) for k in range(n)][:100]  # k < n
+    assert [tuple(map(int, line.split()[:2])) for line in lines[:100]] == first
+    assert all(line.endswith(" fail") for line in lines[:100])
+    assert lines[100:] == ["more_failures=11225",
+                           "mode=grid points_checked=11325 outcome=fail", "FAIL"]
+
+
 @pytest.mark.parametrize("f,g,refused", [
     # no real point: 5n+6 <= 5k <= 5n-1 from F(n+1, k) and G(n, k+1)
     ("(5*k-5*n-1)! * (5*n+4-5*k)!", "(5*k-5*n-1)! * (5*n+4-5*k)!", False),

@@ -54,8 +54,7 @@ def test_soundness_against_longer_run(cat, name):
 
 
 def test_stopping_rule(cat):
-    # the cut's |t(N)| and |t(N-1)| come from the product tree; check
-    # them against direct evaluation in both modes
+    # the cut's |t(N)| and |t(N-1)| against direct evaluation in both modes
     digits = 40
     threshold = Fraction(1, 10 ** (digits + 2))
     for name in ("s1", "s2", "s3"):
@@ -66,6 +65,15 @@ def test_stopping_rule(cat):
             last_used = series.term_at(series.start_index + report.terms_used - 1)
             assert abs(first_omitted) < threshold <= abs(last_used)
             assert report.tail_bound == abs(first_omitted)
+
+
+@pytest.mark.parametrize("mode", ["exact", "scaled"])
+@pytest.mark.parametrize("digits", [1000, 3000])
+@pytest.mark.parametrize("name", ["s1", "s2", "s3"])
+def test_the_tail_bound_is_the_first_omitted_term(cat, name, digits, mode):
+    series = cat.series_by_name(name)
+    report = precision.sum_to_digits(series, digits, mode=mode)
+    assert report.tail_bound == abs(series.term_at(series.start_index + report.terms_used))
 
 
 @pytest.mark.parametrize("mode", ["exact", "scaled"])

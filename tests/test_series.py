@@ -238,7 +238,7 @@ def test_product_tree_matches_a_left_fold():
             total += weight * running
             big_p, big_q, big_t = big_p * p, big_q * q, big_t * q + big_p * weight * p
             tree.add(p, q, weight * p)
-        assert tree.result() == (big_p, big_q, big_t)
+        assert tree.result() == (big_q, big_t)
         assert big_p == math.prod(p for p, _, _ in leaves[:size])
         assert big_q == math.prod(q for _, q, _ in leaves[:size])
         assert Fraction(big_t, big_q) == total
@@ -249,7 +249,7 @@ def test_product_tree_holds_a_logarithmic_number_of_nodes():
     for size in range(1, 1025):
         tree.add(1, 1, 1)
         assert len(tree._nodes) == bin(size).count("1")
-    assert tree.result() == (1, 1, 1024)
+    assert tree.result() == (1, 1024)
 
 
 def dense_shifted(coeffs, shift):
@@ -311,15 +311,42 @@ def test_a_cancelled_root_past_the_cut_is_still_refused(digits):
     assert str(raised.value) == "denominator polynomial vanishes at (n=50, k=0)"
 
 
-@pytest.mark.parametrize("name,most", [("s1", 169_119), ("s2", 110_000), ("s3", 120_000)])
+@pytest.mark.parametrize("name,most", [("s1", 169_081), ("s2", 110_000), ("s3", 120_000)])
 def test_the_sum_denominator_stays_small(cat, name, most):
-    # at 3000 digits; unsplit, s2 and s3 came to 153,319 and 190,070 bits
+    # at 3000 digits, with no leaf for the cut N; unsplit, s2 and s3 came
+    # to 153,319 and 190,070 bits, and with N's leaf s1 to 169,119
     _, denominator, _, _ = cat.series_by_name(name).sum_to_cut(Fraction(1, 10**3002))
     assert denominator > 0
     if name == "s1":  # c = 1: the leaves are the reduced steps themselves
         assert denominator.bit_length() == most
     else:
         assert denominator.bit_length() <= most
+
+
+@pytest.mark.parametrize("digits", [1000, 3000])
+@pytest.mark.parametrize("name", ["s1", "s2", "s3"])
+def test_the_sum_to_the_cut_is_the_partial_sum(cat, name, digits):
+    series = cat.series_by_name(name)
+    numerator, denominator, _, count = series.sum_to_cut(Fraction(1, 10 ** (digits + 2)))
+    assert Fraction(numerator, denominator) == series.partial_sum(count)
+
+
+@pytest.mark.parametrize("at_slack", [False, True])
+@pytest.mark.parametrize("name", ["s1", "s2", "s3"])
+def test_the_cut_term_is_evaluated_once(cat, monkeypatch, name, at_slack):
+    # term_at gives t(start) and t(N) only, each once; a threshold just
+    # above |t(N)| has the cut decided exactly, and that value is reused
+    series = cat.series_by_name(name)
+    threshold = Fraction(1, 10**1002)
+    count = series.sum_to_cut(threshold)[3]
+    start, cut = series.start_index, series.start_index + count
+    if at_slack:
+        threshold = abs(series.term_at(cut)) * Fraction(1001, 1000)
+    calls = []
+    term_at = SeriesSpec.term_at
+    monkeypatch.setattr(SeriesSpec, "term_at", lambda self, n: calls.append(n) or term_at(self, n))
+    assert series.sum_to_cut(threshold)[3] == count
+    assert calls == [start, cut]
 
 
 def test_partial_sum_restarts_at_a_zero_term():

@@ -273,7 +273,8 @@ def test_reprs_past_the_int_str_limit(int_str_limit):
         "form": f"LinearForm(a={big}, b=0, c=-{big})",
         "series": f"SeriesSpec('t', HyperTerm('(n)'), 0, Fraction(1, {big}))",
         "report": f"VerifyReport(mode='grid', outcome='fail', points_checked=1, degree_bound=None, "
-                  f"failures=(FailurePoint(n=1, k=0, lhs=Fraction({big}, 1), rhs=Fraction(1, 1)),))",
+                  f"failures=(FailurePoint(n=1, k=0, lhs=Fraction({big}, 1), rhs=Fraction(1, 1)),), "
+                  "more_failures=0)",
         "digits": f"EvalReport(series='s3', mode='exact', decimal_string='1.2', terms_used=1, "
                   f"tail_bound=Fraction(1, {big}), rounding_bound=Fraction(0, 1), certified_digits=1)",
     }
@@ -383,6 +384,32 @@ def test_row_sweep_matches_reference_failures(broken_pair):
         assert swept.failures == reference.failures
         assert swept.points_checked == 78
         assert [(p.n, p.k) for p in swept.failures] == failing
+
+
+@pytest.mark.parametrize("symbolic", [False, True])
+def test_a_report_keeps_the_first_failing_points(broken_pair, monkeypatch, symbolic):
+    # the broken s1 pair fails at all 210 grid points with n <= 20, and F
+    # = G at all 306 symbolic points: a report keeps the first
+    # _MAX_FAILURES in sweep order, counts the rest, and points_checked
+    # still counts every point
+    if symbolic:
+        same = parse_term("(100*k)! * (n-k)! * k!")
+        check = lambda: wz.verify_symbolic(wz.WZPair("same", same, same, Fraction(1)))
+    else:
+        check = lambda: wz.verify_grid(broken_pair, 20)
+    report = check()
+    monkeypatch.setattr(wz, "_MAX_FAILURES", 10**9)
+    every = check()
+    assert len(every.failures) == every.points_checked == report.points_checked
+    assert every.points_checked == (306 if symbolic else 210)
+    assert report.failures == every.failures[:100]
+    assert report.more_failures == every.points_checked - 100 and every.more_failures == 0
+    lines = report.serialize().splitlines()
+    assert len(lines) == 102
+    assert lines[100] == f"more_failures={report.more_failures}"
+    assert lines[101].startswith(f"mode={report.mode} ")
+    if not symbolic:
+        assert report.failures == reference_grid(broken_pair, 20).failures[:100]
 
 
 def vanishing_at(n, k):
