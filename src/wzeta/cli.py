@@ -25,9 +25,10 @@ _COMPARE_LHS_TERMS = 300
 # span, and per point _GRID_POINT_S plus _GRID_BIT_S per bit of B, B the
 # bits of F(n+1, k) plus those of G(n, k) at the larger end of the row,
 # fitted to grids timed in-process on a 2-vCPU machine before the walks
-# stepped by iterators; since then the bundled grids take 0.7-1.0 of
-# their estimate and the 30n test pair 1.06-1.14 (table in CHANGES.md).
-# The cap is the estimate of s2 at n <= 386 (3.18 s; measured 2.36 s),
+# stepped by iterators; the bundled grids now take 0.52-0.61 of their
+# estimate and the 30n test pair, which fails everywhere, 0.37-0.41
+# (in-process, best of 10; table in CHANGES.md).
+# The cap is the estimate of s2 at n <= 386 (3.18 s; measured 1.87 s),
 # the slowest bundled grid the tests run; it admits at most 1.6M points
 # and a span of at most 355,000 rows
 _GRID_ROW_S = 9e-6

@@ -223,9 +223,10 @@ class HyperTerm(Frozen):
         linear in k, so the walk finds at its start the first k at which
         one of them is negative, and there checks them one by one.
 
-        factorial(m) supplies m! for the arguments at k_first only; a
-        caller that starts many walks can pass a factorial_ladder()
-        instead of math.factorial. The first value's factorial part, the
+        factorial(m) supplies m! for the arguments at k_first only; its
+        one use besides math.factorial is factorial=lambda m: 1, with which
+        log_terms and two_sided_gap check a point's domain and zero without
+        its factorials. The first value's factorial part, the
         constant times the factorials and the sign, is reduced once after
         it is yielded (value_at takes only the first value) and kept in
         lowest terms from then on. From k-1 to k each factorial whose
@@ -316,24 +317,6 @@ class HyperTerm(Frozen):
         from .dsl import render_term
 
         return f"HyperTerm({render_term(self)!r})"
-
-
-def factorial_ladder():
-    """A function m ↦ m! for m ≥ 0, to pass to HyperTerm.along_k. It
-    keeps every factorial it has reached in one list, so a new entry
-    costs one multiplication and a repeated one a lookup; the list lives
-    as long as the function."""
-    ladder = [1]
-
-    def factorial(m: int) -> int:
-        if m >= len(ladder):
-            value = ladder[-1]
-            for i in range(len(ladder), m + 1):
-                value *= i
-                ladder.append(value)
-        return ladder[m]
-
-    return factorial
 
 
 def factorial_bits(m: int) -> float:

@@ -14,13 +14,14 @@ pairs converges geometrically.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .algebra import Frozen, LinearForm, RationalFunction, fraction_text, value_repr
 from .errors import DomainError, SingularGrid, WZetaError
-from .terms import Domain, HyperTerm, cross_ratio, factorial_ladder
+from .terms import Domain, HyperTerm, cross_ratio
 
 if TYPE_CHECKING:
     from .series import SeriesSpec
@@ -68,10 +69,18 @@ class WZPair(Frozen):
     def rows(self, n_max: int) -> Iterator[tuple[int, int, int]]:
         """check_domain.rows(n_max); the DomainError of a region that
         does not bound k names the pair."""
-        try:
+        with _naming(self):
             yield from self.check_domain.rows(n_max)
-        except DomainError as exc:
-            raise DomainError(f"pair {self.name}: {exc}") from None
+
+
+@contextmanager
+def _naming(pair: WZPair) -> Iterator[None]:
+    """A WZetaError raised within, its message prefixed with the pair's name."""
+    try:
+        yield
+    except WZetaError as exc:  # the same error, naming the pair
+        exc.args = (f"pair {pair.name}: {exc}",)
+        raise
 
 
 class FailurePoint(NamedTuple):
@@ -112,10 +121,10 @@ def verify_grid(pair: WZPair, n_max: int) -> VerifyReport:
     with n ≤ n_max.
 
     The grid is swept row by row, and each row reads its values from
-    walks along k (HyperTerm.along_k): each walk starts directly from
-    factorials, read from one factorial_ladder built for this call, and
-    steps by exact factorial quotients. The F(n+1, k) of a row are kept,
-    in a list indexed by k − lo, as the next row's F(n, k), and a walk
+    walks along k (HyperTerm.along_k): each walk reads its factorials
+    from math.factorial once, at its first k, and steps by exact factorial
+    quotients. The only values kept from one row to the next are its
+    F(n+1, k), in a list indexed by k − lo, as the next row's F(n, k); a walk
     of F(n, ·) supplies only the values they lack. Values are requested
     in the order F(n+1,k), F(n,k), G(n,k+1), G(n,k), the last only at
     the row's first k, lo, since G(n,k+1) at one point is G(n,k) at the
@@ -134,15 +143,14 @@ def verify_grid(pair: WZPair, n_max: int) -> VerifyReport:
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     f, g = pair.f, pair.g
-    factorial = factorial_ladder()
     checked = more = 0
     failures = []
     # F(n+1, known_lo + i) of the last row; a row after a gap shares no k
     # with it, since the region is convex
     f_known, known_lo = [], 0
     for n, lo, hi in pair.rows(n_max):
-        f_up_row = f.along_k(n + 1, lo, factorial)
-        g_up_row = g.along_k(n, lo + 1, factorial)
+        f_up_row = f.along_k(n + 1, lo)
+        g_up_row = g.along_k(n, lo + 1)
         f_row = None  # a walk of F(n, ·) through a run f_known lacks
         f_next = []
         for k in range(lo, hi + 1):
@@ -153,11 +161,11 @@ def verify_grid(pair: WZPair, n_max: int) -> VerifyReport:
                 f_row = None
             else:
                 if f_row is None:
-                    f_row = f.along_k(n, k, factorial)
+                    f_row = f.along_k(n, k)
                 a0, b0 = next(f_row)
             c1, d1 = next(g_up_row)
             if k == lo:
-                c0, d0 = next(g.along_k(n, lo, factorial))
+                c0, d0 = next(g.along_k(n, lo))
             checked += 1
             if (a1 * b0 - a0 * b1) * (d1 * d0) != (c1 * d0 - c0 * d1) * (b1 * b0):
                 if len(failures) == _MAX_FAILURES:
@@ -172,8 +180,10 @@ def verify_grid(pair: WZPair, n_max: int) -> VerifyReport:
 
 
 def certificate(pair: WZPair) -> RationalFunction:
-    """The rational function R(n, k) = G(n, k)/F(n, k)."""
-    return cross_ratio(pair.g, pair.f)
+    """The rational function R(n, k) = G(n, k)/F(n, k); an error in
+    forming it names the pair."""
+    with _naming(pair):
+        return cross_ratio(pair.g, pair.f)
 
 
 def verify_symbolic(pair: WZPair) -> VerifyReport:
@@ -187,10 +197,12 @@ def verify_symbolic(pair: WZPair) -> VerifyReport:
     rational. Cleared of denominators this is a polynomial identity
     P(n,k) ≡ 0 whose degrees are bounded by the factor degrees without
     expanding P; evaluating exactly on a zero-free integer grid of
-    (deg_n+1)×(deg_k+1) points therefore decides it completely.
+    (deg_n+1)×(deg_k+1) points therefore decides it completely. An error
+    in forming r1, r2 or R names the pair.
     """
-    r1 = pair.f.shift_ratio(1, 0)
-    r2 = pair.f.shift_ratio(0, 1)
+    with _naming(pair):
+        r1 = pair.f.shift_ratio(1, 0)
+        r2 = pair.f.shift_ratio(0, 1)
     cert = certificate(pair)
     cert_up = cert.substituted(LinearForm(1, 0, 0), LinearForm(0, 1, 1))  # R(n, k+1)
 
@@ -257,27 +269,29 @@ def accelerate(pair: WZPair) -> SeriesSpec:
     """The diagonal series Σ_{n≥1} b_n, b_n = F(n, n-1) + G(n-1, n-1).
 
     b_n is built as one hypergeometric term, F(n, n-1)·(1 + R) with the
-    rational R = G(n-1, n-1)/F(n, n-1) (IncompatibleTerms otherwise).
-    For a verified pair the series has the same limit as Σ_{n≥0} G(n, 0),
-    the pair's zeta3_multiple times ζ(3). Verification is the caller's
-    responsibility.
+    rational R = G(n-1, n-1)/F(n, n-1) (IncompatibleTerms otherwise); an
+    error in forming it names the pair. For a verified pair the series has
+    the same limit as Σ_{n≥0} G(n, 0), the pair's zeta3_multiple times
+    ζ(3). Verification is the caller's responsibility.
     """
     from .series import SeriesSpec  # the summation engine, which verification never loads
 
     n, n_less_1 = LinearForm(1, 0, 0), LinearForm(1, 0, -1)
-    f_diag = pair.f.substituted(n, n_less_1)  # F(n, n-1)
-    g_diag = pair.g.substituted(n_less_1, n_less_1)  # G(n-1, n-1)
-    r = cross_ratio(g_diag, f_diag)
-    return SeriesSpec(
-        name=f"accel({pair.name})",
-        term=HyperTerm(
+    with _naming(pair):
+        f_diag = pair.f.substituted(n, n_less_1)  # F(n, n-1)
+        g_diag = pair.g.substituted(n_less_1, n_less_1)  # G(n-1, n-1)
+        r = cross_ratio(g_diag, f_diag)
+        term = HyperTerm(
             f_diag.sign_exponent,
             f_diag.factorials,
             f_diag.poly_num * (r.den + r.num),
             f_diag.poly_den * r.den,
             f_diag.constant,
             Domain((n_less_1,) + f_diag.domain.constraints + g_diag.domain.constraints),
-        ),
+        )
+    return SeriesSpec(
+        name=f"accel({pair.name})",
+        term=term,
         start_index=1,
         zeta3_multiple=pair.zeta3_multiple,
     )

@@ -259,6 +259,43 @@ def test_a_pair_failing_everywhere_prints_a_bounded_report(tmp_path):
                            "mode=grid points_checked=11325 outcome=fail", "FAIL"]
 
 
+def run_with_peak(tmp_path, *argv, timeout):
+    """The CLI in a child process, as run_subprocess, and the child's peak
+    resident set (VmHWM) in kB, which it reads at exit; skips the test
+    where the system has no /proc/self/status."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read the peak resident set from")
+    script = ("import pathlib, sys\n"
+              "from wzeta.cli import main\n"
+              "code = main(sys.argv[2:])\n"
+              "status = pathlib.Path('/proc/self/status').read_text()\n"
+              "pathlib.Path(sys.argv[1]).write_text(status.split('VmHWM:')[1].split()[0])\n"
+              "sys.exit(code)\n")
+    peak = tmp_path / "peak.txt"
+    env = dict(os.environ, PYTHONPATH=str(Path(wzeta.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, str(peak), *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=timeout)
+    return done, int(peak.read_text())
+
+
+def test_a_failing_grid_holds_one_row_of_values(tmp_path):
+    # the walks reach (1000·30)! = 30,000!, 121,000 digits; the sweep keeps
+    # no factorial past the walk it starts, so the peak stays that of a
+    # row, where a cache of every m! up to 30,000 held about 700 MB
+    term = "(1000*k)! * (n-k)! * k!"
+    path = catalog_with(tmp_path, f_s1=term, g_s1=term)
+    done, peak_kb = run_with_peak(tmp_path, "--catalog", path, "verify", "--pair", "s1",
+                                  "--nmax", "30", timeout=60)
+    assert (done.returncode, done.stderr) == (1, "")
+    lines = done.stdout.splitlines()
+    first = [(n, k) for n in range(1, 15) for k in range(n)][:100]  # k < n
+    assert [tuple(map(int, line.split()[:2])) for line in lines[:100]] == first
+    assert lines[100:] == ["more_failures=365",
+                           "mode=grid points_checked=465 outcome=fail", "FAIL"]
+    assert peak_kb <= 64 * 1024, peak_kb
+
+
 @pytest.mark.parametrize("f,g,refused", [
     # no real point: 5n+6 <= 5k <= 5n-1 from F(n+1, k) and G(n, k+1)
     ("(5*k-5*n-1)! * (5*n+4-5*k)!", "(5*k-5*n-1)! * (5*n+4-5*k)!", False),
@@ -809,10 +846,13 @@ def test_verify_does_not_need_the_series(capsys, tmp_path):
 
 def test_a_broken_pair_fails_only_its_own_series(capsys, tmp_path):
     # the same s1 pair: s1 cannot be formed, and every other series is
-    # derived without it; list, which shows every series, exits 2
+    # derived without it; list, which shows every series, exits 2. Its
+    # certificate cannot be formed either, and each error names the pair
     path = catalog_with(tmp_path, g_s1="2 * k!^2 * (n-k)! / ((n+k+1)! * (n+1)^2)")
-    refused = (2, "", "error: sign exponents differ in n or k\n")
-    for argv in (("digits", "--series", "s1", "--digits", "10"), ("list",)):
+    refused = (2, "", "error: pair s1: sign exponents differ in n or k\n")
+    for argv in (("digits", "--series", "s1", "--digits", "10"), ("list",),
+                 ("verify", "--pair", "s1", "--symbolic"),
+                 ("accelerate", "--pair", "s1", "--terms", "5")):
         assert run(capsys, "--catalog", path, *argv) == refused
     for argv in (("digits", "--series", "s3", "--digits", "10"),
                  ("digits", "--series", "s2", "--digits", "10"),
@@ -820,6 +860,27 @@ def test_a_broken_pair_fails_only_its_own_series(capsys, tmp_path):
         bundled = run(capsys, *argv)
         assert bundled[0] == 0
         assert run(capsys, "--catalog", path, *argv) == bundled
+
+
+@pytest.mark.parametrize("digits", ["5", "50"])
+def test_a_sum_on_a_digit_boundary_keeps_the_digits_it_certifies(capsys, tmp_path, digits):
+    # the terms sum to exactly 1/20 = 0.05: the error bounds straddle the
+    # second decimal, 0.04... against 0.05..., so one digit is certified
+    path = catalog_with(tmp_path, s3="(-1)^n * (n+2) / (20 * (n+1)!)")
+    code, out, err = run(capsys, "--catalog", path, "digits", "--series", "s3",
+                         "--digits", digits)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "0.0"
+    assert lines[4:] == ["certified_digits=1", "mode=exact", "series=s3"]
+
+
+def test_a_sum_on_an_integer_certifies_no_digit(capsys, tmp_path):
+    # the terms sum to exactly 1: the error bounds straddle it even with
+    # no decimal place
+    path = catalog_with(tmp_path, s3="(-1)^n * (n+2) / (n+1)!")
+    code, out, err = run(capsys, "--catalog", path, "digits", "--series", "s3", "--digits", "5")
+    assert (code, out, err) == (2, "", "error: error bounds certify no digits at all\n")
 
 
 def test_a_series_ratio_over_the_degree_limit_exits_2_promptly(tmp_path):

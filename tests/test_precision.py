@@ -215,6 +215,26 @@ def test_first_term_below_the_threshold():
     assert report.certified_digits == 5
 
 
+@pytest.mark.parametrize("mode", ["exact", "scaled"])
+@pytest.mark.parametrize("digits", [5, 50])
+def test_a_sum_on_a_digit_boundary_certifies_fewer_digits(mode, digits):
+    # (n+2)/(n+1)! = 1/n! + 1/(n+1)!, so the terms sum to exactly 1/20:
+    # however small the error bound, the sum's two bounds truncate to
+    # 0.04... and 0.05..., and the report keeps the one digit they share
+    series = SeriesSpec("twentieth", parse_term("(-1)^n * (n+2) / (20 * (n+1)!)"))
+    report = precision.sum_to_digits(series, digits, mode=mode)
+    assert (report.decimal_string, report.certified_digits) == ("0.0", 1)
+    assert report.tail_bound == abs(series.term_at(report.terms_used))
+
+
+@pytest.mark.parametrize("mode", ["exact", "scaled"])
+def test_a_sum_on_an_integer_certifies_no_digit(mode):
+    # the same terms times 20 sum to exactly 1, which the bounds straddle
+    series = SeriesSpec("one", parse_term("(-1)^n * (n+2) / (n+1)!"))
+    with pytest.raises(TailBoundError, match="^error bounds certify no digits at all$"):
+        precision.sum_to_digits(series, 5, mode=mode)
+
+
 def test_truncated_decimal():
     assert precision.truncated_decimal(Fraction(1999, 1000), 3) == "1.999"
     assert precision.truncated_decimal(Fraction(-1999, 1000), 2) == "-1.99"

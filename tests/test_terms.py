@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import wzeta
 from wzeta.algebra import LinearForm, Polynomial
 from wzeta.errors import DomainError, IncompatibleTerms
-from wzeta.terms import Domain, HyperTerm, cross_ratio, factorial_ladder
+from wzeta.terms import Domain, HyperTerm, cross_ratio
 
 from conftest import valid_points
 
@@ -428,33 +428,6 @@ def test_value_at_matches_the_formula():
     }
 
 
-def test_value_at_with_a_ladder_matches_math_factorial():
-    # one ladder for every example, so entries are both added and reused
-    ladder = factorial_ladder()
-    outcomes = set()
-
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    @given(term_cases())
-    def check(case):
-        sign, factorials, num, den, constant, domain, (n, k) = case
-        term = HyperTerm(sign, tuple(factorials), Polynomial(num), Polynomial(den),
-                         constant, domain)
-        try:
-            expected = term.value_at(n, k)
-        except DomainError as exc:
-            with pytest.raises(DomainError) as raised:
-                term.value_at(n, k, ladder)
-            assert str(raised.value) == str(exc)
-            outcomes.add("error")
-            return
-        value = term.value_at(n, k, ladder)
-        assert type(value) is Fraction and value == expected
-        outcomes.add("value" if term.factorials else "no factorial")
-
-    check()
-    assert outcomes == {"value", "no factorial", "error"}
-
-
 def field_value(term, n, k):
     """The term's value read from its fields, with math.factorial and
     Polynomial.evaluate, or the DomainError message value_at raises:
@@ -478,13 +451,16 @@ def expected_at(term, n, k):
     return field_value(term, n, k), term.poly_num.evaluate(n, k) * term.poly_den.evaluate(n, k)
 
 
-def check_walk(term, n, k_first, expected, ladder=math.factorial):
+def check_walk(term, n, k_first, expected):
     """Walk row n from k_first against expected, the expected_at of each
     k from k_first on: exact pairs with a nonzero denominator, after the
     first with a common factor that divides the two polynomial values
     (the factorial part is kept in lowest terms), and past the last value
-    the same DomainError text as value_at's, if expected ends in one."""
-    walk = term.along_k(n, k_first, ladder)
+    the same DomainError text as value_at's, if expected ends in one. The
+    walk reads factorials only before its first value, one per factorial
+    of the term."""
+    reads, first_reads = [], 0
+    walk = term.along_k(n, k_first, lambda m: reads.append(m) or math.factorial(m))
     for k, (want, polys) in enumerate(expected, k_first):
         if isinstance(want, str):
             with pytest.raises(DomainError) as raised:
@@ -493,10 +469,14 @@ def check_walk(term, n, k_first, expected, ladder=math.factorial):
             with pytest.raises(DomainError) as direct:
                 term.value_at(n, k)
             assert str(direct.value) == want
-            return
+            break
         num, den = next(walk)
+        if k == k_first:
+            first_reads = len(reads)
+            assert first_reads == len(term.factorials), (term, n, k)
         assert den != 0 and Fraction(num, den) == want, (term, n, k)
         assert k == k_first or num == 0 or polys % math.gcd(num, den) == 0, (term, n, k)
+    assert len(reads) == first_reads, (term, n, k_first)
 
 
 @pytest.mark.parametrize("name", ["s1", "s2"])
@@ -505,7 +485,6 @@ def test_walks_along_k_match_the_fields_on_the_check_region(cat, name):
     # check region to n <= 60 reads, walked from each of its points to
     # one past its end
     pair = cat.pair_by_name(name)
-    ladder = factorial_ladder()
     for term in (pair.f, pair.g):
         for n in range(62):
             lo, hi = term.domain.k_range(n) or (0, -1)
@@ -514,7 +493,7 @@ def test_walks_along_k_match_the_fields_on_the_check_region(cat, name):
             expected = [expected_at(term, n, k) for k in range(lo, hi + 2)]
             assert isinstance(expected[-1][0], str)
             for k_first in range(lo, hi + 1):
-                check_walk(term, n, k_first, expected[k_first - lo:], ladder)
+                check_walk(term, n, k_first, expected[k_first - lo:])
 
 
 def random_walk_term(rng):

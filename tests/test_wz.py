@@ -520,19 +520,18 @@ def test_the_grid_reads_factorials_only_where_a_walk_starts(cat, monkeypatch, na
     # quotients after that: per row, the walks of F(n+1, ·) and G(n, ·),
     # the single value G(n, lo), and F(n, ·) where the last row lacks it
     reads = 0
-    ladder = wz.factorial_ladder
+    along_k = HyperTerm.along_k
 
-    def counting_ladder():
-        factorial = ladder()
+    def counting(m):
+        nonlocal reads
+        reads += 1
+        return math.factorial(m)
 
-        def counted(m):
-            nonlocal reads
-            reads += 1
-            return factorial(m)
+    def counted(self, n, k_first, factorial=math.factorial):
+        assert factorial is math.factorial  # the sweep passes no factorial
+        return along_k(self, n, k_first, counting)
 
-        return counted
-
-    monkeypatch.setattr(wz, "factorial_ladder", counting_ladder)
+    monkeypatch.setattr(HyperTerm, "along_k", counted)
     pair = cat.pair_by_name(name)
     assert len(list(pair.rows(n_max))) == rows
     assert wz.verify_grid(pair, n_max).outcome == "pass"
