@@ -36,8 +36,8 @@ _GRID_POINT_S = 2e-6
 _GRID_BIT_S = 5.7e-10
 _MAX_GRID_S = 3.2
 # largest `digits --digits`; s1, the slowest catalog series at this size,
-# takes 9.4 s in-process and 11.9 s through the CLI on a 2-vCPU machine
-# (best of 3; s2 5.3 and 6.0 s, s3 6.0 and 6.5 s)
+# takes 7.9 s in-process and 9.1 s through the CLI on a 2-vCPU machine
+# (best of 3; s2 3.9 and 4.4 s, s3 4.8 and 5.0 s)
 _MAX_DIGITS = 60_000
 # largest product tree `digits` builds, in bits, estimated as N·(bits of
 # a(N) + bits of b(N)) for the reduced term ratio a/b at the cut N =

@@ -10,14 +10,16 @@ Gosper's first step at shift 1, so t(n) = c(n)·u(n) with u(n+1)/u(n) =
 streaming ProductTree whose leaves are α/β at each later step, with
 c(n) as the weight of each term; partial_sum and sum_to_cut both sum
 their runs this way. Each step is evaluated once, from the split, for
-both its value and its leaf. The first omitted term of sum_to_cut comes
-from term_at, not from the tree. SeriesSpec.walk holds the one rule for
-restarting from term_at; the checked walks never do, and share one
-checked step.
+both its value and its leaf, and every walk pulls its steps from one
+iterator per run, which steps the split's polynomials by differences.
+The first omitted term of sum_to_cut comes from term_at, not from the
+tree. SeriesSpec.walk holds the one rule for restarting from term_at;
+the checked walks never do, and share one checked step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -42,7 +44,7 @@ from .errors import (
     TailBoundError,
     WZetaError,
 )
-from .terms import _MAX_RATIO_DEGREE, HyperTerm
+from .terms import _MAX_RATIO_DEGREE, HyperTerm, _values_from
 
 ALTERNATING = "alternating"
 POSITIVE = "positive"
@@ -155,25 +157,34 @@ class SeriesSpec(Frozen):
         c = _shifted(g, -1)
         return c, dense_divide(a, g), dense_divide(b, c)
 
-    def _evaluated(self, n: int, weight: int | None = None) -> tuple | None:
-        """(step, leaf, c(n), c(n+1)), the one evaluation of a step's
-        polynomials (h only within its root bound), or None where the
-        unreduced denominator h(n)·c(n)·β(n) is 0. step = (p, q), q > 0, is
-        t(n+1)/t(n) = c(n+1)·α/(c(n)·β); leaf = (α, β, c(n+1)·α) is index
-        n+1's ProductTree leaf; both in lowest terms. weight: c(n), if known."""
+    def _evaluated(self, n: int) -> tuple | None:
+        """(step, leaf, c(n), c(n+1)), the first value of _stepping(n):
+        step = (p, q), q > 0, is t(n+1)/t(n) = c(n+1)·α/(c(n)·β); leaf =
+        (α, β, c(n+1)·α) is index n+1's ProductTree leaf; both in lowest
+        terms. None where the unreduced denominator h(n)·c(n)·β(n) is 0."""
+        return next(self._stepping(n))
+
+    def _stepping(self, n: int) -> Iterator[tuple | None]:
+        """_evaluated at n, n+1, ...: the one evaluation of a step's
+        polynomials. The first value is read by Horner's rule; after it,
+        c, α and β step by differences (terms._values_from), and h is
+        evaluated only within its root bound."""
         c, alpha, beta = self._split
         _, _, h, bound = self._steps
-        weight = horner(c, n) if weight is None else weight
-        den = horner(beta, n)
-        if not weight or not den or (-bound <= n <= bound and horner(h, n) == 0):
-            return None
-        num, after = horner(alpha, n), horner(c, n + 1)
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
-        p, q = after * num, weight * den
-        g = math.gcd(p, q)
-        step = (-p // g, -q // g) if q < 0 else (p // g, q // g)
-        return step, (num, den, after * num), weight, after
+        weight = horner(c, n)
+        rows = itertools.chain([(n, horner(c, n + 1), horner(alpha, n), horner(beta, n))],
+                               _rows_after(n, c, alpha, beta))
+        for m, after, num, den in rows:
+            if not weight or not den or (-bound <= m <= bound and horner(h, m) == 0):
+                yield None
+            else:
+                g = math.gcd(num, den)
+                num, den = num // g, den // g
+                p, q = after * num, weight * den
+                g = math.gcd(p, q)
+                step = (-p // g, -q // g) if q < 0 else (p // g, q // g)
+                yield step, (num, den, after * num), weight, after
+            weight = after
 
     @cached_property
     def _ratio(self) -> RationalFunction:
@@ -249,14 +260,14 @@ class SeriesSpec(Frozen):
         evaluated = self._evaluated(n)
         return evaluated[0] if evaluated else (0, 0)
 
-    def _checked_step(self, n: int, weight: int | None = None) -> tuple:
-        """_evaluated(n, weight), its step p/q checked to satisfy -q < p < 0
-        (alternation and strict decrease); needs t(n) != 0. Where the step
-        is undefined, t(n+1) is zero or undefined: every factor of the
-        unreduced ratio is nonzero where t(n) and t(n+1) are both defined
-        and nonzero (each rising-product factor is at least 1 there). So
-        term_at(n+1) is called only for its DomainError."""
-        evaluated = self._evaluated(n, weight)
+    def _checked_step(self, n: int, evaluated: tuple | None) -> tuple:
+        """evaluated, a walk's _evaluated(n), once its step p/q is checked
+        to satisfy -q < p < 0 (alternation and strict decrease); needs
+        t(n) != 0. Where the step is undefined, t(n+1) is zero or
+        undefined: every factor of the unreduced ratio is nonzero where
+        t(n) and t(n+1) are both defined and nonzero (each rising-product
+        factor is at least 1 there). So term_at(n+1) is called only for
+        its DomainError."""
         if evaluated is None:
             self.term_at(n + 1)
         p, q = evaluated[0] if evaluated else (0, 0)
@@ -280,18 +291,18 @@ class SeriesSpec(Frozen):
 
     def _walk(self, first: int, end: int) -> Iterator[tuple[int, Fraction | None, tuple | None]]:
         """walk with each step's whole _evaluated(n-1), leaf included, in
-        place of its (p, q); c(n-1) is carried from the step before."""
-        live = False  # t(n-1) is known and nonzero
-        evaluated = None  # the step to n-1, if the walk made one
+        place of its (p, q), pulled from one _stepping per run."""
+        steps = None  # _stepping from the run's first index, while t(n-1) is nonzero
         for n in range(first, end):
-            evaluated = self._evaluated(n - 1, evaluated and evaluated[3]) if live else None
+            evaluated = next(steps) if steps else None
             if evaluated:
                 yield n, None, evaluated
-                live = evaluated[0][0] != 0
+                if not evaluated[0][0]:
+                    steps = None
             else:
                 value = self.term_at(n)
                 yield n, value, None
-                live = value != 0
+                steps = self._stepping(n) if value else None
 
     def log_terms(self, first: int, last: int) -> Iterator[float]:
         """Yield log10|t(n)/t(first)| for n = first..last, first ≥ start_index,
@@ -301,8 +312,8 @@ class SeriesSpec(Frozen):
             raise DomainError(f"term at n={first} is zero; rate undefined")
         log_term = 0.0
         yield log_term
-        for n in range(first, last):
-            p, q = self.ratio_step(n)
+        for n, evaluated in zip(range(first, last), self._stepping(first)):
+            p, q = evaluated[0] if evaluated else (0, 0)
             if p == 0:
                 if q == 0:  # t(n+1) is zero or undefined, as in _checked_step
                     self.term_at(n + 1)
@@ -342,9 +353,9 @@ class SeriesSpec(Frozen):
         threshold: a/b (b > 0, unreduced) sums the count = N - start terms
         before N, and tail bounds the rest as tail_bound(count) does.
 
-        Each index is evaluated once, by _checked_step, and log10|t(n)| is
-        summed in floats, decided exactly only within _LOG_SLACK of the
-        threshold. The steps before N feed one ProductTree, summed as a
+        Each index is evaluated once, by one _stepping, and checked by
+        _checked_step; log10|t(n)| is summed in floats, decided exactly
+        only within _LOG_SLACK of the threshold. The steps before N feed one ProductTree, summed as a
         run of partial_sum is. t(N) is term_at(N), evaluated once; with
         the last step, t(N-1) = t(N)·q/p. Both must confirm the cut, so
         the term checks the walk's steps.
@@ -356,7 +367,8 @@ class SeriesSpec(Frozen):
         log_threshold = math.log10(threshold.numerator) - math.log10(threshold.denominator)
         # estimate of log10(|t(n)| / threshold)
         gap = math.log10(abs(first.numerator)) - math.log10(first.denominator) - log_threshold
-        (p, q), leaf, _, weight = self._checked_step(n)
+        steps = self._stepping(n)
+        (p, q), leaf, _, _ = self._checked_step(n, next(steps))
         self.require_geometric()  # after the first step, so a concrete violation there wins
         tree = ProductTree()
         while True:
@@ -366,7 +378,7 @@ class SeriesSpec(Frozen):
             if (abs(last) < threshold) if last is not None else gap < 0:
                 break
             tree.add(*leaf)
-            (p, q), leaf, _, weight = self._checked_step(n, weight)
+            (p, q), leaf, _, _ = self._checked_step(n, next(steps))
         if last is None:
             last = self.term_at(n)
         tail = self._tail_past(n, last)
@@ -400,14 +412,15 @@ class SeriesSpec(Frozen):
             return self._positive_tail_bound(cut, first)
         if first == 0:
             raise NonAlternating(f"term at n={cut} is zero")
-        weight = self._checked_step(cut)[3]  # a concrete violation at the cut wins
+        steps = self._stepping(cut)
+        self._checked_step(cut, next(steps))  # a concrete violation at the cut wins
         self.require_geometric()
         certified = self._certified_from
         if certified is None or certified - cut > _MAX_UNCERTIFIED:
             raise TailBoundError(f"no alternation certificate for series {self.name!r} "
                                  f"within {_MAX_UNCERTIFIED} indices past n={cut}")
         for n in range(cut + 1, certified):
-            weight = self._checked_step(n, weight)[3]
+            self._checked_step(n, next(steps))
         return abs(first)
 
     def _positive_tail_bound(self, cut: int, first: Fraction) -> Fraction:
@@ -440,6 +453,13 @@ class SeriesSpec(Frozen):
             f"no telescoping comparison certificate found at n={cut} "
             f"for series {self.name!r}"
         )
+
+
+def _rows_after(n: int, c, alpha, beta) -> Iterator[tuple[int, int, int, int]]:
+    """(m, c(m+1), α(m), β(m)) for m = n+1, n+2, ..., each polynomial
+    stepped by differences from the first row pulled on."""
+    yield from zip(itertools.count(n + 1), _values_from(c, n + 2),
+                   _values_from(alpha, n + 1), _values_from(beta, n + 1))
 
 
 def _positive_past(poly: Polynomial, c: int) -> bool:

@@ -15,6 +15,7 @@ F(n+1, k), and a restriction to a line, F(n, n-1), are both this.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -33,11 +34,19 @@ _ONE = Polynomial.const(1)
 # as long again), and the time grows about as d^3, to 18 s at d = 999;
 # the catalog's largest is 15
 _MAX_RATIO_DEGREE = 200
-# largest degree in k of a polynomial that along_k steps by differences:
-# their build, degree + 1 evaluations by Horner's rule, takes about 5 µs
-# at this degree on a 2-vCPU machine, a few steps of an s1 walk, and
-# grows as the degree squared
-_MAX_DIFFERENCE_DEGREE = 4
+# largest degree of a polynomial that _values_from steps by differences,
+# in k for along_k and in n for a series' steps (s3's α and β have 7):
+# at this degree the build, degree + 1 evaluations by Horner's rule, takes
+# about 12 µs on a 2-vCPU machine, as long as 20 of them, and then each
+# step 0.25 µs against Horner's 0.64 µs; the build grows as the degree
+# squared
+_MAX_DIFFERENCE_DEGREE = 7
+# the largest factorial argument from which value_at sums prime exponents
+# instead of reducing a quotient of math.factorial values by a gcd, whose
+# time grows as the square of their length: at 1,200 both take 0.1-0.3 ms
+# for s1, s2, s3 and four other terms on a 2-vCPU machine; at s1's
+# 3000-digit cut, arguments up to 9,944, 1.0 ms against 12 ms
+_FACTORED_FROM = 1200
 
 
 class Domain(NamedTuple):
@@ -208,7 +217,15 @@ class HyperTerm(Frozen):
 
     def value_at(self, n: int, k: int = 0, factorial=math.factorial) -> Fraction:
         """Exact value at an integer point, the first value of
-        along_k(n, k, factorial); DomainError outside the domain."""
+        along_k(n, k, factorial); DomainError outside the domain. With
+        math.factorial, where factorials stand on both sides of the
+        fraction and one argument is at least _FACTORED_FROM, along_k
+        takes every factorial as 1, for its checks and the small rest,
+        and _times_factorials multiplies in the factorials."""
+        args = [(a * n + b * k + c, e) for _, a, b, c, e in self._plan[1]]
+        if (factorial is math.factorial and any(e < 0 for _, e in args)
+                and any(e > 0 for _, e in args) and max(args)[0] >= _FACTORED_FROM):
+            return _times_factorials(*next(self.along_k(n, k, lambda m: 1)), args)
         return Fraction(*next(self.along_k(n, k, factorial)))
 
     def along_k(self, n: int, k_first: int,
@@ -329,6 +346,45 @@ def factorial_bits(m: int) -> float:
     return m * math.log2(m / math.e) + math.log2(2 * math.pi * m) / 2
 
 
+def _times_factorials(num: int, den: int, args: list[tuple[int, int]]) -> Fraction:
+    """num/den times the product of m!^e over args (m, e), every m ≥ 0,
+    in lowest terms and with no gcd of two long operands. Each prime's
+    exponent in that product is Σ e·Σ_j ⌊m/p^j⌋ (Legendre), so the two
+    sides' products share no prime; num/den, small, is reduced against
+    each side alone."""
+    if not num:
+        return Fraction(0)
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    sides = ([], [])
+    for p in _primes_to(max(m for m, _ in args)):
+        exp = 0
+        for m, e in args:
+            while m >= p:
+                m //= p
+                exp += e * m
+        if exp:
+            sides[exp < 0].append(p ** abs(exp))
+    top, bottom = (_balanced(side, operator.mul, 1) for side in sides)
+    g1, g2 = math.gcd(num, bottom), math.gcd(den, top)
+    value = Fraction(num // g1 * (top // g2))
+    # already in lowest terms: Fraction(num, den) would spend a gcd to see that
+    value._denominator = den // g2 * (bottom // g1)
+    return value
+
+
+def _primes_to(m: int) -> Iterator[int]:
+    """The primes up to m ≥ 1, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (m + 1)
+    sieve[:2] = bytes(2)
+    for p in range(2, math.isqrt(m) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, m + 1, p)))
+    return itertools.compress(range(m + 1), sieve)
+
+
 def _step_quotients(factorials, sign_k: int, k: int) -> tuple[Iterator[int], Iterator[int]]:
     """along_k's quotients from k-1 to k, for k, k+1, ...: two polynomials
     in k, for the numerator and the denominator side, kept as products of
@@ -349,16 +405,17 @@ def _step_quotients(factorials, sign_k: int, k: int) -> tuple[Iterator[int], Ite
             if abs(e) > 1:
                 factor = map(pow, factor, itertools.repeat(abs(e)))
             sides[(b > 0) != (e > 0)].append(factor)
-    return _product(sides[0]), _product(sides[1])
+    along = functools.partial(map, operator.mul)  # two iterators' elementwise product
+    return tuple(_balanced(side, along, itertools.repeat(1)) for side in sides)
 
 
-def _product(factors: list[Iterator[int]]) -> Iterator[int]:
-    """The elementwise product of the iterators, paired off level by
-    level so that one step nests only log2 of their number deep."""
+def _balanced(factors: list, mul, one):
+    """The factors multiplied by mul, paired off level by level, so that
+    each product's operands are of about one size and one elementwise
+    step nests only log2 of their number deep; one for none."""
     while len(factors) > 1:
-        factors = [map(operator.mul, *pair)
-                   for pair in zip(factors[::2], factors[1::2])] + factors[len(factors) & ~1:]
-    return factors[0] if factors else itertools.repeat(1)
+        factors = list(map(mul, factors[::2], factors[1::2])) + factors[len(factors) & ~1:]
+    return factors[0] if factors else one
 
 
 def _values_from(coeffs: tuple[int, ...], k: int) -> Iterator[int]:

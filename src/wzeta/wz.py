@@ -300,10 +300,12 @@ def accelerate(pair: WZPair) -> SeriesSpec:
 def lhs_series(pair: WZPair) -> SeriesSpec:
     """The column series Σ_{n≥0} G(n, 0), summing to the pair's
     zeta3_multiple times ζ(3) (the slow side for the bundled pairs, with
-    positive terms and polynomial-rate decay)."""
+    positive terms and polynomial-rate decay); an error in forming it
+    names the pair."""
     from .series import SeriesSpec
 
-    g_column = pair.g.substituted(LinearForm(1, 0, 0), LinearForm())  # G(n, 0)
+    with _naming(pair):
+        g_column = pair.g.substituted(LinearForm(1, 0, 0), LinearForm())  # G(n, 0)
     return SeriesSpec(f"lhs({pair.name})", g_column, 0, pair.zeta3_multiple)
 
 

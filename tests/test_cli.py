@@ -862,6 +862,16 @@ def test_a_broken_pair_fails_only_its_own_series(capsys, tmp_path):
         assert run(capsys, "--catalog", path, *argv) == bundled
 
 
+def test_a_column_that_cannot_be_formed_names_its_pair(capsys, tmp_path):
+    # G(n, 0) has the factorial (-1)!: forming lhs_s1 fails, and the
+    # error names the pair, as list's does (it printed no name before)
+    path = catalog_with(tmp_path, g_s1="(-1)^k * (k-1)! * (n-k)! / (n+k+1)!")
+    refused = (2, "", "error: pair s1: factorial of negative constant -1\n")
+    for argv in (("digits", "--series", "lhs_s1", "--digits", "5"),
+                 ("rate", "--series", "lhs_s1", "--lo", "0", "--hi", "5")):
+        assert run(capsys, "--catalog", path, *argv) == refused
+
+
 @pytest.mark.parametrize("digits", ["5", "50"])
 def test_a_sum_on_a_digit_boundary_keeps_the_digits_it_certifies(capsys, tmp_path, digits):
     # the terms sum to exactly 1/20 = 0.05: the error bounds straddle the

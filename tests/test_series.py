@@ -14,6 +14,7 @@ from wzeta.errors import (
     MonotonicityViolation,
     NonAlternating,
     TailBoundError,
+    WZetaError,
 )
 from wzeta.series import ALTERNATING, POSITIVE, ProductTree, SeriesSpec
 from wzeta import accelerate, precision
@@ -589,6 +590,95 @@ def test_an_undefined_step_after_a_nonzero_term_leads_to_no_term():
             elif values[n + 1] is not None:
                 assert values[n + 1] == values[n] * Fraction(*step), (series.term, n)
     assert undefined > 150, undefined
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "s3", "lhs_s1", "lhs_s2", "accel(s1)", "accel(s2)"])
+def test_the_stepping_iterator_matches_each_first_value(cat, name):
+    # past its first value the iterator steps c, α and β by differences;
+    # _evaluated(n) is the first value of an iterator started at n
+    if name.startswith("accel"):
+        series = accelerate(cat.pair_by_name(name[6:-1]))
+    else:
+        series = cat.series_by_name(name)
+    start = series.start_index
+    for n, evaluated in zip(range(start, start + 3000), series._stepping(start)):
+        assert evaluated == series._evaluated(n), n
+
+
+# c(5) = 0, so t(5) = 0; β(6) = 0, where t(7) is undefined; h(3) = 0,
+# within its root bound, where t(3) = t(4) = 0; the step from n = 10 is
+# +1/11; α(20) = 0, so a step gives t(21) = 0, and t(22) is undefined
+STOPPING_TEXTS = ["(-1)^n * (n-5) / n!", "(-1)^n / (n-7) / n!",
+                  "(-1)^n * (n-3)*(n-4) / n!", "(-1)^n * (2*n-21) / n!", "(-1)^n / (20-n)!"]
+
+
+@pytest.mark.parametrize("text,stop,step", zip(STOPPING_TEXTS, (5, 6, 3, 10, 20),
+                                               (None, None, None, (1, 11), (0, 1))))
+def test_the_stepping_iterator_matches_through_stops(text, stop, step):
+    series = alt_series(text)
+    evaluated = series._evaluated(stop)
+    assert (evaluated and evaluated[0]) == step
+    for first in range(0, 12):
+        for n, evaluated in zip(range(first, first + 40), series._stepping(first)):
+            assert evaluated == series._evaluated(n), (first, n)
+
+
+@pytest.mark.parametrize("text,start,restarts,cut,tails", [
+    (STOPPING_TEXTS[0], 0, [0, 6], "NonAlternating: term at n=5 is zero",
+     ["NonAlternating: term at n=5 is zero"] * 2),
+    (STOPPING_TEXTS[0], 6, [6], 24, [True, True]),
+    (STOPPING_TEXTS[1], 0, [0, "denominator polynomial vanishes at (n=7, k=0)"],
+     "MonotonicityViolation: |term| did not decrease from n=0 to n=1",
+     ["DomainError: denominator polynomial vanishes at (n=7, k=0)"] * 2),
+    (STOPPING_TEXTS[1], 6, [6, "denominator polynomial vanishes at (n=7, k=0)"],
+     "DomainError: denominator polynomial vanishes at (n=7, k=0)",
+     ["DomainError: denominator polynomial vanishes at (n=7, k=0)", True]),
+    (STOPPING_TEXTS[1], 8, [8], 20, [True, True]),
+    (STOPPING_TEXTS[2], 0, [0, 4, 5], "NonAlternating: term at n=3 is zero",
+     ["NonAlternating: term at n=3 is zero"] * 2),
+    (STOPPING_TEXTS[2], 6, [6], 25, [True, True]),
+    (STOPPING_TEXTS[3], 0, [0], "NonAlternating: terms at n=10 and n=11 share a sign",
+     ["NonAlternating: terms at n=10 and n=11 share a sign"] * 2),
+    (STOPPING_TEXTS[3], 11, [11], 19, [True, True]),
+    (STOPPING_TEXTS[4], 15, [15, "(n=22, k=0) outside term domain"],
+     "MonotonicityViolation: |term| did not decrease from n=15 to n=16",
+     ["TailBoundError: term ratio is not certifiably positive past the cut"] * 2),
+])
+def test_walks_stop_and_restart_where_the_steps_do(text, start, restarts, cut, tails):
+    # the walk's restarts, then its error; sum_to_cut's count to 10^-30,
+    # or its error; tail_bound(1) and tail_bound(3): the first omitted
+    # term, or the error of a step checked before the certificate
+    def outcome(f):
+        try:
+            return f()
+        except WZetaError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    series = alt_series(text, start)
+    seen = []
+    try:
+        for n, value, step in series.walk(start, start + 30):
+            if step is None:
+                seen.append(n)
+                assert value == series.term_at(n)
+    except DomainError as exc:
+        seen.append(str(exc))
+    assert seen == restarts
+    if isinstance(restarts[-1], int):
+        assert series.partial_sum(30) == sequential_sum(series, 30)
+        for n, value in walk_values(series, start, start + 30):
+            assert value == series.term_at(n)
+    else:
+        assert outcome(lambda: series.partial_sum(30)) == f"DomainError: {restarts[-1]}"
+    result = outcome(lambda: series.sum_to_cut(Fraction(1, 10**30)))
+    if isinstance(cut, int):
+        numerator, denominator, tail, count = result
+        assert count == cut and Fraction(numerator, denominator) == series.partial_sum(count)
+        assert tail == abs(series.term_at(start + count))
+    else:
+        assert result == cut
+    assert [outcome(lambda: series.tail_bound(count) == abs(series.term_at(start + count)))
+            for count in (1, 3)] == tails
 
 
 @pytest.mark.parametrize("name", ["s1", "s2", "s3"])

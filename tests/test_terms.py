@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wzeta
+from wzeta import terms
 from wzeta.algebra import LinearForm, Polynomial
+from wzeta.dsl import parse_term
 from wzeta.errors import DomainError, IncompatibleTerms
-from wzeta.terms import Domain, HyperTerm, cross_ratio
+from wzeta.terms import _FACTORED_FROM, Domain, HyperTerm, cross_ratio
 
 from conftest import valid_points
 
@@ -336,15 +338,19 @@ def test_term_equality_and_hash():
 
 
 @st.composite
-def term_cases(draw):
+def term_cases(draw, counts=st.integers(0, 3), n_coefficients=st.integers(0, 2),
+               k_coefficients=st.integers(-2, 2), points=None):
     """(term inputs, point): random sign form, factorials with exponents
     of either sign, polynomials in n and k, a rational constant and a
-    domain that may omit some factorial arguments."""
+    domain that may omit some factorial arguments. The number of
+    factorials is drawn from counts, their arguments' coefficients of n
+    and k from n_coefficients and k_coefficients, and the point from
+    points (default: n and k from -2 to 9)."""
     small = st.integers(-2, 2)
     sign = LinearForm(draw(small), draw(small), draw(small))
     factorials = []
-    for _ in range(draw(st.integers(0, 3))):
-        a, b = draw(st.integers(0, 2)), draw(small)
+    for _ in range(draw(counts)):
+        a, b = draw(n_coefficients), draw(k_coefficients)
         c = draw(st.integers(0 if a == b == 0 else -3, 3))
         factorials.append((LinearForm(a, b, c), draw(st.integers(-3, 3))))
     monomials = st.dictionaries(
@@ -357,7 +363,10 @@ def term_cases(draw):
     n_min = draw(st.none() | st.integers(-1, 3))
     if n_min is not None:
         kept.insert(0, LinearForm(1, 0, -n_min))
-    point = (draw(st.integers(-2, 9)), draw(st.integers(-2, 9)))
+    if points is None:
+        point = (draw(st.integers(-2, 9)), draw(st.integers(-2, 9)))
+    else:
+        point = draw(points)
     return sign, factorials, num, den, constant, Domain(tuple(kept)), point
 
 
@@ -426,6 +435,85 @@ def test_value_at_matches_the_formula():
         "denominator in k", "non-integer constant",
         "outside", "factorial", "vanishes",
     }
+
+
+# points past the factored route's threshold with k near n, where a
+# factorial of -n + k or -n + 2k has a small argument or n's
+LARGE_POINTS = st.integers(_FACTORED_FROM, _FACTORED_FROM + 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(n - 4, n + 4)))
+
+
+def test_the_factored_route_matches_math_factorial(monkeypatch):
+    # value_at against along_k's first value, read with math.factorial:
+    # the same Fraction, or the same DomainError text; the features are
+    # counted where value_at took the factored route
+    seen, routed = set(), []
+    times_factorials = terms._times_factorials
+    monkeypatch.setattr(terms, "_times_factorials",
+                        lambda *args: routed.append(args) or times_factorials(*args))
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(term_cases(st.integers(2, 3), st.integers(-2, 2), st.integers(0, 2), LARGE_POINTS),
+           st.none() | st.tuples(st.booleans(), st.integers(-4, 4)))
+    def check(case, root):
+        sign, factorials, num, den, constant, domain, (n, k) = case
+        num, den = Polynomial(num), Polynomial(den)
+        if root is not None:  # a factor k - n + c, which vanishes near k = n
+            in_den, c = root
+            factor = LinearForm(-1, 1, c).to_polynomial()
+            num, den = (num, den * factor) if in_den else (num * factor, den)
+        term = HyperTerm(sign, tuple(factorials), num, den, constant, domain)
+        try:
+            expected = Fraction(*next(term.along_k(n, k)))
+        except DomainError as exc:
+            with pytest.raises(DomainError) as raised:
+                term.value_at(n, k)
+            assert str(raised.value) == str(exc)
+            seen.add(next(w for w in ("outside", "factorial", "vanishes") if w in str(exc)))
+            return
+        routed.clear()
+        value = term.value_at(n, k)
+        assert type(value) is Fraction and value == expected
+        assert math.gcd(value.numerator, value.denominator) == 1 and value.denominator > 0
+        seen.update(
+            feature
+            for feature, present in (
+                ("factored", True),
+                ("zero", value == 0),
+                ("negative sign form", min(sign) < 0 and (sign.a or sign.b) % 2),
+                ("even sign form", sign.a % 2 == sign.b % 2 == 0 and (sign.a or sign.b)),
+                ("factorial of -n or -2n", any(f.a < 0 for f, e in term.factorials)),
+                ("factorial of ±2n", any(abs(f.a) == 2 for f, e in term.factorials)),
+                ("root", root is not None),
+                ("non-integer constant", constant.denominator > 1),
+            )
+            if present and routed
+        )
+
+    check()
+    assert seen == {
+        "factored", "zero", "negative sign form", "even sign form", "factorial of -n or -2n",
+        "factorial of ±2n", "root", "non-integer constant", "outside", "factorial", "vanishes",
+    }
+
+
+@pytest.mark.parametrize("text,two_sided", [
+    ("n!", False), ("(2*n)! * n!^2 / (n+1)", False), ("(-1)^n / ((2*n)! * (n-1)!)", False),
+    ("(2*n)! / n!^2", True), ("(-1)^n * (n-1)!^2 / ((2*n)! * 3)", True),
+])
+def test_only_factorials_on_both_sides_take_the_factored_route(monkeypatch, text, two_sided):
+    # a term whose factorials all stand on one side needs no gcd of two
+    # long operands: it reads math.factorial, as a term below the threshold does
+    calls = []
+    times_factorials = terms._times_factorials
+    monkeypatch.setattr(terms, "_times_factorials",
+                        lambda *args: calls.append(args) or times_factorials(*args))
+    term = parse_term(text)
+    for n in (100, _FACTORED_FROM // 2, _FACTORED_FROM, 3000):
+        calls.clear()
+        assert term.value_at(n) == Fraction(*next(term.along_k(n, 0)))
+        largest = max(form.value(n, 0) for form, _ in term.factorials)
+        assert len(calls) == (two_sided and largest >= _FACTORED_FROM), n
 
 
 def field_value(term, n, k):
