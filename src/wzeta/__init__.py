@@ -14,12 +14,13 @@ _HOMES = {
     "errors": ("CatalogError", "DomainError", "IncompatibleTerms", "MonotonicityViolation",
                "NonAlternating", "ParseError", "SingularGrid", "StructureError",
                "TailBoundError", "WZetaError"),
+    "pair": ("WZPair",),
     "precision": ("EvalReport", "compare_series", "measure_rate", "sum_to_digits",
                   "truncated_decimal"),
     "series": ("ALTERNATING", "POSITIVE", "SeriesSpec"),
     "terms": ("Domain", "HyperTerm", "cross_ratio"),
-    "wz": ("VerifyReport", "WZPair", "accelerate", "certificate", "lhs_series",
-           "two_sided_gap", "verify_grid", "verify_symbolic"),
+    "wz": ("VerifyReport", "accelerate", "certificate", "lhs_series", "two_sided_gap",
+           "verify_grid", "verify_symbolic"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

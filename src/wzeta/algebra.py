@@ -18,9 +18,10 @@ CPython's int-to-str limit, splitting an int in halves by its bits.
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 # precision.sum_to_digits' modes, named here so that the command line
 # can offer them without loading the summation engine
@@ -32,6 +33,13 @@ _DECIMAL_BITS = 4_096
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
                          traps=[decimal.InvalidOperation, decimal.DivisionByZero,
                                 decimal.Overflow, decimal.Inexact, decimal.Rounded])
+# largest degree of a polynomial that _values_from steps by differences,
+# in k for along_k and in n for a series' steps (s3's α and β have 7):
+# at this degree the build, degree + 1 evaluations by Horner's rule, takes
+# about 12 µs on a 2-vCPU machine, as long as 20 of them, and then each
+# step 0.25 µs against Horner's 0.64 µs; the build grows as the degree
+# squared
+_MAX_DIFFERENCE_DEGREE = 7
 
 
 class LinearForm(NamedTuple):
@@ -347,6 +355,23 @@ def horner(coeffs: tuple[int, ...], x: int) -> int:
     return value
 
 
+def _values_from(coeffs: tuple[int, ...], k: int) -> Iterator[int]:
+    """The dense polynomial coeffs at k, k+1, ...: up to degree
+    _MAX_DIFFERENCE_DEGREE its differences at k, from its values at
+    k..k+degree, summed by nested itertools.accumulate; past it, Horner's
+    rule at each k."""
+    if len(coeffs) > _MAX_DIFFERENCE_DEGREE + 1:
+        return map(horner, itertools.repeat(coeffs), itertools.count(k))
+    values = [horner(coeffs, x) for x in range(k, k + len(coeffs))] or [0]
+    for i in range(1, len(values)):  # values[i] becomes the i-th difference
+        for j in range(len(values) - 1, i - 1, -1):
+            values[j] -= values[j - 1]
+    steps = itertools.repeat(values.pop())
+    while values:
+        steps = itertools.accumulate(steps, initial=values.pop())
+    return steps
+
+
 def integer_root_bound(coeffs: tuple[int, ...]) -> int:
     """A bound B with |r| ≤ B for every integer root r of a nonzero
     dense polynomial (Cauchy: |z| < 1 + max|a_i|/|a_lead|); -1 for a
@@ -416,6 +441,14 @@ def fraction_text(value: Fraction) -> str:
     if value.denominator == 1:
         return int_text(value.numerator)
     return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
+
+
+def limit_rate(limit: tuple[int, Fraction]) -> float | None:
+    """log10(1/|c|) for a ratio limit (e, c) with e = 0 and |c| < 1, else None."""
+    excess, lead = limit
+    if excess or abs(lead) >= 1:
+        return None
+    return math.log10(lead.denominator) - math.log10(abs(lead.numerator))
 
 
 def value_repr(value) -> str:

@@ -2,11 +2,11 @@
 
 The pairs' terms and s3 live as expression text in data/catalog.txt and
 are parsed at load time; a parse failure is raised, for the bundled file
-as for a replacement. Every other series is derived from a pair when it
-is first asked for: sN is its accelerated diagonal divided by the pair's
-limit multiple, so that it sums to ζ(3), and lhs_sN is its column
-Σ G(n, 0). What the terms cannot tell is code: each pair's limit
-multiple.
+as for a replacement. Every other series' term comes from a pair: sN is
+its diagonal divided by its limit multiple, so that it sums to ζ(3), and
+lhs_sN is its column Σ G(n, 0). The listing reads each rate from a term's
+factorials (terms.ratio_limit), without the summation engine or the
+verifier. What the terms cannot tell is code: each pair's limit multiple.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import os
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .algebra import Frozen
+from .algebra import Frozen, limit_rate
 from .errors import CatalogError, WZetaError
-from .terms import HyperTerm
-from .wz import WZPair, accelerate, lhs_series
+from .pair import WZPair
+from .terms import HyperTerm, ratio_limit
 from . import dsl
 
 if TYPE_CHECKING:
@@ -63,23 +63,21 @@ class Catalog(Frozen):
                 f"unknown series {name!r} (available: {', '.join(self.series_names)})"
             )
         if key not in self._derived:
-            self._derived[key] = self._derive(key)
+            from .series import SeriesSpec  # only here: `verify` and `list` never load it
+
+            self._derived[key] = SeriesSpec(key, *self._term(key))
         return self._derived[key]
 
-    def _derive(self, key: str) -> SeriesSpec:
-        from .series import SeriesSpec  # only here: pair checks never load the engine
-
+    def _term(self, key: str) -> tuple[HyperTerm, int, Fraction]:
+        """(term, start index, zeta3_multiple) of the series named key."""
         if key == "s3":
-            return SeriesSpec("s3", self.s3)
-        if key in self.pairs:
-            # the diagonal divided by its limit multiple: it sums to ζ(3)
-            series = accelerate(self.pairs[key])
-            t = series.term
-            term = HyperTerm(t.sign_exponent, t.factorials, t.poly_num, t.poly_den,
-                             t.constant / series.zeta3_multiple, t.domain)
-            return SeriesSpec(key, term, series.start_index)
-        column = lhs_series(self.pairs[key.removeprefix("lhs_")])
-        return SeriesSpec(key, column.term, column.start_index, column.zeta3_multiple)
+            return self.s3, 0, Fraction(1)
+        pair = self.pairs[key.removeprefix("lhs_")]
+        if key.startswith("lhs_"):
+            return pair.column_term(), 0, pair.zeta3_multiple
+        t = pair.diagonal_term()  # divided by the limit multiple: it sums to ζ(3)
+        return HyperTerm(t.sign_exponent, t.factorials, t.poly_num, t.poly_den,
+                         t.constant / pair.zeta3_multiple, t.domain), 1, Fraction(1)
 
     def pair_by_name(self, name: str) -> WZPair:
         key = name.strip().lower()
@@ -91,15 +89,13 @@ class Catalog(Frozen):
 
     def listing(self) -> list[tuple[str, str, int | None, float | None]]:
         """(name, kind, start index, rate estimate) per entry, series
-        first; a pair starts at its region's least n, None if it has none."""
-        rows = [
-            (spec.name, "series", spec.start_index, spec.rate_estimate)
-            for spec in self.series.values()
-        ]
-        rows += [
-            (pair.name, "pair", pair.check_domain.n_min, None)
-            for pair in self.pairs.values()
-        ]
+        first; a pair starts at its region's least n, None if it has none.
+        Every series' term is formed before any rate is read."""
+        terms = [(name, *self._term(name)) for name in self.series_names]
+        rows = [(name, "series", start, limit_rate(ratio_limit(term, name)))
+                for name, term, start, _ in terms]
+        rows += [(pair.name, "pair", pair.check_domain.n_min, None)
+                 for pair in self.pairs.values()]
         return rows
 
 

@@ -15,10 +15,10 @@ import sys
 from typing import Callable
 
 from . import catalog as catalog_mod
-from . import dsl, wz
+from . import dsl
 from .algebra import EXACT, SCALED, fraction_text, int_text
 from .errors import WZetaError
-from .terms import factorial_bits
+from .terms import factored_route, factorial_bits
 
 _COMPARE_LHS_TERMS = 300
 # `verify`'s grid estimate, in seconds: _GRID_ROW_S per n of the row
@@ -54,10 +54,13 @@ _MAX_TERMS = 10_000
 # 0.66 s through the CLI from lo = 0 to this index on a 2-vCPU machine and
 # 0.23 s, nearly all start-up, for its last two terms (s2 0.29 s in-process)
 _MAX_RATE_INDEX = 20_000
-# largest `eval` value, in estimated bits of unreduced numerator plus
-# denominator; n! at n = 128,767 takes about 1.1 s through the CLI on a
-# 2-vCPU machine, 0.3 s of it printing its 602,055 digits
+# largest `eval` value, in estimated bits of numerator plus denominator,
+# reduced on value_at's factored route; n! at n = 128,767 takes about 1.1 s
+# through the CLI on a 2-vCPU machine, 0.3 s of it printing its 602,055 digits
 _MAX_EVAL_BITS = 2_000_000
+# largest factorial argument of a factored `eval`, which sieves the primes up
+# to it: (n+1)!/n! at 10^7 takes 0.4 s in-process on a 2-vCPU machine
+_MAX_SIEVE = 10_000_000
 
 
 def _integer(text: str) -> int:
@@ -164,6 +167,8 @@ def _tree_bits(series, digits: int) -> int:
 
 
 def _cmd_verify(cat, args) -> int:
+    from . import wz  # the verifier loads only for the commands that prove
+
     pair = cat.pair_by_name(args.pair)
     if args.symbolic:
         report = wz.verify_symbolic(pair)
@@ -196,7 +201,7 @@ def _grid_seconds(pair, n_max: int) -> float:
 
 
 def _cmd_accelerate(cat, args) -> int:
-    from . import precision
+    from . import precision, wz
 
     if args.terms < 1:
         raise WZetaError("--terms must be at least 1")
@@ -235,32 +240,47 @@ def _cmd_rate(cat, args) -> int:
 
 def _cmd_eval(args) -> int:
     term = dsl.parse_term(args.expr)
-    bits = _value_bits(term)(args.n, args.k)
+    bits = _value_bits(term, reduced=True)(args.n, args.k)
     if bits > _MAX_EVAL_BITS:
         raise WZetaError(f"eval needs about {bits:.3g} bits, over the limit of {_MAX_EVAL_BITS}")
     print(fraction_text(term.value_at(args.n, args.k)))
     return 0
 
 
-def _value_bits(term) -> Callable[[int, int], float]:
+def _value_bits(term, reduced: bool = False) -> Callable[[int, int], float]:
     """(n, k) ↦ bits of term.value_at(n, k)'s unreduced numerator plus
     denominator: the folded constant's, Stirling's log2 m! per factorial
     (negative m is left to value_at), and per polynomial the bits of its
-    coefficient sum plus its degrees times the bits of n and k. What does
-    not depend on (n, k) is read from the term once."""
+    coefficient sum plus its degrees times the bits of n and k. reduced: on
+    value_at's factored route, _factored_bits, and a WZetaError past _MAX_SIEVE."""
     constant = float(term.constant.numerator.bit_length() + term.constant.denominator.bit_length())
-    factorials = [(form, abs(exp)) for form, exp in term.factorials]
     polys = [(sum(abs(c) for c in poly.coeffs.values()).bit_length(),
               poly.degree("n"), poly.degree("k")) for poly in (term.poly_num, term.poly_den)]
 
     def bits(n: int, k: int) -> float:
-        total = constant
-        for form, exp in factorials:
-            total += exp * factorial_bits(form.value(n, k))
+        args = [(form.value(n, k), exp) for form, exp in term.factorials]
+        factored = reduced and factored_route(args)
+        if factored and max(args)[0] > _MAX_SIEVE:
+            raise WZetaError(f"eval needs the primes up to {int_text(max(args)[0])}, "
+                             f"over the limit of {_MAX_SIEVE}")
+        total = constant + (_factored_bits(args) if factored
+                            else sum(abs(exp) * factorial_bits(m) for m, exp in args))
         for norm, deg_n, deg_k in polys:
             total += norm + deg_n * n.bit_length() + deg_k * k.bit_length()
         return total
 
+    return bits
+
+
+def _factored_bits(args: list[tuple[int, int]]) -> float:
+    """A bound on the bits of Π m!^e, args (m, e), m ≥ 0, in lowest terms: each side's m, |e|
+    times, matched largest with largest, leave m!/m'! per match and m! past them, each of log2
+    under factorial_bits + 1, summed as the net count above each level times its step."""
+    bits = 2.0 + max(sum(e for _, e in args if e > 0), -sum(e for _, e in args if e < 0))
+    net, levels = 0, sorted({m for m, _ in args} | {0}, reverse=True)
+    for high, low in zip(levels, levels[1:]):
+        net += sum(e for m, e in args if m == high)
+        bits += abs(net) * (factorial_bits(high) - factorial_bits(low))
     return bits
 
 

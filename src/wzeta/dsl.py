@@ -43,6 +43,7 @@ from .algebra import LinearForm, Polynomial, int_text
 from .errors import ParseError, StructureError
 from .terms import HyperTerm, factorial_bits
 
+_ONE = Polynomial.const(1)
 _MAX_EXPONENT = 999
 # most coefficients, (deg_n + 1)·(deg_k + 1), that a polynomial factor may
 # expand to; checked from the operands' degrees before any product or
@@ -193,6 +194,8 @@ def _require_bits(bits: float, what: str) -> None:
 
 
 def _times(a: Polynomial, b: Polynomial) -> Polynomial:
+    if a == _ONE or b == _ONE:  # the other operand: nothing new to size
+        return b if a == _ONE else a
     (an, ak), (bn, bk) = _degrees(a), _degrees(b)
     _require_size(an + bn, ak + bk, _norm_bits(a) + _norm_bits(b))
     return a * b

@@ -33,18 +33,18 @@ from .algebra import (
     dense_divide,
     dense_gcd,
     fraction_text,
+    _values_from,
     horner,
-    int_text,
     integer_root_bound,
+    limit_rate,
 )
 from .errors import (
     DomainError,
     MonotonicityViolation,
     NonAlternating,
     TailBoundError,
-    WZetaError,
 )
-from .terms import _MAX_RATIO_DEGREE, HyperTerm, _values_from
+from .terms import _MAX_RATIO_DEGREE, HyperTerm, ratio_limit
 
 ALTERNATING = "alternating"
 POSITIVE = "positive"
@@ -93,8 +93,9 @@ class SeriesSpec(Frozen):
 
     zeta3_multiple records what multiple of the common limit the series
     converges to, so differently normalized series can be compared.
-    The rest is derived from the term ratio: sign_pattern, rate_estimate,
-    geometric convergence and the certificate behind tail_bound.
+    The rest is derived from the term: sign_pattern, rate_estimate and
+    geometric convergence from its factorials (terms.ratio_limit), and the
+    certificate behind tail_bound from its reduced ratio.
     """
 
     def __init__(self, name: str, term: HyperTerm, start_index: int = 0,
@@ -121,26 +122,9 @@ class SeriesSpec(Frozen):
         is h·a/(h·b), h the gcd of its two sides, so a/b is in lowest
         terms over Z[n]; b and h have positive leading coefficients, and
         every integer root of h is at most bound in modulus."""
-        term = self.term.substituted(LinearForm(1, 0, 0), LinearForm())  # k = 0
-        # the sides p(n+1)·q(n) and q(n+1)·p(n), each times rising
-        # products, have at least this degree, and without factorials
-        # exactly this; it is checked before they are expanded. Each
-        # (a·n + c)!^e adds rising products of degree at least |a·e| to the
-        # two sides together, so to the larger side at least half of that
-        rising = sum(abs(form.a * exp) for form, exp in term.factorials)
-        degree = term.poly_num.degree("n") + term.poly_den.degree("n") + (rising + 1) // 2
-        at_least = "at least " if term.factorials else ""
-        if degree <= _MAX_RATIO_DEGREE:
-            try:
-                ratio = term.shift_ratio(1, 0)
-            except WZetaError as exc:  # the same error, naming the series
-                exc.args = (f"term ratio of series {self.name!r}: {exc}",)
-                raise
-            num, den = ratio.num.univariate(), ratio.den.univariate()
-            degree, at_least = max(len(num), len(den)) - 1, ""
-        if degree > _MAX_RATIO_DEGREE:
-            raise WZetaError(f"term ratio of series {self.name!r} has degree "
-                             f"{at_least}{int_text(degree)}, over the limit of {_MAX_RATIO_DEGREE}")
+        self._lead  # ratio_limit's checks, before the ratio is expanded
+        ratio = self.term.substituted(LinearForm(1, 0, 0), LinearForm()).shift_ratio(1, 0)
+        num, den = ratio.num.univariate(), ratio.den.univariate()
         h = dense_gcd(num, den)
         return dense_divide(num, h), dense_divide(den, h), h, integer_root_bound(h)
 
@@ -167,7 +151,7 @@ class SeriesSpec(Frozen):
     def _stepping(self, n: int) -> Iterator[tuple | None]:
         """_evaluated at n, n+1, ...: the one evaluation of a step's
         polynomials. The first value is read by Horner's rule; after it,
-        c, α and β step by differences (terms._values_from), and h is
+        c, α and β step by differences (algebra._values_from), and h is
         evaluated only within its root bound."""
         c, alpha, beta = self._split
         _, _, h, bound = self._steps
@@ -203,11 +187,8 @@ class SeriesSpec(Frozen):
 
     @cached_property
     def _lead(self) -> tuple[int, Fraction]:
-        """(e, c) with term ratio ~ c·n^e for large n: the one reading of
-        its leading coefficients."""
-        num, den = self._ratio.num, self._ratio.den
-        lead = Fraction(num.leading_coefficient(), den.leading_coefficient())
-        return num.degree("n") - den.degree("n"), lead
+        """(e, c) with term ratio ~ c·n^e for large n (terms.ratio_limit)."""
+        return ratio_limit(self.term, self.name)
 
     @property
     def sign_pattern(self) -> str:
@@ -218,10 +199,7 @@ class SeriesSpec(Frozen):
     def rate_estimate(self) -> float | None:
         """Digits gained per term, log10(1/|limit|), if the term ratio
         tends to a nonzero modulus below 1; None otherwise."""
-        excess, lead = self._lead
-        if excess or not 0 < abs(lead) < 1:
-            return None
-        return math.log10(lead.denominator) - math.log10(abs(lead.numerator))
+        return limit_rate(self._lead)
 
     def require_geometric(self) -> None:
         """TailBoundError unless the term ratio tends to a modulus below 1."""

@@ -23,24 +23,18 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .algebra import Frozen, LinearForm, Polynomial, RationalFunction, horner, int_text
+from .algebra import (Frozen, LinearForm, Polynomial, RationalFunction, _values_from, horner,
+                      int_text)
 from .errors import DomainError, IncompatibleTerms, WZetaError
 
 _ONE = Polynomial.const(1)
 # largest degree of a side of a ratio: cross_ratio counts the linear
-# factors of the factorials before it forms any product, and a series
-# checks its term ratio again before the gcd. For (-1)^n/(n+1)^d the gcd
-# takes about 0.07 s at d = 200 on a 2-vCPU machine (building the ratio
-# as long again), and the time grows about as d^3, to 18 s at d = 999;
-# the catalog's largest is 15
+# factors of the factorials before it forms any product, and ratio_limit
+# checks a series' ratio before it is expanded. For (-1)^n/(n+1)^d the gcd
+# takes about 0.07 s at d = 200 on a 2-vCPU machine (building the ratio as
+# long again), and the time grows about as d^3, to 18 s at d = 999; the
+# catalog's largest is 15
 _MAX_RATIO_DEGREE = 200
-# largest degree of a polynomial that _values_from steps by differences,
-# in k for along_k and in n for a series' steps (s3's α and β have 7):
-# at this degree the build, degree + 1 evaluations by Horner's rule, takes
-# about 12 µs on a 2-vCPU machine, as long as 20 of them, and then each
-# step 0.25 µs against Horner's 0.64 µs; the build grows as the degree
-# squared
-_MAX_DIFFERENCE_DEGREE = 7
 # the largest factorial argument from which value_at sums prime exponents
 # instead of reducing a quotient of math.factorial values by a gcd, whose
 # time grows as the square of their length: at 1,200 both take 0.1-0.3 ms
@@ -223,8 +217,7 @@ class HyperTerm(Frozen):
         takes every factorial as 1, for its checks and the small rest,
         and _times_factorials multiplies in the factorials."""
         args = [(a * n + b * k + c, e) for _, a, b, c, e in self._plan[1]]
-        if (factorial is math.factorial and any(e < 0 for _, e in args)
-                and any(e > 0 for _, e in args) and max(args)[0] >= _FACTORED_FROM):
+        if factorial is math.factorial and factored_route(args):
             return _times_factorials(*next(self.along_k(n, k, lambda m: 1)), args)
         return Fraction(*next(self.along_k(n, k, factorial)))
 
@@ -346,6 +339,12 @@ def factorial_bits(m: int) -> float:
     return m * math.log2(m / math.e) + math.log2(2 * math.pi * m) / 2
 
 
+def factored_route(args: list[tuple[int, int]]) -> bool:
+    """Whether value_at factors m!^e, args (m, e): both signs of e, an m ≥ _FACTORED_FROM."""
+    return (any(e < 0 for _, e in args) and any(e > 0 for _, e in args)
+            and max(args)[0] >= _FACTORED_FROM)
+
+
 def _times_factorials(num: int, den: int, args: list[tuple[int, int]]) -> Fraction:
     """num/den times the product of m!^e over args (m, e), every m ≥ 0,
     in lowest terms and with no gcd of two long operands. Each prime's
@@ -418,23 +417,6 @@ def _balanced(factors: list, mul, one):
     return factors[0] if factors else one
 
 
-def _values_from(coeffs: tuple[int, ...], k: int) -> Iterator[int]:
-    """The dense polynomial coeffs at k, k+1, ...: up to degree
-    _MAX_DIFFERENCE_DEGREE its differences at k, from its values at
-    k..k+degree, summed by nested itertools.accumulate; past it, Horner's
-    rule at each k."""
-    if len(coeffs) > _MAX_DIFFERENCE_DEGREE + 1:
-        return map(horner, itertools.repeat(coeffs), itertools.count(k))
-    values = [horner(coeffs, x) for x in range(k, k + len(coeffs))] or [0]
-    for i in range(1, len(values)):  # values[i] becomes the i-th difference
-        for j in range(len(values) - 1, i - 1, -1):
-            values[j] -= values[j - 1]
-    steps = itertools.repeat(values.pop())
-    while values:
-        steps = itertools.accumulate(steps, initial=values.pop())
-    return steps
-
-
 def _poly_terms(poly: Polynomial) -> tuple[tuple[int, int, int], ...]:
     """(coefficient, deg_n, deg_k) per monomial."""
     return tuple((c, en, ek) for (en, ek), c in poly.coeffs.items())
@@ -460,6 +442,32 @@ def cross_ratio(g: HyperTerm, f: HyperTerm) -> RationalFunction:
     WZetaError if a side would have more than _MAX_RATIO_DEGREE linear
     factors; they are counted before any product is formed.
     """
+    groups, _ = _aligned(g, f)
+    num = _ONE
+    den = _ONE
+    for (a, b), entries in groups.items():
+        anchor = min(c for c, _ in entries)
+        for c, exp in entries:
+            for i in range(anchor + 1, c + 1):
+                factor = LinearForm(a, b, i).to_polynomial()
+                if exp > 0:
+                    num = num * factor**exp
+                else:
+                    den = den * factor ** (-exp)
+
+    constant = g.constant / f.constant
+    if (g.sign_exponent.c - f.sign_exponent.c) % 2:
+        constant = -constant
+    num = num * g.poly_num * f.poly_den
+    den = den * g.poly_den * f.poly_num
+    num = num.scaled(constant.numerator)
+    den = den.scaled(constant.denominator)
+    return RationalFunction(num, den)
+
+
+def _aligned(g: HyperTerm, f: HyperTerm) -> tuple[dict, int]:
+    """cross_ratio's checks, then its factorials by direction, (offset, ±exponent)
+    each, and the larger side's count of linear factors; nothing is expanded."""
     diff = g.sign_exponent - f.sign_exponent
     if diff.a % 2 or diff.b % 2:
         raise IncompatibleTerms("sign exponents differ in n or k")
@@ -483,23 +491,31 @@ def cross_ratio(g: HyperTerm, f: HyperTerm) -> RationalFunction:
     if max(sides) > _MAX_RATIO_DEGREE:
         raise WZetaError(f"a ratio of factorials has degree {int_text(max(sides))}, "
                          f"over the limit of {_MAX_RATIO_DEGREE}")
-    num = _ONE
-    den = _ONE
-    for (a, b), entries in groups.items():
-        anchor = min(c for c, _ in entries)
-        for c, exp in entries:
-            for i in range(anchor + 1, c + 1):
-                factor = LinearForm(a, b, i).to_polynomial()
-                if exp > 0:
-                    num = num * factor**exp
-                else:
-                    den = den * factor ** (-exp)
+    return groups, max(sides)
 
-    constant = g.constant / f.constant
-    if diff.c % 2:
-        constant = -constant
-    num = num * g.poly_num * f.poly_den
-    den = den * g.poly_den * f.poly_num
-    num = num.scaled(constant.numerator)
-    den = den.scaled(constant.denominator)
-    return RationalFunction(num, den)
+
+def ratio_limit(term: HyperTerm, name: str) -> tuple[int, Fraction]:
+    """(e, c) with t(n+1)/t(n) ~ c·n^e, t(n) = term(n, 0) the terms of the
+    series name: each (a·n + c)!^x steps by |a| linear factors of about
+    a·n, so e = Σ a·x and c = (−1)^(the sign's n-coefficient)·Π a^(a·x).
+    Before any power, the checks that expanding the ratio needs, naming the
+    series: the degree from the factorials ("at least" where there are
+    any), cross_ratio's checks, the exact degree; WZetaError past the limit."""
+    term = term.substituted(LinearForm(1, 0, 0), LinearForm())  # k = 0
+    polys = term.poly_num.degree("n") + term.poly_den.degree("n")
+    # each (a·n + c)!^x adds at least |a·x| to the two sides, half to the larger
+    rising = sum(abs(form.a * exp) for form, exp in term.factorials)
+    degree, at_least = polys + (rising + 1) // 2, "at least " if term.factorials else ""
+    if degree <= _MAX_RATIO_DEGREE:
+        try:
+            _, sides = _aligned(term.substituted(LinearForm(1, 0, 1), LinearForm()), term)
+        except WZetaError as exc:  # the same error, naming the series
+            exc.args = (f"term ratio of series {name!r}: {exc}",)
+            raise
+        degree, at_least = sides + polys, ""
+    if degree > _MAX_RATIO_DEGREE:
+        raise WZetaError(f"term ratio of series {name!r} has degree "
+                         f"{at_least}{int_text(degree)}, over the limit of {_MAX_RATIO_DEGREE}")
+    lead = math.prod((Fraction(form.a) ** (form.a * exp) for form, exp in term.factorials),
+                     start=Fraction(-1 if term.sign_exponent.a else 1))
+    return sum(form.a * exp for form, exp in term.factorials), lead

@@ -14,14 +14,13 @@ pairs converges geometrically.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import Frozen, LinearForm, RationalFunction, fraction_text, value_repr
+from .algebra import LinearForm, RationalFunction, fraction_text, value_repr
 from .errors import DomainError, SingularGrid, WZetaError
-from .terms import Domain, HyperTerm, cross_ratio
+from .pair import WZPair, _naming
+from .terms import cross_ratio
 
 if TYPE_CHECKING:
     from .series import SeriesSpec
@@ -34,53 +33,6 @@ _FIRST_GAP_TERMS = 64
 # failing points a report keeps, the first in sweep order; the rest are
 # counted, so a pair that fails everywhere prints a bounded report
 _MAX_FAILURES = 100
-
-
-class WZPair(Frozen):
-    """A candidate pair for the discrete telescoping identity; immutable,
-    equal and hashed by its fields.
-
-    zeta3_multiple is the multiple of ζ(3) that Σ_{n≥0} G(n, 0) sums to,
-    the one fact the terms cannot tell.
-    """
-
-    def __init__(self, name: str, f: HyperTerm, g: HyperTerm, zeta3_multiple: Fraction):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "zeta3_multiple", zeta3_multiple)
-
-    @property
-    def _key(self) -> tuple:
-        return self.name, self.f, self.g, self.zeta3_multiple
-
-    @cached_property
-    def check_domain(self) -> Domain:
-        """The (n, k) region on which all four values in the identity are
-        defined: the constraints of F(n+1, k), F(n, k), G(n, k+1) and
-        G(n, k)."""
-        n, k = LinearForm(1, 0, 0), LinearForm(0, 1, 0)
-        f_up = self.f.domain.substituted(LinearForm(1, 0, 1), k)
-        g_up = self.g.domain.substituted(n, LinearForm(0, 1, 1))
-        return Domain(tuple(dict.fromkeys(
-            f_up.constraints + self.f.domain.constraints
-            + g_up.constraints + self.g.domain.constraints)))
-
-    def rows(self, n_max: int) -> Iterator[tuple[int, int, int]]:
-        """check_domain.rows(n_max); the DomainError of a region that
-        does not bound k names the pair."""
-        with _naming(self):
-            yield from self.check_domain.rows(n_max)
-
-
-@contextmanager
-def _naming(pair: WZPair) -> Iterator[None]:
-    """A WZetaError raised within, its message prefixed with the pair's name."""
-    try:
-        yield
-    except WZetaError as exc:  # the same error, naming the pair
-        exc.args = (f"pair {pair.name}: {exc}",)
-        raise
 
 
 class FailurePoint(NamedTuple):
@@ -266,47 +218,21 @@ def _zero_free_grid(denominators, need_n: int, need_k: int):
 
 
 def accelerate(pair: WZPair) -> SeriesSpec:
-    """The diagonal series Σ_{n≥1} b_n, b_n = F(n, n-1) + G(n-1, n-1).
-
-    b_n is built as one hypergeometric term, F(n, n-1)·(1 + R) with the
-    rational R = G(n-1, n-1)/F(n, n-1) (IncompatibleTerms otherwise); an
-    error in forming it names the pair. For a verified pair the series has
-    the same limit as Σ_{n≥0} G(n, 0), the pair's zeta3_multiple times
-    ζ(3). Verification is the caller's responsibility.
-    """
+    """The diagonal series Σ_{n≥1} F(n, n-1) + G(n-1, n-1). For a verified
+    pair it has the same limit as Σ_{n≥0} G(n, 0), the pair's
+    zeta3_multiple times ζ(3); verification is the caller's responsibility."""
     from .series import SeriesSpec  # the summation engine, which verification never loads
 
-    n, n_less_1 = LinearForm(1, 0, 0), LinearForm(1, 0, -1)
-    with _naming(pair):
-        f_diag = pair.f.substituted(n, n_less_1)  # F(n, n-1)
-        g_diag = pair.g.substituted(n_less_1, n_less_1)  # G(n-1, n-1)
-        r = cross_ratio(g_diag, f_diag)
-        term = HyperTerm(
-            f_diag.sign_exponent,
-            f_diag.factorials,
-            f_diag.poly_num * (r.den + r.num),
-            f_diag.poly_den * r.den,
-            f_diag.constant,
-            Domain((n_less_1,) + f_diag.domain.constraints + g_diag.domain.constraints),
-        )
-    return SeriesSpec(
-        name=f"accel({pair.name})",
-        term=term,
-        start_index=1,
-        zeta3_multiple=pair.zeta3_multiple,
-    )
+    return SeriesSpec(f"accel({pair.name})", pair.diagonal_term(), 1, pair.zeta3_multiple)
 
 
 def lhs_series(pair: WZPair) -> SeriesSpec:
-    """The column series Σ_{n≥0} G(n, 0), summing to the pair's
-    zeta3_multiple times ζ(3) (the slow side for the bundled pairs, with
-    positive terms and polynomial-rate decay); an error in forming it
+    """The column series Σ_{n≥0} G(n, 0), summing to the pair's zeta3_multiple
+    times ζ(3), the slow side for the bundled pairs; an error in forming it
     names the pair."""
     from .series import SeriesSpec
 
-    with _naming(pair):
-        g_column = pair.g.substituted(LinearForm(1, 0, 0), LinearForm())  # G(n, 0)
-    return SeriesSpec(f"lhs({pair.name})", g_column, 0, pair.zeta3_multiple)
+    return SeriesSpec(f"lhs({pair.name})", pair.column_term(), 0, pair.zeta3_multiple)
 
 
 def two_sided_gap(pair: WZPair, lhs_count: int, accel_count: int) -> tuple[str, str, str]:

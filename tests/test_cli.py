@@ -1,8 +1,10 @@
 import contextlib
+import decimal
 import hashlib
 import io
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -531,15 +533,60 @@ def test_digits_and_terms_caps(capsys):
 
 
 def test_eval_just_under_the_cap_prints(capsys):
-    # n!/(n-1)! is formed unreduced: about 1,999,982 bits at n = 68403,
-    # 2,000,014 at n = 68404, against a cap of 2,000,000
-    from wzeta.cli import _MAX_EVAL_BITS
+    # the cap charges the value that value_at forms. With factorials on
+    # both sides and one at least _FACTORED_FROM, that is the reduced value,
+    # charged by a bound: (2*n)!/n!^2 comes to about 1,999,972 bits at
+    # n = 64383 and 2,000,006 at 64384 (the value has 128,758 bits); n!/(n-1)!,
+    # refused from n = 68404 when it was charged unreduced, comes to 23 bits
+    # there and 30 at the sieve's cap. A lone n! is formed unreduced: about 1,999,985
+    # bits at n = 128,767 (test_eval_at_the_bits_cap_is_prompt) and 2,000,002
+    # at 128,768
+    from wzeta.cli import _MAX_EVAL_BITS, _MAX_SIEVE
 
     assert _MAX_EVAL_BITS == 2_000_000
-    code, out, err = run(capsys, "eval", "--expr", "n!/(n-1)!", "--n", "68403")
-    assert (code, out, err) == (0, "68403\n", "")
+    code, out, err = run(capsys, "eval", "--expr", "(2*n)!/n!^2", "--n", "64383")
+    assert (code, err) == (0, "") and decimal.Decimal(out) == math.comb(2 * 64383, 64383)
     code, out, err = run(capsys, "eval", "--expr", "n!/(n-1)!", "--n", "68404")
-    assert code == 2 and out == "" and err.startswith("error: ")
+    assert (code, out, err) == (0, "68404\n", "")
+    for expr, n in [("(2*n)!/n!^2", "64384"), ("n!", "128768")]:
+        code, out, err = run(capsys, "eval", "--expr", expr, "--n", n)
+        assert (code, out) == (2, "") and err.startswith("error: eval needs about 2e+06 bits")
+    code, out, err = run(capsys, "eval", "--expr", "n!/(n-1)!", "--n", str(_MAX_SIEVE + 1))
+    assert (code, out, err) == (2, "", "error: eval needs the primes up to 10000001, "
+                                       "over the limit of 10000000\n")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eval_charges_a_bound_on_the_factored_value(seed):
+    # on random terms with factorials on both sides, at points where value_at
+    # takes the factored route, the charge bounds the bits of the value's
+    # numerator and denominator, which value_at keeps in lowest terms
+    from wzeta.cli import _value_bits
+    from wzeta.dsl import parse_term
+    from wzeta.terms import _FACTORED_FROM, factored_route
+
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(60):
+        sides = ([], [])
+        for side in sides + tuple(rng.choice(sides) for _ in range(rng.randrange(3))):
+            a, b, c = rng.choice([1, 2, 3]), rng.choice([-1, 0, 1]), rng.randrange(-5, 40)
+            side.append(f"({a}*n{b:+d}*k{c:+d})!^{rng.choice([1, 1, 2])}")
+        for _ in range(rng.randrange(3)):
+            rng.choice(sides).append(f"(n+{rng.randrange(9)}*k+{rng.randrange(1, 50)})")
+        sign = rng.choice(["", "(-1)^(n+k) * "])
+        term = parse_term(f"{sign}{rng.randrange(1, 10**6)} * {' * '.join(sides[0])} / "
+                          f"({rng.randrange(1, 10**6)} * {' * '.join(sides[1])})")
+        charge = _value_bits(term, reduced=True)
+        for _ in range(3):
+            n = rng.randrange(_FACTORED_FROM // 3, 2 * _FACTORED_FROM)
+            k = rng.randrange(n // 2)
+            args = [(form.value(n, k), exp) for form, exp in term.factorials]
+            if factored_route(args) and min(args)[0] >= 0:
+                value = term.value_at(n, k)
+                assert value.numerator.bit_length() + value.denominator.bit_length() <= charge(n, k)
+                checked += 1
+    assert checked > 100, checked
 
 
 def test_unknown_series_exits_2(capsys):
@@ -948,6 +995,14 @@ def test_eval_of_a_huge_number_in_a_diagnostic_exits_2(expr, fragment):
 def test_a_series_of_a_huge_degree_exits_2(tmp_path):
     path = catalog_with(tmp_path, s3="(-1)^n / (((10^999)^5)*n)!")
     done = run_subprocess("--catalog", path, "digits", "--series", "s3", "--digits", "10")
+    assert_refused(done, "series 's3' has degree at least 5" + "0" * 4994 + ", over")
+
+
+def test_list_of_a_series_of_a_huge_degree_exits_2_promptly(tmp_path):
+    # list reads the rate from the factorial's n-coefficient, 10^4995, and
+    # refuses it by the degree estimate before forming any power of it
+    path = catalog_with(tmp_path, s3="(-1)^n / (((10^999)^5)*n)!")
+    done = run_subprocess("--catalog", path, "list", timeout=2)
     assert_refused(done, "series 's3' has degree at least 5" + "0" * 4994 + ", over")
 
 

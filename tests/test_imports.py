@@ -80,15 +80,19 @@ def test_start_up_leaves_the_slow_modules_unloaded():
 
 
 # the summation engine: a pair check runs none of it, and `list` reads
-# each series' rate without summing
+# each series' rate from its term's factorials, without the engine or the
+# verifier; a sum proves no pair, so `digits` and `rate` never load wz
 ENGINE = ("wzeta.series", "wzeta.precision")
+VERIFIER = ("wzeta.wz",)
 
 
 @pytest.mark.parametrize("argv,unloaded", [
     (["verify", "--pair", "s1", "--nmax", "5"], ENGINE),
     (["verify", "--pair", "s2", "--symbolic"], ENGINE),
-    (["list"], ("wzeta.precision",)),
-], ids=["verify-grid", "verify-symbolic", "list"])
+    (["list"], ENGINE + VERIFIER),
+    (["digits", "--series", "s1", "--digits", "10"], VERIFIER),
+    (["rate", "--series", "s3", "--lo", "0", "--hi", "5"], VERIFIER),
+], ids=["verify-grid", "verify-symbolic", "list", "digits", "rate"])
 def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
     out = run_fresh(f"import contextlib, io\n"
                     f"from wzeta.cli import main\n"

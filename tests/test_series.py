@@ -17,6 +17,7 @@ from wzeta.errors import (
     WZetaError,
 )
 from wzeta.series import ALTERNATING, POSITIVE, ProductTree, SeriesSpec
+from wzeta.terms import ratio_limit
 from wzeta import accelerate, precision
 
 
@@ -561,6 +562,29 @@ def random_term_text(rng):
         num.append("(n-50)")
         den.append("(n-50)")
     return " / ".join([" * ".join(num)] + den)
+
+
+def reduced_limit(series):
+    """(e, c) read from the reduced term ratio: the difference of its
+    sides' degrees and the quotient of their leading coefficients."""
+    ratio = series.term_ratio()
+    return (ratio.num.degree("n") - ratio.den.degree("n"),
+            Fraction(ratio.num.leading_coefficient(), ratio.den.leading_coefficient()))
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "s3", "lhs_s1", "lhs_s2"])
+def test_the_structural_ratio_limit_is_the_reduced_ratios(cat, name):
+    series = cat.series_by_name(name)
+    assert ratio_limit(series.term, name) == reduced_limit(series)
+
+
+def test_the_structural_ratio_limit_of_random_terms_is_the_reduced_ratios():
+    # factorials of ±n and ±2n, to powers 1 and 2, with polynomial factors
+    # and removable ones: e and c from the factorials' n-coefficients
+    rng = random.Random(26)
+    for _ in range(1000):
+        series = alt_series(random_term_text(rng))
+        assert ratio_limit(series.term, "t") == reduced_limit(series), series.term
 
 
 def term_or_none(series, n):
