@@ -1,12 +1,13 @@
-"""Named, ready-to-use series and pairs.
+"""Named, ready-to-use series and pairs, read from catalog text alone.
 
-The pairs' terms and s3 live as expression text in data/catalog.txt and
-are parsed at load time; a parse failure is raised, for the bundled file
-as for a replacement. Every other series' term comes from a pair: sN is
-its diagonal divided by its limit multiple, so that it sums to ζ(3), and
-lhs_sN is its column Σ G(n, 0). The listing reads each rate from a term's
-factorials (terms.ratio_limit), without the summation engine or the
-verifier. What the terms cannot tell is code: each pair's limit multiple.
+The entries of data/catalog.txt, or of a replacement, are parsed at load
+time, and a parse failure is raised. The entries f_X, g_X and zeta3_X make
+the pair X; zeta3_X, which the terms cannot tell, is the multiple of ζ(3)
+that its column Σ G(n, 0) sums to. Its series are X, the diagonal divided
+by that multiple, which sums to ζ(3), and lhs_X, the column; every other
+entry is a lone series, summing to ζ(3) from n = 0. The listing reads each
+rate from a term's factorials (terms.ratio_limit), without the summation
+engine or the verifier.
 """
 
 from __future__ import annotations
@@ -24,37 +25,31 @@ from . import dsl
 if TYPE_CHECKING:
     from .series import SeriesSpec
 
-# pair name -> multiple of ζ(3) that Σ G(n, 0) sums to
-_PAIRS = {"s1": Fraction(2), "s2": Fraction(2)}
-_REQUIRED = tuple(f"{side}_{name}" for name in _PAIRS for side in "fg") + ("s3",)
+# the prefixes of a pair's entries: f_X, g_X and zeta3_X make the pair X
+_SIDES = ("f", "g", "zeta3")
 # largest replacement catalog file read, in bytes; the bundled one is
 # under 1 KB, and this leaves room for literals of the DSL's 4300 digits
 _MAX_CATALOG_BYTES = 1 << 20
 
 
 class Catalog(Frozen):
-    """The pairs and s3; immutable, equal by those two fields, and
-    unhashable for its dict of pairs. Each series is derived by name on
-    first use: a pair whose diagonal cannot be formed fails the commands
-    that need its own series, not its verification or any other series."""
+    """The pairs and the lone series' terms; immutable, equal by those two
+    fields, unhashable for their dicts. Each series is derived by name on
+    first use: a pair whose diagonal cannot be formed fails the commands that
+    need its own series, not its verification or any other series."""
 
-    def __init__(self, pairs: dict[str, WZPair], s3: HyperTerm):
+    def __init__(self, pairs: dict[str, WZPair], lone: dict[str, HyperTerm]):
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "s3", s3)
+        object.__setattr__(self, "lone", lone)
         object.__setattr__(self, "_derived", {})
 
     @property
     def _key(self) -> tuple:
-        return self.pairs, self.s3
+        return self.pairs, self.lone
 
     @property
     def series_names(self) -> tuple[str, ...]:
-        return (*self.pairs, "s3", *(f"lhs_{name}" for name in self.pairs))
-
-    @property
-    def series(self) -> dict[str, SeriesSpec]:
-        """Every named series."""
-        return {name: self.series_by_name(name) for name in self.series_names}
+        return (*self.pairs, *self.lone, *(f"lhs_{name}" for name in self.pairs))
 
     def series_by_name(self, name: str) -> SeriesSpec:
         key = name.strip().lower()
@@ -70,10 +65,10 @@ class Catalog(Frozen):
 
     def _term(self, key: str) -> tuple[HyperTerm, int, Fraction]:
         """(term, start index, zeta3_multiple) of the series named key."""
-        if key == "s3":
-            return self.s3, 0, Fraction(1)
-        pair = self.pairs[key.removeprefix("lhs_")]
-        if key.startswith("lhs_"):
+        if key in self.lone:
+            return self.lone[key], 0, Fraction(1)
+        pair = self.pairs.get(key) or self.pairs[key.removeprefix("lhs_")]  # X or lhs_X
+        if pair.name != key:
             return pair.column_term(), 0, pair.zeta3_multiple
         t = pair.diagonal_term()  # divided by the limit multiple: it sums to ζ(3)
         return HyperTerm(t.sign_exponent, t.factorials, t.poly_num, t.poly_den,
@@ -82,9 +77,7 @@ class Catalog(Frozen):
     def pair_by_name(self, name: str) -> WZPair:
         key = name.strip().lower()
         if key not in self.pairs:
-            raise CatalogError(
-                f"unknown pair {name!r} (available: {', '.join(self.pairs)})"
-            )
+            raise CatalogError(f"unknown pair {name!r} (available: {', '.join(self.pairs)})")
         return self.pairs[key]
 
     def listing(self) -> list[tuple[str, str, int | None, float | None]]:
@@ -133,23 +126,13 @@ def bundled_text() -> str:
 
 
 def load_catalog(path: str | None = None) -> Catalog:
-    """Build the catalog from the bundled data file or a replacement.
-
-    A replacement file must define exactly the bundled entry names and
-    be UTF-8 text of at most _MAX_CATALOG_BYTES bytes; the series come
-    from its pairs and s3. Parse failures are raised, their messages
-    prefixed with the entry's line and name.
-    """
+    """Build the catalog from the bundled data file or a replacement, UTF-8
+    text of at most _MAX_CATALOG_BYTES bytes. Raised, each naming the entry
+    and its line: a parse failure; a pair entry without both of the other
+    two; a zeta3_X that is not a positive constant; a series name derived
+    twice (a lone series X or lhs_X for a pair X, or pairs lhs_X and X)."""
     text = bundled_text() if path is None else _read_replacement(path)
     entries = _numbered_entries(text)
-
-    missing = [name for name in _REQUIRED if name not in entries]
-    if missing:
-        raise CatalogError(f"catalog is missing entries: {', '.join(missing)}")
-    unknown = [name for name in entries if name not in _REQUIRED]
-    if unknown:
-        raise CatalogError(f"catalog has unknown entries: {', '.join(unknown)}")
-
     terms = {}
     for name, (lineno, expr) in entries.items():
         try:
@@ -158,11 +141,25 @@ def load_catalog(path: str | None = None) -> Catalog:
             # the same error, its offset counted within the expression
             exc.args = (f"line {lineno}: entry {name!r}: {exc}",)
             raise
-    pairs = {
-        name: WZPair(name, terms[f"f_{name}"], terms[f"g_{name}"], multiple)
-        for name, multiple in _PAIRS.items()
-    }
-    return Catalog(pairs=pairs, s3=terms["s3"])
+    pairs, lone = {}, {}
+    for name, term in terms.items():
+        side, _, x = name.partition("_")
+        if side not in _SIDES or not x:
+            lone[name] = term
+        elif missing := [entry for entry in (f"{s}_{x}" for s in _SIDES) if entry not in terms]:
+            raise CatalogError(f"line {entries[name][0]}: entry {name!r} has no {missing[0]}")
+        elif side == "zeta3" and (term.constant <= 0 or term != HyperTerm(constant=term.constant)):
+            raise CatalogError(f"line {entries[name][0]}: entry {name!r} "
+                               "is not a positive constant")
+        elif side == "f":
+            pairs[x] = WZPair(x, term, terms[f"g_{x}"], terms[f"zeta3_{x}"].constant)
+    owner = {}  # series name -> the entry it comes from; an f_X entry where two clash
+    derived = [(f"f_{x}", series) for x in pairs for series in (x, f"lhs_{x}")]
+    for entry, series in derived + [(name, name) for name in lone]:
+        if owner.setdefault(series, entry) != entry:
+            raise CatalogError(f"line {entries[entry][0]}: entry {entry!r} clashes "
+                               f"with pair {owner[series][2:]}'s series {series!r}")
+    return Catalog(pairs, lone)
 
 
 def _read_replacement(path: str) -> str:

@@ -18,7 +18,7 @@ from . import catalog as catalog_mod
 from . import dsl
 from .algebra import EXACT, SCALED, fraction_text, int_text
 from .errors import WZetaError
-from .terms import factored_route, factorial_bits
+from .terms import factored_route, factorial_bits, prime_exponents
 
 _COMPARE_LHS_TERMS = 300
 # `verify`'s grid estimate, in seconds: _GRID_ROW_S per n of the row
@@ -54,12 +54,14 @@ _MAX_TERMS = 10_000
 # 0.66 s through the CLI from lo = 0 to this index on a 2-vCPU machine and
 # 0.23 s, nearly all start-up, for its last two terms (s2 0.29 s in-process)
 _MAX_RATE_INDEX = 20_000
-# largest `eval` value, in estimated bits of numerator plus denominator,
-# reduced on value_at's factored route; n! at n = 128,767 takes about 1.1 s
-# through the CLI on a 2-vCPU machine, 0.3 s of it printing its 602,055 digits
+# largest `eval` value, in bits of numerator plus denominator, estimated
+# unreduced, or on value_at's factored route from its prime exponents; n! at
+# n = 128,767 takes about 1.1 s through the CLI on a 2-vCPU machine, 0.3 s of
+# it printing its 602,055 digits, and (2*n)!/n!^2 at n = 1,000,002 0.7 s
 _MAX_EVAL_BITS = 2_000_000
 # largest factorial argument of a factored `eval`, which sieves the primes up
-# to it: (n+1)!/n! at 10^7 takes 0.4 s in-process on a 2-vCPU machine
+# to it twice, to charge the value and to form it: the charge takes 0.34 s
+# in-process for (n+1)!/n! at 10^7, of 0.77 s through the CLI (2-vCPU, best of 3)
 _MAX_SIEVE = 10_000_000
 
 
@@ -93,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_digits.add_argument("--mode", choices=(EXACT, SCALED), default=EXACT)
 
     p_verify = sub.add_parser("verify", help="check the pair identity")
-    p_verify.add_argument("--pair", required=True, help="pair name (s1 or s2)")
+    p_verify.add_argument("--pair", required=True, help="pair name (e.g. s1)")
     p_verify.add_argument(
         "--nmax",
         type=_integer,
@@ -125,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a term expression exactly")
     p_eval.add_argument("--expr", required=True, metavar="TEXT")
     p_eval.add_argument("--n", required=True, type=_integer, help="values over "
-                        f"{_MAX_EVAL_BITS} bits (Stirling estimate) are refused")
+                        f"{_MAX_EVAL_BITS} bits are refused")
     p_eval.add_argument("--k", type=_integer, default=0)
 
     return parser
@@ -273,15 +275,9 @@ def _value_bits(term, reduced: bool = False) -> Callable[[int, int], float]:
 
 
 def _factored_bits(args: list[tuple[int, int]]) -> float:
-    """A bound on the bits of Π m!^e, args (m, e), m ≥ 0, in lowest terms: each side's m, |e|
-    times, matched largest with largest, leave m!/m'! per match and m! past them, each of log2
-    under factorial_bits + 1, summed as the net count above each level times its step."""
-    bits = 2.0 + max(sum(e for _, e in args if e > 0), -sum(e for _, e in args if e < 0))
-    net, levels = 0, sorted({m for m, _ in args} | {0}, reverse=True)
-    for high, low in zip(levels, levels[1:]):
-        net += sum(e for m, e in args if m == high)
-        bits += abs(net) * (factorial_bits(high) - factorial_bits(low))
-    return bits
+    """A bound, at most 2 over them, on the bits of Π m!^e, args (m, e), m ≥ 0,
+    in lowest terms: 2 + Σ |x|·log2 p over its primes p and their exponents x."""
+    return 2 + sum(abs(x) * math.log2(p) for p, x in prime_exponents(args))
 
 
 def main(argv: list[str] | None = None) -> int:

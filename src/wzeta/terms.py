@@ -347,10 +347,9 @@ def factored_route(args: list[tuple[int, int]]) -> bool:
 
 def _times_factorials(num: int, den: int, args: list[tuple[int, int]]) -> Fraction:
     """num/den times the product of m!^e over args (m, e), every m ≥ 0,
-    in lowest terms and with no gcd of two long operands. Each prime's
-    exponent in that product is Σ e·Σ_j ⌊m/p^j⌋ (Legendre), so the two
-    sides' products share no prime; num/den, small, is reduced against
-    each side alone."""
+    in lowest terms and with no gcd of two long operands: each prime is on
+    one side by its exponent (prime_exponents), so the two sides' products
+    share no prime; num/den, small, is reduced against each side alone."""
     if not num:
         return Fraction(0)
     if den < 0:
@@ -358,6 +357,18 @@ def _times_factorials(num: int, den: int, args: list[tuple[int, int]]) -> Fracti
     g = math.gcd(num, den)
     num, den = num // g, den // g
     sides = ([], [])
+    for p, exp in prime_exponents(args):
+        sides[exp < 0].append(p ** abs(exp))
+    top, bottom = (_balanced(side, operator.mul, 1) for side in sides)
+    g1, g2 = math.gcd(num, bottom), math.gcd(den, top)
+    value = Fraction(num // g1 * (top // g2))
+    # already in lowest terms: Fraction(num, den) would spend a gcd to see that
+    value._denominator = den // g2 * (bottom // g1)
+    return value
+
+
+def prime_exponents(args: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """(p, x) per prime p, x ≠ 0 its exponent in Π m!^e, args (m, e), m ≥ 0 (Legendre)."""
     for p in _primes_to(max(m for m, _ in args)):
         exp = 0
         for m, e in args:
@@ -365,13 +376,7 @@ def _times_factorials(num: int, den: int, args: list[tuple[int, int]]) -> Fracti
                 m //= p
                 exp += e * m
         if exp:
-            sides[exp < 0].append(p ** abs(exp))
-    top, bottom = (_balanced(side, operator.mul, 1) for side in sides)
-    g1, g2 = math.gcd(num, bottom), math.gcd(den, top)
-    value = Fraction(num // g1 * (top // g2))
-    # already in lowest terms: Fraction(num, den) would spend a gcd to see that
-    value._denominator = den // g2 * (bottom // g1)
-    return value
+            yield p, exp
 
 
 def _primes_to(m: int) -> Iterator[int]:

@@ -46,6 +46,8 @@ def handbuilt_terms() -> dict[str, HyperTerm]:
             poly_den=_forms_product((LinearForm(1, 0, 1), 2), (LinearForm(2, 0, 1), 2)),
             constant=Fraction(1, 2),
         ),
+        "zeta3_s1": HyperTerm(constant=Fraction(2)),
+        "zeta3_s2": HyperTerm(constant=Fraction(2)),
         "s3": HyperTerm(
             _N,
             ((_N, 2), (LinearForm(2, 0, 0), 1), (LinearForm(4, 0, 0), -1)),

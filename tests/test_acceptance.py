@@ -241,9 +241,10 @@ def test_criterion_12_series_derived_from_pairs():
         pair = CAT.pair_by_name(name)
         sources[name] = (accelerate(pair), 1, Fraction(1))
         sources[f"lhs_{name}"] = (lhs_series(pair), 0, pair.zeta3_multiple)
-    ok = set(CAT.series) == set(built) == set(sources)
+    ok = set(CAT.series_names) == set(built) == set(sources)
     checks = 0
-    for name, series in CAT.series.items():
+    for name in CAT.series_names:
+        series = CAT.series_by_name(name)
         source, start, multiple = sources[name]
         ok = ok and (series.start_index, series.zeta3_multiple) == (start, multiple)
         for n in range(start, 201):

@@ -282,9 +282,9 @@ def _value_args():
         Polynomial: ({(1, 0): 2, (0, 1): -1},),
         RationalFunction: (N, N + ONE),
         HyperTerm: (n, ((n, 2), (n.scaled(2), -1)), N + ONE),
-        SeriesSpec: ("t", cat.s3, 1, Fraction(2)),
+        SeriesSpec: ("t", cat.lone["s3"], 1, Fraction(2)),
         WZPair: ("p", pair.f, pair.g, Fraction(2)),
-        Catalog: (cat.pairs, cat.s3),
+        Catalog: (cat.pairs, cat.lone),
     }
 
 

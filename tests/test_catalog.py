@@ -88,17 +88,33 @@ def test_replacement_catalog_file(tmp_path):
 
 
 def test_replacement_catalog_missing_entry(tmp_path):
+    # a pair is its three entries f_X, g_X and zeta3_X; each names the first missing
     path = tmp_path / "short.txt"
-    path.write_text("s1 = 1/(n+1)\n")
-    with pytest.raises(CatalogError, match="missing"):
-        catalog.load_catalog(str(path))
+    for text, message in [
+        ("f_s3 = 1\n", "line 1: entry 'f_s3' has no g_s3"),
+        ("g_s3 = 1\nzeta3_s3 = 2\n", "line 1: entry 'g_s3' has no f_s3"),
+        (catalog.bundled_text().replace("zeta3_s2 = 2", ""),
+         "line 10: entry 'f_s2' has no zeta3_s2"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(CatalogError) as info:
+            catalog.load_catalog(str(path))
+        assert str(info.value) == message
 
 
 def test_replacement_catalog_unknown_entry(tmp_path):
+    # any entry that is not a pair's is a lone series, after the pairs' own,
+    # summing to ζ(3) from n = 0; a catalog may hold no pair at all
     path = tmp_path / "extra.txt"
     path.write_text(catalog.bundled_text() + "\nmystery = 1/(n+1)\n")
-    with pytest.raises(CatalogError, match="unknown"):
-        catalog.load_catalog(str(path))
+    cat = catalog.load_catalog(str(path))
+    assert cat.series_names == ("s1", "s2", "s3", "mystery", "lhs_s1", "lhs_s2")
+    series = cat.series_by_name("mystery")
+    assert (series.start_index, series.zeta3_multiple, series.term_at(3)) == (0, 1, Fraction(1, 4))
+    path.write_text("s1 = 1/(n+1)\n")
+    alone = catalog.load_catalog(str(path))
+    assert (alone.pairs, alone.series_names) == ({}, ("s1",))
+    assert alone.series_by_name("s1").term_at(1) == Fraction(1, 2)
 
 
 def test_replacement_catalog_parse_error_is_loud(tmp_path):

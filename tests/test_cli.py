@@ -1,5 +1,4 @@
 import contextlib
-import decimal
 import hashlib
 import io
 import math
@@ -535,22 +534,38 @@ def test_digits_and_terms_caps(capsys):
 def test_eval_just_under_the_cap_prints(capsys):
     # the cap charges the value that value_at forms. With factorials on
     # both sides and one at least _FACTORED_FROM, that is the reduced value,
-    # charged by a bound: (2*n)!/n!^2 comes to about 1,999,972 bits at
-    # n = 64383 and 2,000,006 at 64384 (the value has 128,758 bits); n!/(n-1)!,
-    # refused from n = 68404 when it was charged unreduced, comes to 23 bits
-    # there and 30 at the sieve's cap. A lone n! is formed unreduced: about 1,999,985
-    # bits at n = 128,767 (test_eval_at_the_bits_cap_is_prompt) and 2,000,002
-    # at 128,768
+    # charged from its prime exponents: (2*n)!/n!^2 comes to about
+    # 1,999,999.2 bits at n = 1,000,002 and 2,000,001.2 at 1,000,003 (the
+    # value has 1,999,995 and 1,999,997 bits); n!/(n-1)!, refused from
+    # n = 68404 when it was charged unreduced, comes to 29.3 bits at the
+    # sieve's cap. A lone n! is formed unreduced: about 1,999,985 bits at n = 128,767
+    # (test_eval_at_the_bits_cap_is_prompt) and 2,000,002 at 128,768
     from wzeta.cli import _MAX_EVAL_BITS, _MAX_SIEVE
 
     assert _MAX_EVAL_BITS == 2_000_000
-    code, out, err = run(capsys, "eval", "--expr", "(2*n)!/n!^2", "--n", "64383")
-    assert (code, err) == (0, "") and decimal.Decimal(out) == math.comb(2 * 64383, 64383)
+    n = 1_000_002
+    code, out, err = run(capsys, "eval", "--expr", "(2*n)!/n!^2", "--n", str(n))
+    assert (code, err) == (0, "")
+    # C(2n, n) without forming it, which math.comb takes about 30 s to do on
+    # a 2-vCPU machine: its digit count and leading digits, and its residue
+    # modulo a prime over 2n
+    with mpmath.workdps(40):
+        binomial = mpmath.binomial(2 * n, n)
+        assert len(out) == int(mpmath.log10(binomial)) + 2  # and the newline
+        assert out.startswith(mpmath.nstr(binomial, 25).replace(".", "")[:24])
+    prime, top, bottom, residue = 2**61 - 1, 1, 1, 0
+    for i in range(1, n + 1):
+        top, bottom = top * (n + i) % prime, bottom * i % prime
+    for start in range(0, len(out) - 1, 1000):
+        chunk = out[start:min(start + 1000, len(out) - 1)]
+        residue = (residue * pow(10, len(chunk), prime) + int(chunk)) % prime
+    assert residue == top * pow(bottom, -1, prime) % prime
     code, out, err = run(capsys, "eval", "--expr", "n!/(n-1)!", "--n", "68404")
     assert (code, out, err) == (0, "68404\n", "")
-    for expr, n in [("(2*n)!/n!^2", "64384"), ("n!", "128768")]:
+    for expr, n in [("(2*n)!/n!^2", "1000003"), ("n!", "128768")]:
         code, out, err = run(capsys, "eval", "--expr", expr, "--n", n)
-        assert (code, out) == (2, "") and err.startswith("error: eval needs about 2e+06 bits")
+        assert (code, out, err) == (2, "", "error: eval needs about 2e+06 bits, "
+                                           "over the limit of 2000000\n")
     code, out, err = run(capsys, "eval", "--expr", "n!/(n-1)!", "--n", str(_MAX_SIEVE + 1))
     assert (code, out, err) == (2, "", "error: eval needs the primes up to 10000001, "
                                        "over the limit of 10000000\n")
@@ -617,9 +632,86 @@ def test_missing_catalog_file_exits_2(capsys):
 def test_malformed_catalog_file_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("s1 = (n+1\n")
-    code, _, err = run(capsys, "--catalog", str(path), "list")
-    assert code == 2
-    assert err.startswith("error: catalog is missing entries: f_s1")
+    code, out, err = run(capsys, "--catalog", str(path), "list")
+    assert (code, out) == (2, "")
+    assert err == ("error: line 1: entry 's1': unexpected end of input "
+                   "at offset 4 (expected: ))\n")
+
+
+def catalog_refusal(capsys, tmp_path, text):
+    """(exit code, stdout, stderr) of `list` on a replacement catalog of text."""
+    path = tmp_path / "refused.txt"
+    path.write_text(text)
+    return run(capsys, "--catalog", str(path), "list")
+
+
+def test_catalog_pair_entry_without_the_other_two_exits_2(capsys, tmp_path):
+    # a pair is its three entries f_X, g_X and zeta3_X; the first entry of
+    # one that lacks another is refused, naming the first one missing. A
+    # catalog without zeta3_ lines, as every one was before them, is refused
+    without_g = bundled_text().replace(
+        "g_s1 = 2 * (-1)^k * k!^2 * (n-k)! / ((n+k+1)! * (n+1)^2)\n", "")
+    for text, line in [
+        ("f_s3 = (-1)^k * k!^2 * (3*n-k-1)! / ((3*n+k+1)! * (k+1))\n",
+         "line 1: entry 'f_s3' has no g_s3"),
+        ("s3 = 1/(n+1)^2\ng_s3 = (-1)^k / (n+1)\nzeta3_s3 = 2\n",
+         "line 2: entry 'g_s3' has no f_s3"),
+        (without_g, "line 8: entry 'f_s1' has no g_s1"),
+        (bundled_text().replace("zeta3_s1 = 2\nzeta3_s2 = 2\n", ""),
+         "line 8: entry 'f_s1' has no zeta3_s1"),
+    ]:
+        assert catalog_refusal(capsys, tmp_path, text) == (2, "", f"error: {line}\n")
+
+
+def test_catalog_multiple_not_a_positive_constant_exits_2(capsys, tmp_path):
+    # zeta3_X must parse to a positive constant: no variable, sign, factorial
+    # of a variable or zero; a constant factorial folds into the constant
+    good = "zeta3_s2 = 2"
+    assert good in bundled_text()
+    for expr in ["0", "(-1)^n * 2", "n", "(n+1)/(n+1)", "(2*n)!", "(0-2)"]:
+        text = bundled_text().replace(good, f"zeta3_s2 = {expr}")
+        assert catalog_refusal(capsys, tmp_path, text) == (
+            2, "", "error: line 13: entry 'zeta3_s2' is not a positive constant\n")
+    text = bundled_text().replace(good, "zeta3_s2 = 4 * (2)! / 4")
+    code, out, _ = catalog_refusal(capsys, tmp_path, text)
+    assert (code, out) == (0, LIST_OUTPUT)
+
+
+def test_catalog_series_name_clash_exits_2(capsys, tmp_path):
+    # a pair X gives the series X and lhs_X; a lone series, or another pair's
+    # series, of either name is refused, wherever its line stands
+    for extra, line in [
+        ("s1 = 1/(n+1)^2", "line 18: entry 's1' clashes with pair s1's series 's1'"),
+        ("lhs_s2 = 1/(n+1)^2",
+         "line 18: entry 'lhs_s2' clashes with pair s2's series 'lhs_s2'"),
+        ("f_lhs_s1 = k!\ng_lhs_s1 = k!\nzeta3_lhs_s1 = 1",
+         "line 18: entry 'f_lhs_s1' clashes with pair s1's series 'lhs_s1'"),
+    ]:
+        text = bundled_text() + "\n" + extra + "\n"
+        assert catalog_refusal(capsys, tmp_path, text) == (2, "", f"error: {line}\n")
+    text = "lhs_s2 = 1/(n+1)^2\n" + bundled_text()
+    assert catalog_refusal(capsys, tmp_path, text) == (
+        2, "", "error: line 1: entry 'lhs_s2' clashes with pair s2's series 'lhs_s2'\n")
+
+
+def test_s3_pair_catalog_proves_and_sums_s3():
+    # the s = 3 pair of the family, added by catalog text alone: both proofs
+    # pass, and its diagonal, divided by its zeta3_s3 = 2, prints the digits
+    # of the bundled lone s3
+    path = str(Path(__file__).parent / "data" / "s3_pair.txt")
+    done = run_subprocess("--catalog", path, "list")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "s3 series 1 1.806\nlhs_s3 series 0 -\ns3 pair 1 -\n", "")
+    for argv, last in [(("--symbolic",), "mode=symbolic degree_bound=21 points_checked=308 "
+                                          "outcome=pass"),
+                       (("--nmax", "40"), "mode=grid points_checked=2460 outcome=pass")]:
+        done = run_subprocess("--catalog", path, "verify", "--pair", "s3", *argv, timeout=20)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[-2:] == [last, "PASS"]
+    command = "digits --series s3 --digits 1000"
+    done = run_subprocess("--catalog", path, *command.split(), timeout=20)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == GOLDEN[command]
 
 
 def test_catalog_parse_error_names_the_line_and_the_entry(capsys, tmp_path):
