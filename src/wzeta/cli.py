@@ -51,8 +51,8 @@ _MAX_TREE_BITS = 16_000_000
 # through the CLI at this size on a 2-vCPU machine and prints 72 MB
 _MAX_TERMS = 10_000
 # largest `rate --lo`/`--hi`; s3, the slowest catalog series, takes about
-# 0.66 s through the CLI from lo = 0 to this index on a 2-vCPU machine and
-# 0.23 s, nearly all start-up, for its last two terms (s2 0.29 s in-process)
+# 0.13 s through the CLI from lo = 0 to this index on a 2-vCPU machine and
+# 0.08 s, nearly all start-up, for its last two terms (s2 0.05 s in-process)
 _MAX_RATE_INDEX = 20_000
 # largest `eval` value, in bits of numerator plus denominator, estimated
 # unreduced, or on value_at's factored route from its prime exponents; n! at

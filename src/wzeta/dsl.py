@@ -36,7 +36,6 @@ from __future__ import annotations
 import decimal
 import math
 from collections import defaultdict
-from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import LinearForm, Polynomial, int_text

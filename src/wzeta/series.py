@@ -44,7 +44,7 @@ from .errors import (
     NonAlternating,
     TailBoundError,
 )
-from .terms import _MAX_RATIO_DEGREE, HyperTerm, ratio_limit
+from .terms import HyperTerm, ratio_limit
 
 ALTERNATING = "alternating"
 POSITIVE = "positive"
@@ -141,16 +141,12 @@ class SeriesSpec(Frozen):
         c = _shifted(g, -1)
         return c, dense_divide(a, g), dense_divide(b, c)
 
-    def _evaluated(self, n: int) -> tuple | None:
-        """(step, leaf, c(n), c(n+1)), the first value of _stepping(n):
-        step = (p, q), q > 0, is t(n+1)/t(n) = c(n+1)·α/(c(n)·β); leaf =
-        (α, β, c(n+1)·α) is index n+1's ProductTree leaf; both in lowest
-        terms. None where the unreduced denominator h(n)·c(n)·β(n) is 0."""
-        return next(self._stepping(n))
-
     def _stepping(self, n: int) -> Iterator[tuple | None]:
-        """_evaluated at n, n+1, ...: the one evaluation of a step's
-        polynomials. The first value is read by Horner's rule; after it,
+        """(step, leaf) at n, n+1, ...: step = (p, q), q > 0, is t(n+1)/t(n)
+        = c(n+1)·α/(c(n)·β); leaf = (α, β, c(n+1)·α) is index n+1's
+        ProductTree leaf; both in lowest terms. None where the unreduced
+        denominator h(n)·c(n)·β(n) is 0. The one evaluation of a step's
+        polynomials: the first value is read by Horner's rule; after it,
         c, α and β step by differences (algebra._values_from), and h is
         evaluated only within its root bound."""
         c, alpha, beta = self._split
@@ -167,7 +163,7 @@ class SeriesSpec(Frozen):
                 p, q = after * num, weight * den
                 g = math.gcd(p, q)
                 step = (-p // g, -q // g) if q < 0 else (p // g, q // g)
-                yield step, (num, den, after * num), weight, after
+                yield step, (num, den, after * num)
             weight = after
 
     @cached_property
@@ -235,12 +231,12 @@ class SeriesSpec(Frozen):
         """The term ratio at n as integers (p, q) in lowest terms with
         q > 0, or (0, 0) where the unreduced ratio h·a/(h·b) has a zero
         denominator (a zero term at n, or a removable singularity)."""
-        evaluated = self._evaluated(n)
+        evaluated = next(self._stepping(n))
         return evaluated[0] if evaluated else (0, 0)
 
     def _checked_step(self, n: int, evaluated: tuple | None) -> tuple:
-        """evaluated, a walk's _evaluated(n), once its step p/q is checked
-        to satisfy -q < p < 0 (alternation and strict decrease); needs
+        """evaluated, a walk's _stepping value at n, once its step p/q is
+        checked to satisfy -q < p < 0 (alternation and strict decrease); needs
         t(n) != 0. Where the step is undefined, t(n+1) is zero or
         undefined: every factor of the unreduced ratio is nonzero where
         t(n) and t(n+1) are both defined and nonzero (each rising-product
@@ -268,8 +264,8 @@ class SeriesSpec(Frozen):
             yield n, value, evaluated and evaluated[0]
 
     def _walk(self, first: int, end: int) -> Iterator[tuple[int, Fraction | None, tuple | None]]:
-        """walk with each step's whole _evaluated(n-1), leaf included, in
-        place of its (p, q), pulled from one _stepping per run."""
+        """walk with each step's whole _stepping value at n-1, leaf
+        included, in place of its (p, q), pulled from one _stepping per run."""
         steps = None  # _stepping from the run's first index, while t(n-1) is nonzero
         for n in range(first, end):
             evaluated = next(steps) if steps else None
@@ -286,7 +282,7 @@ class SeriesSpec(Frozen):
         """Yield log10|t(n)/t(first)| for n = first..last, first ≥ start_index,
         summed from the ratio steps in floats; DomainError at a zero term."""
         # with every factorial taken as 1, t(first) keeps its zeros and domain errors
-        if self.term.value_at(first, 0, factorial=lambda m: 1) == 0:
+        if not next(self.term.along_k(first, 0, lambda m: 1))[0]:
             raise DomainError(f"term at n={first} is zero; rate undefined")
         log_term = 0.0
         yield log_term
@@ -346,7 +342,7 @@ class SeriesSpec(Frozen):
         # estimate of log10(|t(n)| / threshold)
         gap = math.log10(abs(first.numerator)) - math.log10(first.denominator) - log_threshold
         steps = self._stepping(n)
-        (p, q), leaf, _, _ = self._checked_step(n, next(steps))
+        (p, q), leaf = self._checked_step(n, next(steps))
         self.require_geometric()  # after the first step, so a concrete violation there wins
         tree = ProductTree()
         while True:
@@ -356,7 +352,7 @@ class SeriesSpec(Frozen):
             if (abs(last) < threshold) if last is not None else gap < 0:
                 break
             tree.add(*leaf)
-            (p, q), leaf, _, _ = self._checked_step(n, next(steps))
+            (p, q), leaf = self._checked_step(n, next(steps))
         if last is None:
             last = self.term_at(n)
         tail = self._tail_past(n, last)

@@ -35,12 +35,6 @@ _ONE = Polynomial.const(1)
 # long again), and the time grows about as d^3, to 18 s at d = 999; the
 # catalog's largest is 15
 _MAX_RATIO_DEGREE = 200
-# the largest factorial argument from which value_at sums prime exponents
-# instead of reducing a quotient of math.factorial values by a gcd, whose
-# time grows as the square of their length: at 1,200 both take 0.1-0.3 ms
-# for s1, s2, s3 and four other terms on a 2-vCPU machine; at s1's
-# 3000-digit cut, arguments up to 9,944, 1.0 ms against 12 ms
-_FACTORED_FROM = 1200
 
 
 class Domain(NamedTuple):
@@ -209,17 +203,16 @@ class HyperTerm(Frozen):
             constant.denominator,
         ))
 
-    def value_at(self, n: int, k: int = 0, factorial=math.factorial) -> Fraction:
-        """Exact value at an integer point, the first value of
-        along_k(n, k, factorial); DomainError outside the domain. With
-        math.factorial, where factorials stand on both sides of the
-        fraction and one argument is at least _FACTORED_FROM, along_k
-        takes every factorial as 1, for its checks and the small rest,
-        and _times_factorials multiplies in the factorials."""
+    def value_at(self, n: int, k: int = 0) -> Fraction:
+        """Exact value at an integer point, the first value of along_k(n, k);
+        DomainError outside the domain. Where factorials stand on both
+        sides of the fraction, along_k takes every factorial as 1, for its
+        checks and the small rest, and _times_factorials multiplies in the
+        factorials from their prime exponents."""
         args = [(a * n + b * k + c, e) for _, a, b, c, e in self._plan[1]]
-        if factorial is math.factorial and factored_route(args):
+        if factored_route(args):
             return _times_factorials(*next(self.along_k(n, k, lambda m: 1)), args)
-        return Fraction(*next(self.along_k(n, k, factorial)))
+        return Fraction(*next(self.along_k(n, k)))
 
     def along_k(self, n: int, k_first: int,
                 factorial=math.factorial) -> Iterator[tuple[int, int]]:
@@ -235,8 +228,8 @@ class HyperTerm(Frozen):
 
         factorial(m) supplies m! for the arguments at k_first only; its
         one use besides math.factorial is factorial=lambda m: 1, with which
-        log_terms and two_sided_gap check a point's domain and zero without
-        its factorials. The first value's factorial part, the
+        log_terms checks a point's domain and zero without its factorials
+        and value_at forms all but them. The first value's factorial part, the
         constant times the factorials and the sign, is reduced once after
         it is yielded (value_at takes only the first value) and kept in
         lowest terms from then on. From k-1 to k each factorial whose
@@ -340,9 +333,8 @@ def factorial_bits(m: int) -> float:
 
 
 def factored_route(args: list[tuple[int, int]]) -> bool:
-    """Whether value_at factors m!^e, args (m, e): both signs of e, an m ≥ _FACTORED_FROM."""
-    return (any(e < 0 for _, e in args) and any(e > 0 for _, e in args)
-            and max(args)[0] >= _FACTORED_FROM)
+    """Whether value_at factors m!^e, args (m, e): e of both signs."""
+    return any(e < 0 for _, e in args) and any(e > 0 for _, e in args)
 
 
 def _times_factorials(num: int, den: int, args: list[tuple[int, int]]) -> Fraction:
@@ -368,8 +360,9 @@ def _times_factorials(num: int, den: int, args: list[tuple[int, int]]) -> Fracti
 
 
 def prime_exponents(args: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    """(p, x) per prime p, x ≠ 0 its exponent in Π m!^e, args (m, e), m ≥ 0 (Legendre)."""
-    for p in _primes_to(max(m for m, _ in args)):
+    """(p, x) per prime p, x ≠ 0 its exponent in Π m!^e, args (m, e) (Legendre);
+    a negative m adds nothing, and the sieve runs to at least 1."""
+    for p in _primes_to(max(1, *(m for m, _ in args))):
         exp = 0
         for m, e in args:
             while m >= p:

@@ -255,8 +255,8 @@ def two_sided_gap(pair: WZPair, lhs_count: int, accel_count: int) -> tuple[str, 
     accel_count, where s = 0. Each sum to m is a prefix of the exact sum,
     and a try decides only once the steps past its cut are checked to be
     nonzero ratios, so the exact sum would raise nothing; the one check
-    of the exact bound left, the domain at the diagonal's cut, is made
-    without factorials. So every input gives the exact line or raises its
+    of the exact bound left, the domain at the diagonal's cut, evaluates
+    the term there once. So every input gives the exact line or raises its
     error."""
     from .precision import truncated_decimal
 
@@ -275,7 +275,7 @@ def two_sided_gap(pair: WZPair, lhs_count: int, accel_count: int) -> tuple[str, 
             if (truncated_decimal(low, _GAP_PLACES) == gap
                     and truncated_decimal(least, _GAP_PLACES) == bound
                     and (high <= least or low > most)):
-                fast.term.value_at(fast.start_index + accel_count, 0, factorial=lambda m: 1)
+                fast.term_at(fast.start_index + accel_count)
                 return gap, bound, "ok" if high <= least else "fail"
         count = min(2 * count, accel_count)
 

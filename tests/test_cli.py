@@ -486,6 +486,16 @@ def test_huge_rate_index_exits_2_promptly(bounds):
     assert_refused(done, hi, str(_MAX_RATE_INDEX))
 
 
+def test_rate_forms_no_factorial_of_the_first_term(capsys, tmp_path):
+    # the slope is summed from the ratio steps; t(lo) is checked for its
+    # domain and zero with every factorial taken as 1, so a factorial of
+    # 10^30 is never formed (math.factorial would raise OverflowError)
+    path = catalog_with(tmp_path, s3="(-1)^n / (n + 10^30)!")
+    code, out, err = run(capsys, "--catalog", path, "rate", "--series", "s3",
+                         "--lo", "0", "--hi", "10")
+    assert (code, out, err) == (0, "30.000\n", "")
+
+
 def test_rate_index_cap(capsys):
     from wzeta.cli import _MAX_RATE_INDEX
 
@@ -533,10 +543,10 @@ def test_digits_and_terms_caps(capsys):
 
 def test_eval_just_under_the_cap_prints(capsys):
     # the cap charges the value that value_at forms. With factorials on
-    # both sides and one at least _FACTORED_FROM, that is the reduced value,
-    # charged from its prime exponents: (2*n)!/n!^2 comes to about
-    # 1,999,999.2 bits at n = 1,000,002 and 2,000,001.2 at 1,000,003 (the
-    # value has 1,999,995 and 1,999,997 bits); n!/(n-1)!, refused from
+    # both sides, that is the reduced value, charged from its prime
+    # exponents: (2*n)!/n!^2 comes to about 1,999,999.2 bits at n =
+    # 1,000,002 and 2,000,001.2 at 1,000,003 (the value has 1,999,995 and
+    # 1,999,997 bits); n!/(n-1)!, refused from
     # n = 68404 when it was charged unreduced, comes to 29.3 bits at the
     # sieve's cap. A lone n! is formed unreduced: about 1,999,985 bits at n = 128,767
     # (test_eval_at_the_bits_cap_is_prompt) and 2,000,002 at 128,768
@@ -573,12 +583,12 @@ def test_eval_just_under_the_cap_prints(capsys):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_eval_charges_a_bound_on_the_factored_value(seed):
-    # on random terms with factorials on both sides, at points where value_at
-    # takes the factored route, the charge bounds the bits of the value's
-    # numerator and denominator, which value_at keeps in lowest terms
+    # on random terms with factorials on both sides, at points from n = 0
+    # where value_at takes the factored route, the charge bounds the bits of
+    # the value's numerator and denominator, which value_at keeps in lowest terms
     from wzeta.cli import _value_bits
     from wzeta.dsl import parse_term
-    from wzeta.terms import _FACTORED_FROM, factored_route
+    from wzeta.terms import factored_route
 
     rng = random.Random(seed)
     checked = 0
@@ -594,8 +604,8 @@ def test_eval_charges_a_bound_on_the_factored_value(seed):
                           f"({rng.randrange(1, 10**6)} * {' * '.join(sides[1])})")
         charge = _value_bits(term, reduced=True)
         for _ in range(3):
-            n = rng.randrange(_FACTORED_FROM // 3, 2 * _FACTORED_FROM)
-            k = rng.randrange(n // 2)
+            n = rng.randrange(2400)
+            k = rng.randrange(n // 2 + 1)
             args = [(form.value(n, k), exp) for form, exp in term.factorials]
             if factored_route(args) and min(args)[0] >= 0:
                 value = term.value_at(n, k)
@@ -934,10 +944,14 @@ def test_broken_catalog_series_follow_its_pair(broken_catalog):
 
 
 def test_eval_outside_the_domain_exits_2(capsys):
-    code, out, err = run(capsys, "eval", "--expr", "n!", "--n", "-1")
-    assert code == 2
-    assert out == ""
-    assert err == "error: (n=-1, k=0) outside term domain\n"
+    # (n+1)!/n! has factorials on both sides, so it takes the factored route
+    # at every size; its charge sieves the primes up to at least 1, so
+    # negative arguments reach value_at's domain check and not math.isqrt
+    for expr, n in (("n!", "-1"), ("(n+1)!/n!", "-5")):
+        code, out, err = run(capsys, "eval", "--expr", expr, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: (n={n}, k=0) outside term domain\n"
 
 
 def test_non_utf8_catalog_exits_2(tmp_path):
@@ -1034,7 +1048,7 @@ def test_a_sum_on_an_integer_certifies_no_digit(capsys, tmp_path):
 
 def test_a_series_ratio_over_the_degree_limit_exits_2_promptly(tmp_path):
     # reducing this ratio took 18 s; it is refused before the gcd, by name
-    from wzeta.series import _MAX_RATIO_DEGREE
+    from wzeta.terms import _MAX_RATIO_DEGREE
 
     path = catalog_with(tmp_path, s3="(-1)^n / (n+1)^999")
     done = run_subprocess("--catalog", path, "list", timeout=15)

@@ -58,6 +58,46 @@ def test_a_third_party_import_is_caught(tmp_path):
     assert outside_stdlib(path) == ["mpmath.libmp"]
 
 
+def unused_imports(path):
+    """The names that the imports of path bind, in function bodies and
+    under TYPE_CHECKING too, and that nothing else in it reads: a name is
+    read where it is loaded, bare or as the head of an attribute, or named
+    in a quoted annotation; a dotted import binds its first part, and a
+    __future__ import binds nothing."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    annotations = [getattr(node, field) for node in ast.walk(tree)
+                   for field in ("annotation", "returns") if getattr(node, field, None)]
+    quoted = [ast.parse(node.value, mode="eval") for annotation in annotations
+              for node in ast.walk(annotation)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    read = {node.id for root in [tree, *quoted] for node in ast.walk(root)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_only_names_it_reads(path):
+    found = unused_imports(path)
+    assert not found, f"{path.name} imports {found} and never reads them"
+
+
+def test_an_unused_import_is_caught(tmp_path):
+    path = tmp_path / "unused.py"
+    path.write_text("from __future__ import annotations\n"
+                    "import os.path\nimport math\nfrom typing import TYPE_CHECKING\n"
+                    "from fractions import Fraction as F\n"
+                    "if TYPE_CHECKING:\n    from decimal import Decimal, Context\n"
+                    "def f(x: \"Decimal\") -> int:\n    import json\n"
+                    "    return math.floor(x) + os.path.sep.count(F)\n")
+    assert sorted(unused_imports(path)) == ["Context", "json"]
+
+
 # dataclasses pulls in inspect, and inspect ast, dis and tokenize: about
 # 20 ms of every command's start-up; statistics serves only `rate`
 KEPT_OUT_OF_START_UP = ("dataclasses", "inspect", "ast", "dis", "tokenize", "statistics")

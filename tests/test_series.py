@@ -497,7 +497,7 @@ def test_only_what_the_ratio_cannot_tell_is_a_field(cat):
 
 def test_a_ratio_over_the_degree_limit_is_refused_before_the_gcd():
     from wzeta.errors import WZetaError
-    from wzeta.series import _MAX_RATIO_DEGREE
+    from wzeta.terms import _MAX_RATIO_DEGREE
 
     at_limit = alt_series(f"(-1)^n / (n+1)^{_MAX_RATIO_DEGREE}")
     assert at_limit.sign_pattern == ALTERNATING
@@ -619,14 +619,15 @@ def test_an_undefined_step_after_a_nonzero_term_leads_to_no_term():
 @pytest.mark.parametrize("name", ["s1", "s2", "s3", "lhs_s1", "lhs_s2", "accel(s1)", "accel(s2)"])
 def test_the_stepping_iterator_matches_each_first_value(cat, name):
     # past its first value the iterator steps c, α and β by differences;
-    # _evaluated(n) is the first value of an iterator started at n
+    # each value matches the first value of an iterator started at its n,
+    # read by Horner's rule
     if name.startswith("accel"):
         series = accelerate(cat.pair_by_name(name[6:-1]))
     else:
         series = cat.series_by_name(name)
     start = series.start_index
     for n, evaluated in zip(range(start, start + 3000), series._stepping(start)):
-        assert evaluated == series._evaluated(n), n
+        assert evaluated == next(series._stepping(n)), n
 
 
 # c(5) = 0, so t(5) = 0; β(6) = 0, where t(7) is undefined; h(3) = 0,
@@ -640,11 +641,11 @@ STOPPING_TEXTS = ["(-1)^n * (n-5) / n!", "(-1)^n / (n-7) / n!",
                                                (None, None, None, (1, 11), (0, 1))))
 def test_the_stepping_iterator_matches_through_stops(text, stop, step):
     series = alt_series(text)
-    evaluated = series._evaluated(stop)
+    evaluated = next(series._stepping(stop))
     assert (evaluated and evaluated[0]) == step
     for first in range(0, 12):
         for n, evaluated in zip(range(first, first + 40), series._stepping(first)):
-            assert evaluated == series._evaluated(n), (first, n)
+            assert evaluated == next(series._stepping(n)), (first, n)
 
 
 @pytest.mark.parametrize("text,start,restarts,cut,tails", [

@@ -15,7 +15,7 @@ from wzeta import terms
 from wzeta.algebra import LinearForm, Polynomial
 from wzeta.dsl import parse_term
 from wzeta.errors import DomainError, IncompatibleTerms
-from wzeta.terms import _FACTORED_FROM, Domain, HyperTerm, cross_ratio
+from wzeta.terms import Domain, HyperTerm, cross_ratio
 
 from conftest import valid_points
 
@@ -437,23 +437,24 @@ def test_value_at_matches_the_formula():
     }
 
 
-# points past the factored route's threshold with k near n, where a
-# factorial of -n + k or -n + 2k has a small argument or n's
-LARGE_POINTS = st.integers(_FACTORED_FROM, _FACTORED_FROM + 40).flatmap(
+# points from n = 0 up to arguments past a thousand, with k near n, where
+# a factorial of -n + k or -n + 2k has a small argument or n's
+ROUTED_POINTS = st.integers(0, 1240).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(n - 4, n + 4)))
 
 
 def test_the_factored_route_matches_math_factorial(monkeypatch):
     # value_at against along_k's first value, read with math.factorial:
-    # the same Fraction, or the same DomainError text; the features are
-    # counted where value_at took the factored route
+    # the same Fraction, or the same DomainError text, at small arguments
+    # and large; the features are counted where value_at took the factored
+    # route
     seen, routed = set(), []
     times_factorials = terms._times_factorials
     monkeypatch.setattr(terms, "_times_factorials",
                         lambda *args: routed.append(args) or times_factorials(*args))
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    @given(term_cases(st.integers(2, 3), st.integers(-2, 2), st.integers(0, 2), LARGE_POINTS),
+    @given(term_cases(st.integers(2, 3), st.integers(-2, 2), st.integers(0, 2), ROUTED_POINTS),
            st.none() | st.tuples(st.booleans(), st.integers(-4, 4)))
     def check(case, root):
         sign, factorials, num, den, constant, domain, (n, k) = case
@@ -502,18 +503,29 @@ def test_the_factored_route_matches_math_factorial(monkeypatch):
     ("(2*n)! / n!^2", True), ("(-1)^n * (n-1)!^2 / ((2*n)! * 3)", True),
 ])
 def test_only_factorials_on_both_sides_take_the_factored_route(monkeypatch, text, two_sided):
-    # a term whose factorials all stand on one side needs no gcd of two
-    # long operands: it reads math.factorial, as a term below the threshold does
+    # the term's shape alone picks the route, at every size: a term whose
+    # factorials all stand on one side needs no gcd of two long operands
+    # and reads math.factorial; outside the domain both routes raise
+    # along_k's error before any factorial
     calls = []
     times_factorials = terms._times_factorials
     monkeypatch.setattr(terms, "_times_factorials",
                         lambda *args: calls.append(args) or times_factorials(*args))
     term = parse_term(text)
-    for n in (100, _FACTORED_FROM // 2, _FACTORED_FROM, 3000):
+    defined = 0
+    for n in (0, 1, 100, 600, 1200, 3000):
         calls.clear()
-        assert term.value_at(n) == Fraction(*next(term.along_k(n, 0)))
-        largest = max(form.value(n, 0) for form, _ in term.factorials)
-        assert len(calls) == (two_sided and largest >= _FACTORED_FROM), n
+        try:
+            expected = Fraction(*next(term.along_k(n, 0)))
+        except DomainError as exc:
+            with pytest.raises(DomainError) as raised:
+                term.value_at(n)
+            assert (str(raised.value), calls) == (str(exc), []), n
+            continue
+        assert term.value_at(n) == expected
+        assert len(calls) == two_sided, n
+        defined += 1
+    assert defined >= 5
 
 
 def field_value(term, n, k):
