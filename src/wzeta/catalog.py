@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .algebra import Frozen, limit_rate
-from .errors import CatalogError, WZetaError
+from .errors import CatalogError, naming
 from .pair import WZPair
 from .terms import HyperTerm, ratio_limit
 from . import dsl
@@ -135,12 +135,9 @@ def load_catalog(path: str | None = None) -> Catalog:
     entries = _numbered_entries(text)
     terms = {}
     for name, (lineno, expr) in entries.items():
-        try:
+        # a ParseError's offset counts from the start of the expression
+        with naming(f"line {lineno}: entry {name!r}"):
             terms[name] = dsl.parse_term(expr)
-        except WZetaError as exc:
-            # the same error, its offset counted within the expression
-            exc.args = (f"line {lineno}: entry {name!r}: {exc}",)
-            raise
     pairs, lone = {}, {}
     for name, term in terms.items():
         side, _, x = name.partition("_")

@@ -206,6 +206,12 @@ def _power(a: Polynomial, e: int) -> Polynomial:
     return a**e
 
 
+def _unexpected(token: _Token, expected: tuple) -> ParseError:
+    """The ParseError of a token where one of the expected kinds should be."""
+    message = "unexpected end of input" if token.kind == "end" else f"unexpected {token.text!r}"
+    return ParseError(message, token.offset, expected)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -223,11 +229,7 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         token = self.peek()
         if token.kind != kind:
-            raise ParseError(
-                f"unexpected {token.text!r}" if token.kind != "end" else "unexpected end of input",
-                token.offset,
-                (kind,),
-            )
+            raise _unexpected(token, (kind,))
         return self.advance()
 
     def parse(self) -> HyperTerm:
@@ -309,11 +311,7 @@ class _Parser:
             return _Product.from_poly(Polynomial.variable(token.text)), False
         if token.kind == "(":
             return self.group(depth), True
-        raise ParseError(
-            f"unexpected {token.text!r}" if token.kind != "end" else "unexpected end of input",
-            token.offset,
-            _ATOM_STARTS,
-        )
+        raise _unexpected(token, _ATOM_STARTS)
 
     def group(self, depth: int) -> _Product:
         """The parenthesized expression that the next token opens."""
@@ -360,11 +358,7 @@ class _Parser:
                 return base.powered(form.c)
             exponent_form = form
         else:
-            raise ParseError(
-                f"unexpected {token.text!r}" if token.kind != "end" else "unexpected end of input",
-                token.offset,
-                ("integer", "n", "k", "("),
-            )
+            raise _unexpected(token, _ATOM_STARTS)
         if not (base.is_polynomial and base.num == Polynomial.const(-1)):
             raise StructureError("only (-1) may carry a symbolic exponent")
         return _Product(sign=exponent_form)

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and naming(), the one
+way a re-raised error gains the name of its source."""
+
+from contextlib import contextmanager
+from typing import Iterator
 
 
 class WZetaError(Exception):
@@ -56,3 +60,14 @@ class TailBoundError(WZetaError):
 
 class CatalogError(WZetaError):
     """Catalog file missing, unreadable, or naming an unknown entry."""
+
+
+@contextmanager
+def naming(source: str) -> Iterator[None]:
+    """A WZetaError raised within, re-raised as the same object with its
+    message prefixed "{source}: "; any other exception passes unchanged."""
+    try:
+        yield
+    except WZetaError as exc:
+        exc.args = (f"{source}: {exc}",)
+        raise

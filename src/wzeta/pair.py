@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
 from .algebra import Frozen, LinearForm
-from .errors import WZetaError
+from .errors import naming
 from .terms import Domain, HyperTerm, cross_ratio
 
 
@@ -43,16 +42,16 @@ class WZPair(Frozen):
             + g_up.constraints + self.g.domain.constraints)))
 
     def rows(self, n_max: int) -> Iterator[tuple[int, int, int]]:
-        """check_domain.rows(n_max); the DomainError of a region that
-        does not bound k names the pair."""
-        with _naming(self):
+        """check_domain.rows(n_max), each row's interval lo <= k <= hi; the
+        DomainError of a region that does not bound k names the pair."""
+        with naming(f"pair {self.name}"):
             yield from self.check_domain.rows(n_max)
 
     def diagonal_term(self) -> HyperTerm:
         """F(n, n-1) + G(n-1, n-1) as one term, F(n, n-1)·(1 + R) with R = G(n-1, n-1)/F(n, n-1)
         rational (IncompatibleTerms otherwise); an error in forming it names the pair."""
         n, n_less_1 = LinearForm(1, 0, 0), LinearForm(1, 0, -1)
-        with _naming(self):
+        with naming(f"pair {self.name}"):
             f_diag = self.f.substituted(n, n_less_1)  # F(n, n-1)
             g_diag = self.g.substituted(n_less_1, n_less_1)  # G(n-1, n-1)
             r = cross_ratio(g_diag, f_diag)
@@ -63,15 +62,5 @@ class WZPair(Frozen):
 
     def column_term(self) -> HyperTerm:
         """G(n, 0); an error in forming it names the pair."""
-        with _naming(self):
+        with naming(f"pair {self.name}"):
             return self.g.substituted(LinearForm(1, 0, 0), LinearForm())
-
-
-@contextmanager
-def _naming(pair: WZPair) -> Iterator[None]:
-    """A WZetaError raised within, its message prefixed with the pair's name."""
-    try:
-        yield
-    except WZetaError as exc:  # the same error, naming the pair
-        exc.args = (f"pair {pair.name}: {exc}",)
-        raise

@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple
 
 from .algebra import (Frozen, LinearForm, Polynomial, RationalFunction, _values_from, horner,
                       int_text)
-from .errors import DomainError, IncompatibleTerms, WZetaError
+from .errors import DomainError, IncompatibleTerms, WZetaError, naming
 
 _ONE = Polynomial.const(1)
 # largest degree of a side of a ratio: cross_ratio counts the linear
@@ -70,32 +70,6 @@ class Domain(NamedTuple):
         """n_bounds' least n; None if there is none."""
         return (self.n_bounds or (None, None))[0]
 
-    def k_range(self, n: int) -> tuple[int, int] | None:
-        """Inclusive k interval at fixed n, or None if empty.
-
-        Raises DomainError when the constraints do not bound k above and
-        below (such a domain cannot be swept by a grid check).
-        """
-        lo = None
-        hi = None
-        for form in self.constraints:
-            if form.b == 0:
-                if form.value(n, 0) < 0:
-                    return None
-            elif form.b > 0:
-                # k >= ceil(-(a*n + c) / b)
-                bound = -((form.a * n + form.c) // form.b)
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                # k <= floor((a*n + c) / (-b))
-                bound = (form.a * n + form.c) // (-form.b)
-                hi = bound if hi is None else min(hi, bound)
-        if lo is None or hi is None:
-            raise DomainError(f"the region does not bound k on both sides at n={n}")
-        if lo > hi:
-            return None
-        return lo, hi
-
     def n_span(self, n_max: int) -> range:
         """The n of rows(n_max): n_bounds up to n_max, from 0 if there is
         no least n; empty if no n has a real k."""
@@ -104,9 +78,10 @@ class Domain(NamedTuple):
 
     def rows(self, n_max: int) -> Iterator[tuple[int, int, int]]:
         """(n, lo, hi) for every nonempty row lo <= k <= hi, n in
-        n_span(n_max): k_range(n) there, from the constraints split once
-        into lower and upper bounds on k. Those in n alone hold across
-        n_span, as n_bounds counts them."""
+        n_span(n_max), from the constraints split once into lower and upper
+        bounds on k; those in n alone hold across n_span, as n_bounds counts
+        them. DomainError if a row's k is not bounded on both sides: such a
+        region cannot be swept by a grid check."""
         lower = [(f.a, f.b, f.c) for f in self.constraints if f.b > 0]
         upper = [(f.a, -f.b, f.c) for f in self.constraints if f.b < 0]
         span = self.n_span(n_max)
@@ -505,11 +480,8 @@ def ratio_limit(term: HyperTerm, name: str) -> tuple[int, Fraction]:
     rising = sum(abs(form.a * exp) for form, exp in term.factorials)
     degree, at_least = polys + (rising + 1) // 2, "at least " if term.factorials else ""
     if degree <= _MAX_RATIO_DEGREE:
-        try:
+        with naming(f"term ratio of series {name!r}"):
             _, sides = _aligned(term.substituted(LinearForm(1, 0, 1), LinearForm()), term)
-        except WZetaError as exc:  # the same error, naming the series
-            exc.args = (f"term ratio of series {name!r}: {exc}",)
-            raise
         degree, at_least = sides + polys, ""
     if degree > _MAX_RATIO_DEGREE:
         raise WZetaError(f"term ratio of series {name!r} has degree "

@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import LinearForm, RationalFunction, fraction_text, value_repr
-from .errors import DomainError, SingularGrid, WZetaError
-from .pair import WZPair, _naming
+from .errors import DomainError, SingularGrid, WZetaError, naming
+from .pair import WZPair
 from .terms import cross_ratio
 
 if TYPE_CHECKING:
@@ -134,7 +134,7 @@ def verify_grid(pair: WZPair, n_max: int) -> VerifyReport:
 def certificate(pair: WZPair) -> RationalFunction:
     """The rational function R(n, k) = G(n, k)/F(n, k); an error in
     forming it names the pair."""
-    with _naming(pair):
+    with naming(f"pair {pair.name}"):
         return cross_ratio(pair.g, pair.f)
 
 
@@ -152,7 +152,7 @@ def verify_symbolic(pair: WZPair) -> VerifyReport:
     (deg_n+1)×(deg_k+1) points therefore decides it completely. An error
     in forming r1, r2 or R names the pair.
     """
-    with _naming(pair):
+    with naming(f"pair {pair.name}"):
         r1 = pair.f.shift_ratio(1, 0)
         r2 = pair.f.shift_ratio(0, 1)
     cert = certificate(pair)

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from wzeta import accelerate, lhs_series, load_catalog, truncated_decimal
+from wzeta.algebra import LinearForm
 from wzeta.errors import DomainError
+from wzeta.terms import Domain
 
 
 @pytest.fixture(scope="session")
@@ -34,19 +36,20 @@ def int_str_limit():
 def valid_points(term, count, seed=0, n_max=14):
     """Random (n, k) points at which the term evaluates without error."""
     rng = random.Random(seed)
+    try:
+        rows = {n: (lo, hi) for n, lo, hi in term.domain.rows(n_max - 1)}
+    except DomainError:  # k unconstrained (one-variable term): k = 0 in every row
+        bounded = Domain(term.domain.constraints + (LinearForm(0, 1, 0), LinearForm(0, -1, 0)))
+        rows = {n: (lo, hi) for n, lo, hi in bounded.rows(n_max - 1)}
     points = []
     attempts = 0
     while len(points) < count:
         attempts += 1
         assert attempts < 50 * count, "term is undefined almost everywhere"
         n = rng.randrange(0, n_max)
-        try:
-            k_range = term.domain.k_range(n)
-        except DomainError:  # k unconstrained (one-variable term)
-            k_range = (0, 0)
-        if k_range is None:
+        if n not in rows:
             continue
-        k = rng.randrange(k_range[0], k_range[1] + 1)
+        k = rng.randrange(rows[n][0], rows[n][1] + 1)
         try:
             term.value_at(n, k)
         except DomainError:

@@ -496,6 +496,17 @@ def test_rate_forms_no_factorial_of_the_first_term(capsys, tmp_path):
     assert (code, out, err) == (0, "30.000\n", "")
 
 
+@pytest.mark.parametrize("argv", [["list"], ["digits", "--series", "s3", "--digits", "5"]],
+                         ids=["list", "digits"])
+def test_a_zero_series_names_its_term_ratio(capsys, tmp_path, argv):
+    # an identically zero term has no ratio: both commands that read a
+    # series' rate refuse it, naming the series
+    path = catalog_with(tmp_path, s3="0 * n!")
+    code, out, err = run(capsys, "--catalog", path, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: term ratio of series 's3': cannot divide by an identically zero term\n"
+
+
 def test_rate_index_cap(capsys):
     from wzeta.cli import _MAX_RATE_INDEX
 

@@ -98,6 +98,29 @@ def test_an_unused_import_is_caught(tmp_path):
     assert sorted(unused_imports(path)) == ["Context", "json"]
 
 
+def assigns_args(path):
+    """The lines of path that assign to an attribute named args, as
+    `exc.args = ...` rewrites an error's message."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            for target in getattr(node, "targets", [getattr(node, "target", None)])
+            if isinstance(target, ast.Attribute) and target.attr == "args"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_errors_rewrites_an_error_message(path):
+    # errors.naming is the one place that prefixes a re-raised error
+    if path.name != "errors.py":
+        assert not assigns_args(path), f"{path.name} assigns .args"
+
+
+def test_an_args_assignment_is_caught(tmp_path):
+    path = tmp_path / "rewrites.py"
+    path.write_text("try:\n    pass\nexcept Exception as exc:\n"
+                    "    exc.args = ('x',)\n    exc.args += ('y',)\n    args = ()\n    raise\n")
+    assert assigns_args(path) == [4, 5]
+
+
 # dataclasses pulls in inspect, and inspect ast, dis and tokenize: about
 # 20 ms of every command's start-up; statistics serves only `rate`
 KEPT_OUT_OF_START_UP = ("dataclasses", "inspect", "ast", "dis", "tokenize", "statistics")

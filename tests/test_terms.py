@@ -218,26 +218,30 @@ def test_specialized_diagonal():
 def test_domain_k_range():
     dom = Domain((LinearForm(1, 0, -1), LinearForm(0, 1, 0), LinearForm(2, -1, -1)))
     assert dom.n_min == 1
-    assert dom.k_range(1) == (0, 1)
-    assert dom.k_range(3) == (0, 5)
-    assert dom.k_range(2) == (0, 3)
-    assert dom.k_range(0) is None  # below n_min
+    # no row below n_min, and one row lo <= k <= hi per n up to n_max
+    assert list(dom.rows(3)) == [(1, 0, 1), (2, 0, 3), (3, 0, 5)]
+    assert list(dom.rows(0)) == []
 
 
 def test_domain_k_range_unbounded():
-    dom = Domain((LinearForm(1, 0, 0),))
-    assert dom.n_min == 0
+    # the first row of n_span is the one named, whatever n_max is
+    dom = Domain((LinearForm(1, 0, -3),))
+    assert dom.n_min == 3
     with pytest.raises(DomainError, match=r"^the region does not bound k on both sides at n=3$"):
-        dom.k_range(3)
-    with pytest.raises(DomainError):  # k >= 0 alone
-        Domain((LinearForm(1, 0, 0), LinearForm(0, 1, 0))).k_range(3)
-    # a row that the constraints in n alone empty is empty, bounded or not
-    assert dom.k_range(-1) is None
+        next(dom.rows(10))
+    with pytest.raises(DomainError, match=r"^the region does not bound k on both sides at n=0$"):
+        next(Domain((LinearForm(1, 0, 0), LinearForm(0, 1, 0))).rows(3))  # k >= 0 alone
+    # a region that the constraints in n alone leave without rows is
+    # empty, bounded or not
+    assert list(dom.rows(2)) == []
+    assert list(Domain((LinearForm(-1, 0, -1),)).rows(5)) == []  # n <= -1
 
 
 def test_domain_empty_range():
+    # 0 <= k <= n - 1 is empty at n = 0: the first row is n = 1
     dom = Domain((LinearForm(1, 0, 0), LinearForm(0, 1, 0), LinearForm(1, -1, -1)))
-    assert dom.k_range(0) is None  # 0 <= k <= -1 is empty
+    assert list(dom.rows(0)) == []
+    assert list(dom.rows(2)) == [(1, 0, 0), (2, 0, 1)]
 
 
 def test_domain_n_min_from_constraints_in_n_alone():
@@ -255,7 +259,9 @@ def test_domain_n_min_eliminates_k():
     # and k = 6 meets both bounds at n = 9
     dom = Domain((LinearForm(-1, 2, -3), LinearForm(2, -3, 0)))
     assert dom.n_min == 9
-    assert dom.k_range(9) == (6, 6) and dom.k_range(8) is None
+    assert list(dom.rows(9)) == [(9, 6, 6)]
+    # a row with a real k but no integer one is left out: 6.5 <= k <= 6.67 at n = 10
+    assert list(dom.rows(12)) == [(9, 6, 6), (11, 7, 7), (12, 8, 8)]
     # the larger of a bound in n alone (n >= 1) and one from k (3 <= k <= n - 1)
     assert Domain((LinearForm(1, 0, -1), LinearForm(0, 1, -3), LinearForm(1, -1, -1))).n_min == 4
     assert Domain((LinearForm(1, 0, -6), LinearForm(0, 1, -3), LinearForm(1, -1, -1))).n_min == 6
@@ -586,10 +592,7 @@ def test_walks_along_k_match_the_fields_on_the_check_region(cat, name):
     # one past its end
     pair = cat.pair_by_name(name)
     for term in (pair.f, pair.g):
-        for n in range(62):
-            lo, hi = term.domain.k_range(n) or (0, -1)
-            if hi < lo:
-                continue
+        for n, lo, hi in term.domain.rows(61):
             expected = [expected_at(term, n, k) for k in range(lo, hi + 2)]
             assert isinstance(expected[-1][0], str)
             for k_first in range(lo, hi + 1):

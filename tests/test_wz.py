@@ -336,21 +336,30 @@ def test_check_domain_is_the_four_values_region(cat):
                     values(n, k)
 
 
+def brute_force_region(domain, n_max):
+    """The points (n, k), 0 <= n <= n_max, at which every constraint of
+    domain holds, found by testing each point of a box of k from -n_max - 2
+    to 4·n_max + 2. A row of the region is an interval, so one that met
+    the box and ran past it would hold a point of the box's edges in k:
+    the assertion rules that out."""
+    box = range(-n_max - 2, 4 * n_max + 3)
+    points = [(n, k) for n in range(n_max + 1) for k in box
+              if all(form.value(n, k) >= 0 for form in domain.constraints)]
+    assert not any(k in (box[0], box[-1]) for _, k in points)
+    return points
+
+
 def reference_grid(pair, n_max):
-    """Point-by-point grid check: four value_at calls at every point."""
+    """Point-by-point grid check: four value_at calls at every point of
+    the brute-force region."""
     checked = 0
     failures = []
-    domain = pair.check_domain
-    for n in range(domain.n_min, n_max + 1):
-        k_range = domain.k_range(n)
-        if k_range is None:
-            continue
-        for k in range(k_range[0], k_range[1] + 1):
-            lhs = pair.f.value_at(n + 1, k) - pair.f.value_at(n, k)
-            rhs = pair.g.value_at(n, k + 1) - pair.g.value_at(n, k)
-            checked += 1
-            if lhs != rhs:
-                failures.append(wz.FailurePoint(n, k, lhs, rhs))
+    for n, k in brute_force_region(pair.check_domain, n_max):
+        lhs = pair.f.value_at(n + 1, k) - pair.f.value_at(n, k)
+        rhs = pair.g.value_at(n, k + 1) - pair.g.value_at(n, k)
+        checked += 1
+        if lhs != rhs:
+            failures.append(wz.FailurePoint(n, k, lhs, rhs))
     outcome = "pass" if not failures else "fail"
     return wz.VerifyReport("grid", outcome, checked, failures=tuple(failures))
 
