@@ -36,16 +36,19 @@ _GRID_POINT_S = 2e-6
 _GRID_BIT_S = 5.7e-10
 _MAX_GRID_S = 3.2
 # largest `digits --digits`; s1, the slowest catalog series at this size,
-# takes 7.9 s in-process and 9.1 s through the CLI on a 2-vCPU machine
-# (best of 3; s2 3.9 and 4.4 s, s3 4.8 and 5.0 s)
+# takes 2.1 s in-process and 2.4 s through the CLI on a 2-vCPU machine
+# (best of 3; s2 1.2 and 1.4 s, s3 1.7 and 1.8 s)
 _MAX_DIGITS = 60_000
 # largest product tree `digits` builds, in bits, estimated as N·(bits of
 # a(N) + bits of b(N)) for the reduced term ratio a/b at the cut N =
 # start + ⌈D/rate⌉: s1, s2 and s3 at 60,000 digits come to 10.2M, 9.9M
-# and 12.4M; a series of rate 0.044 to 15.1M at 1000 digits, a 16 s run.
-# The estimate counts the unsplit ratio a/b, while the tree's leaves are
-# α/β with c(n) split off, so it over-counts s2 and s3: s3 at 3000 digits
-# comes to 465,080 bits against a 116,332-bit denominator of the sum
+# and 12.4M; a series of rate 0.044 to 15.1M at 1000 digits, a 1.8 s run
+# through the CLI. The estimate counts the unsplit ratio a/b and nothing
+# cancelled, while the tree's leaves are α/β with c(n) split off and its
+# merges cancel common factors (series.ProductTree), so it over-counts
+# every series: s3 at 3000 digits comes to 465,080 bits against a
+# 23,912-bit denominator of the sum, and s1 at 60,000 digits to 10.2M
+# against 1.5M
 _MAX_TREE_BITS = 16_000_000
 # largest `accelerate --terms`; s2, the slower pair, takes 1.6-2.0 s
 # through the CLI at this size on a 2-vCPU machine and prints 72 MB

@@ -9,9 +9,12 @@ Gosper's first step at shift 1, so t(n) = c(n)·u(n) with u(n+1)/u(n) =
 α(n)/β(n). A run of terms from t(m) sums to t(m) plus u(m) times one
 streaming ProductTree whose leaves are α/β at each later step, with
 c(n) as the weight of each term; partial_sum and sum_to_cut both sum
-their runs this way. Each step is evaluated once, from the split, for
-both its value and its leaf, and every walk pulls its steps from one
-iterator per run, which steps the split's polynomials by differences.
+their runs this way. Each merge of the tree cancels the gcd of its left
+part's numerator and its right part's denominator, where that gcd is
+small enough to pay for itself (ProductTree). Each step is evaluated
+once, from the split, for both its value and its leaf, and every walk
+pulls its steps from one iterator per run, which steps the split's
+polynomials by differences.
 The first omitted term of sum_to_cut comes from term_at, not from the
 tree. SeriesSpec.walk holds the one rule for restarting from term_at;
 the checked walks never do, and share one checked step.
@@ -54,17 +57,29 @@ _MAX_UNCERTIFIED = 10_000
 # an index whose float estimate of log10|term| is this close to the
 # threshold is decided with the exact term
 _LOG_SLACK = 1e-3
+# largest operand, in bits, whose gcd a ProductTree merge takes, for the
+# smaller of the two. CPython's math.gcd is quadratic: on random operands
+# 5.7 ms at 2^16 bits and 1.6 s at 2^20, against 1.4 ms and 117 ms for
+# their product. A series whose leaves carry irreducible polynomials,
+# (-1)^n n!^3 (n^4+7n+3) / ((3n)! (n^3+n+1)^4 (2n^2+3)^2), took at 30,000
+# digits 7.1 s unreduced, 4.5 s with this cap, 5.0 s at 2^18 and 11.0 s
+# uncapped; s1 at 60,000 digits took 2.3 s, 2.2 s and 2.0 s (in-process,
+# Python 3.11 on a 2-vCPU machine; table in CHANGES.md)
+_MAX_GCD_BITS = 2**16
 
 
 class ProductTree:
     """Binary splitting fed one leaf at a time. For leaves (p_i, q_i, t_i),
-    Q is the product of all q_i and T/Q = Σ_i (t_i/q_i)·Π_{m<i} p_m/q_m:
-    with t_i = w_i·p_i, the sum of the weights w_i times the running
-    products. Neighbours of equal size merge as leaves arrive, P = P1·P2,
-    Q = Q1·Q2, T = T1·Q2 + P1·T2, so only O(log N) nodes are held. Each
-    merge needs P only of its left part, so the final fold, from the
-    right, never forms the whole tree's P. Nothing is reduced, so (Q, T)
-    does not depend on where the tree splits."""
+    P/Q = Π_i p_i/q_i and T/Q = Σ_i (t_i/q_i)·Π_{m<i} p_m/q_m: with t_i =
+    w_i·p_i, the sum of the weights w_i times the running products.
+    Neighbours of equal size merge as leaves arrive, so only O(log N)
+    nodes are held. A merge cancels g = gcd(P1, Q2) (Cheng, Hanrot,
+    Thomé, Zima & Zimmermann, ISSAC 2007), then P = P1/g·P2, Q = Q1·Q2/g,
+    T = T1·Q2/g + P1/g·T2; for a quotient of factorials most factors
+    cancel. Past _MAX_GCD_BITS the quadratic math.gcd costs more than it
+    saves, and is skipped. So T/Q, not (Q, T), is independent of where
+    the tree splits. Each merge needs P only of its left part, so the
+    final fold, from the right, never forms the whole tree's P."""
 
     __slots__ = ("_nodes",)
 
@@ -75,6 +90,7 @@ class ProductTree:
         nodes, size = self._nodes, 1
         while nodes and nodes[-1][0] == size:
             _, p1, q1, t1 = nodes.pop()
+            p1, q = _cancelled(p1, q)
             p, q, t = p1 * p, q1 * q, t1 * q + p1 * t
             size *= 2
         nodes.append((size, p, q, t))
@@ -83,8 +99,18 @@ class ProductTree:
         """(Q, T) over every leaf added; (1, 0) for none."""
         q, t = 1, 0
         for _, p1, q1, t1 in reversed(self._nodes):
+            p1, q = _cancelled(p1, q)
             q, t = q1 * q, t1 * q + p1 * t
         return q, t
+
+
+def _cancelled(p: int, q: int) -> tuple[int, int]:
+    """(p/g, q/g) for g = gcd(p, q), or (p, q) unchanged when the smaller
+    of the two is over _MAX_GCD_BITS."""
+    if min(p.bit_length(), q.bit_length()) > _MAX_GCD_BITS:
+        return p, q
+    g = math.gcd(p, q)
+    return (p // g, q // g) if g > 1 else (p, q)
 
 
 class SeriesSpec(Frozen):

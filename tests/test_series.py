@@ -16,6 +16,7 @@ from wzeta.errors import (
     TailBoundError,
     WZetaError,
 )
+from wzeta import series as series_module
 from wzeta.series import ALTERNATING, POSITIVE, ProductTree, SeriesSpec
 from wzeta.terms import ratio_limit
 from wzeta import accelerate, precision
@@ -224,26 +225,96 @@ def test_partial_sum_matches_sequential(cat):
         )
 
 
+def left_fold(leaves):
+    """(T/Q, Q, T) after each prefix of leaves (p, q, weight): the Fraction
+    sum of each weight times the running product, and the unreduced
+    merge one leaf at a time."""
+    total, running = Fraction(0), Fraction(1)
+    big_p = big_q = 1
+    big_t = 0
+    yield total, big_q, big_t
+    for p, q, weight in leaves:
+        running *= Fraction(p, q)
+        total += weight * running
+        big_p, big_q, big_t = big_p * p, big_q * q, big_t * q + big_p * weight * p
+        yield total, big_q, big_t
+
+
 def test_product_tree_matches_a_left_fold():
     rng = random.Random(7)
     leaves = [(rng.randrange(-50, 50), rng.randrange(1, 50), rng.randrange(-9, 10))
               for _ in range(45)]
-    for size in range(len(leaves) + 1):
-        total = Fraction(0)
-        running = Fraction(1)
+    for size, (total, big_q, big_t) in enumerate(left_fold(leaves)):
         tree = ProductTree()
-        # the same merge one leaf at a time, on unreduced integers
-        big_p = big_q = 1
-        big_t = 0
         for p, q, weight in leaves[:size]:
-            running *= Fraction(p, q)
-            total += weight * running
-            big_p, big_q, big_t = big_p * p, big_q * q, big_t * q + big_p * weight * p
             tree.add(p, q, weight * p)
-        assert tree.result() == (big_q, big_t)
-        assert big_p == math.prod(p for p, _, _ in leaves[:size])
+        q, t = tree.result()
+        assert Fraction(t, q) == total
+        # the cancelled Q divides the unreduced one, and T is cancelled with it
+        assert q > 0 and big_q % q == 0
+        assert t * (big_q // q) == big_t
         assert big_q == math.prod(q for _, q, _ in leaves[:size])
-        assert Fraction(big_t, big_q) == total
+
+
+class CountingMath:
+    """series' math module, with the smaller operand of every gcd recorded,
+    in bits, and that of every merge's cancellation."""
+
+    def __init__(self, monkeypatch):
+        self.gcd_bits, self.merge_bits = [], []
+        cancelled = series_module._cancelled
+
+        def counted(p, q):
+            self.merge_bits.append(min(p.bit_length(), q.bit_length()))
+            return cancelled(p, q)
+
+        monkeypatch.setattr(series_module, "math", self)
+        monkeypatch.setattr(series_module, "_cancelled", counted)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def gcd(self, a, b):
+        self.gcd_bits.append(min(a.bit_length(), b.bit_length()))
+        return math.gcd(a, b)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_product_tree_past_the_gcd_cap(monkeypatch, seed):
+    # leaves of small primes times up to 24 random bits: merges cancel
+    # below a cap of 96 bits, and past it run no gcd
+    monkeypatch.setattr(series_module, "_MAX_GCD_BITS", 96)
+    counting = CountingMath(monkeypatch)
+    rng = random.Random(seed)
+
+    def leaf_factor():
+        return rng.randrange(1, 2**24) * math.prod(rng.choice([2, 3, 5, 7, 11, 13])
+                                                  for _ in range(rng.randrange(1, 6)))
+
+    leaves = [(rng.choice([-1, 1]) * leaf_factor(), leaf_factor(), rng.randrange(-9, 10))
+              for _ in range(150)]
+    folds = list(left_fold(leaves))
+    for size in (1, 2, 31, 64, 97, 150):
+        tree = ProductTree()
+        for p, q, weight in leaves[:size]:
+            tree.add(p, q, weight * p)
+        q, t = tree.result()
+        total, big_q, big_t = folds[size]
+        assert Fraction(t, q) == total
+        assert q > 0 and big_q % q == 0 and t * (big_q // q) == big_t
+    assert max(counting.merge_bits) > 96 * 8
+    assert 48 < max(counting.gcd_bits) <= 96
+
+
+def test_the_catalog_agrees_to_20000_digits_past_the_gcd_cap(cat, monkeypatch):
+    # each tree's top merges run past the cap, where nothing is cancelled
+    counting = CountingMath(monkeypatch)
+    reports = [precision.sum_to_digits(cat.series_by_name(name), 20000)
+               for name in ("s1", "s2", "s3")]
+    cap = series_module._MAX_GCD_BITS
+    assert max(counting.merge_bits) > cap and max(counting.gcd_bits) <= cap
+    assert {report.certified_digits for report in reports} == {20000}
+    assert len({report.decimal_string for report in reports}) == 1
 
 
 def test_product_tree_holds_a_logarithmic_number_of_nodes():
@@ -313,16 +384,15 @@ def test_a_cancelled_root_past_the_cut_is_still_refused(digits):
     assert str(raised.value) == "denominator polynomial vanishes at (n=50, k=0)"
 
 
-@pytest.mark.parametrize("name,most", [("s1", 169_081), ("s2", 110_000), ("s3", 120_000)])
-def test_the_sum_denominator_stays_small(cat, name, most):
-    # at 3000 digits, with no leaf for the cut N; unsplit, s2 and s3 came
-    # to 153,319 and 190,070 bits, and with N's leaf s1 to 169,119
-    _, denominator, _, _ = cat.series_by_name(name).sum_to_cut(Fraction(1, 10**3002))
-    assert denominator > 0
-    if name == "s1":  # c = 1: the leaves are the reduced steps themselves
-        assert denominator.bit_length() == most
-    else:
-        assert denominator.bit_length() <= most
+@pytest.mark.parametrize("name", ["s1", "s2", "s3"])
+def test_the_sum_denominator_stays_small(cat, name):
+    # at 3000 digits, the merges cancel the factorials' common factors:
+    # the tree's denominator is within 64 bits of the reduced sum's
+    series = cat.series_by_name(name)
+    _, denominator, _, count = series.sum_to_cut(Fraction(1, 10**3002))
+    reduced = series.partial_sum(count).denominator
+    assert denominator > 0 and denominator % reduced == 0
+    assert denominator.bit_length() - reduced.bit_length() <= 64
 
 
 @pytest.mark.parametrize("digits", [1000, 3000])
