@@ -15,9 +15,8 @@ _HOMES = {
                "NonAlternating", "ParseError", "SingularGrid", "StructureError",
                "TailBoundError", "WZetaError"),
     "pair": ("WZPair",),
-    "precision": ("EvalReport", "compare_series", "measure_rate", "sum_to_digits",
-                  "truncated_decimal"),
-    "series": ("ALTERNATING", "POSITIVE", "SeriesSpec"),
+    "series": ("ALTERNATING", "EvalReport", "POSITIVE", "SeriesSpec", "measure_rate",
+               "sum_to_digits", "truncated_decimal"),
     "terms": ("Domain", "HyperTerm", "cross_ratio"),
     "wz": ("VerifyReport", "accelerate", "certificate", "lhs_series", "two_sided_gap",
            "verify_grid", "verify_symbolic"),

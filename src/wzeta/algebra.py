@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-# precision.sum_to_digits' modes, named here so that the command line
+# series.sum_to_digits' modes, named here so that the command line
 # can offer them without loading the summation engine
 EXACT = "exact"
 SCALED = "scaled"

@@ -145,7 +145,7 @@ def _cmd_list(cat, args) -> int:
 
 
 def _cmd_digits(cat, args) -> int:
-    from . import precision  # the summation engine loads only for the commands that sum
+    from .series import sum_to_digits  # the summation engine loads only for the commands that sum
 
     if args.digits > _MAX_DIGITS:
         raise WZetaError(f"--digits {int_text(args.digits)} is over the limit of {_MAX_DIGITS}")
@@ -154,7 +154,7 @@ def _cmd_digits(cat, args) -> int:
     if bits > _MAX_TREE_BITS:
         raise WZetaError(f"series {series.name!r} converges too slowly for --digits "
                          f"{args.digits}: about {bits:.3g} bits, over the limit of {_MAX_TREE_BITS}")
-    report = precision.sum_to_digits(series, args.digits, mode=args.mode)
+    report = sum_to_digits(series, args.digits, mode=args.mode)
     print(report.serialize())
     return 0
 
@@ -206,7 +206,8 @@ def _grid_seconds(pair, n_max: int) -> float:
 
 
 def _cmd_accelerate(cat, args) -> int:
-    from . import precision, wz
+    from . import wz
+    from .series import term_texts
 
     if args.terms < 1:
         raise WZetaError("--terms must be at least 1")
@@ -222,7 +223,7 @@ def _cmd_accelerate(cat, args) -> int:
             file=sys.stderr,
         )
         return 1
-    for n, text in precision.term_texts(wz.accelerate(pair), args.terms):
+    for n, text in term_texts(wz.accelerate(pair), args.terms):
         print(f"{n} {text}")
     gap, bound, status = wz.two_sided_gap(
         pair, lhs_count=_COMPARE_LHS_TERMS, accel_count=args.terms
@@ -232,13 +233,13 @@ def _cmd_accelerate(cat, args) -> int:
 
 
 def _cmd_rate(cat, args) -> int:
-    from . import precision
+    from .series import measure_rate
 
     index = max(args.lo, args.hi)
     if index > _MAX_RATE_INDEX:
         raise WZetaError(f"--lo/--hi {int_text(index)} is over the limit of {_MAX_RATE_INDEX}")
     series = cat.series_by_name(args.series)
-    rate = precision.measure_rate(series, args.lo, args.hi)
+    rate = measure_rate(series, args.lo, args.hi)
     print(f"{rate:.3f}")
     return 0
 

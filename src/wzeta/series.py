@@ -1,7 +1,7 @@
 """Single-variable series of one hypergeometric term t(n), whose ratio
 t(n+1)/t(n) is a rational function of n, and the binary-splitting engine
 (Haible & Papanikolaou, "Fast multiprecision evaluation of series of
-rational numbers", 1998) that sums them.
+rational numbers", 1998) that sums them to certified decimal digits.
 
 Each series reduces its ratio once, by the gcd of its two sides over
 Z[n], to a/b, and splits that once as (c(n+1)/c(n))·(α(n)/β(n)) by
@@ -18,28 +18,47 @@ polynomials by differences.
 The first omitted term of sum_to_cut comes from term_at, not from the
 tree. SeriesSpec.walk holds the one rule for restarting from term_at;
 the checked walks never do, and share one checked step.
+
+sum_to_digits certifies decimal digits from sum_to_cut, which sums up
+to the first term t(N) negligible for the requested precision and bounds
+the rest as tail_bound does. Scaled mode truncates the sum once to a
+fixed point, adding 1/scale to the error. The digits come from one pair
+of scaled floors of the sum minus and plus the error (one full-width
+division; the upper floor comes from its remainder), divided by 10 until
+they agree while the bounds straddle a decimal boundary.
+
+Integers print through algebra.int_text; term_texts carries each term's
+numerator and denominator as Decimals along walk, each step linear in
+their length.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .algebra import (
+    EXACT,
+    SCALED,
     Frozen,
     LinearForm,
     Polynomial,
     RationalFunction,
+    _EXACT,
+    _to_decimal,
+    _values_from,
     dense_divide,
     dense_gcd,
     fraction_text,
-    _values_from,
     horner,
+    int_text,
     integer_root_bound,
     limit_rate,
+    value_repr,
 )
 from .errors import (
     DomainError,
@@ -54,6 +73,9 @@ POSITIVE = "positive"
 
 # most indices past the cut checked one by one before the certificate
 _MAX_UNCERTIFIED = 10_000
+# one truncation loses under 1/scale whatever the term count; 20 guard
+# digits keep that below terms/10^(D+10+log10(terms)) up to 10^10 terms
+_SCALED_GUARD = 20
 # an index whose float estimate of log10|term| is this close to the
 # threshold is decided with the exact term
 _LOG_SLACK = 1e-3
@@ -283,15 +305,10 @@ class SeriesSpec(Frozen):
 
     def walk(self, first: int, end: int) -> Iterator[tuple[int, Fraction | None, tuple | None]]:
         """One entry per index n in [first, end), streamed: (n, t(n), None)
-        from term_at at first and at each restart, else (n, None, (p, q)),
-        (p, q) = ratio_step(n-1), so t(n) = t(n-1)·p/q. The walk restarts
-        after a zero term and where ratio_step is (0, 0)."""
-        for n, value, evaluated in self._walk(first, end):
-            yield n, value, evaluated and evaluated[0]
-
-    def _walk(self, first: int, end: int) -> Iterator[tuple[int, Fraction | None, tuple | None]]:
-        """walk with each step's whole _stepping value at n-1, leaf
-        included, in place of its (p, q), pulled from one _stepping per run."""
+        from term_at at first and at each restart, else (n, None,
+        evaluated), evaluated = ((p, q), leaf) the _stepping value at n-1,
+        so t(n) = t(n-1)·p/q, pulled from one _stepping per run. The walk
+        restarts after a zero term and where ratio_step is (0, 0)."""
         steps = None  # _stepping from the run's first index, while t(n-1) is nonzero
         for n in range(first, end):
             evaluated = next(steps) if steps else None
@@ -304,23 +321,6 @@ class SeriesSpec(Frozen):
                 yield n, value, None
                 steps = self._stepping(n) if value else None
 
-    def log_terms(self, first: int, last: int) -> Iterator[float]:
-        """Yield log10|t(n)/t(first)| for n = first..last, first ≥ start_index,
-        summed from the ratio steps in floats; DomainError at a zero term."""
-        # with every factorial taken as 1, t(first) keeps its zeros and domain errors
-        if not next(self.term.along_k(first, 0, lambda m: 1))[0]:
-            raise DomainError(f"term at n={first} is zero; rate undefined")
-        log_term = 0.0
-        yield log_term
-        for n, evaluated in zip(range(first, last), self._stepping(first)):
-            p, q = evaluated[0] if evaluated else (0, 0)
-            if p == 0:
-                if q == 0:  # t(n+1) is zero or undefined, as in _checked_step
-                    self.term_at(n + 1)
-                raise DomainError(f"term at n={n + 1} is zero; rate undefined")
-            log_term += math.log10(abs(p)) - math.log10(q)
-            yield log_term
-
     def partial_sum(self, count: int, first_index: int | None = None) -> Fraction:
         """Exact sum of `count` terms from first_index (default: the
         start), run by run along walk: each restart starts a run, summed
@@ -329,7 +329,7 @@ class SeriesSpec(Frozen):
             raise DomainError("count must be nonnegative")
         n = self.start_index if first_index is None else first_index
         runs = []  # (m, t(m), tree) per run, m its first index
-        for n, value, evaluated in self._walk(n, n + count):
+        for n, value, evaluated in self.walk(n, n + count):
             if evaluated is None:
                 runs.append((n, value, ProductTree()))
             else:
@@ -479,3 +479,150 @@ def _shifted(coeffs: tuple[int, ...], shift: int) -> tuple[int, ...]:
     """The dense polynomial coeffs at n + shift."""
     poly = Polynomial.from_univariate(coeffs)
     return poly.substituted(LinearForm(1, 0, shift), LinearForm(0, 1, 0)).univariate()
+
+
+class EvalReport(NamedTuple):
+    series: str
+    mode: str
+    decimal_string: str
+    terms_used: int
+    tail_bound: Fraction
+    rounding_bound: Fraction
+    certified_digits: int
+
+    def __repr__(self) -> str:
+        return value_repr(self)
+
+    def serialize(self) -> str:
+        return "\n".join(
+            [
+                self.decimal_string,
+                f"terms={self.terms_used}",
+                f"tail_bound={fraction_text(self.tail_bound)}",
+                f"rounding_bound={fraction_text(self.rounding_bound)}",
+                f"certified_digits={self.certified_digits}",
+                f"mode={self.mode}",
+                f"series={self.series}",
+            ]
+        )
+
+
+def sum_to_digits(series: SeriesSpec, digits: int, mode: str = EXACT) -> EvalReport:
+    """Sum an alternating series to `digits` certified decimal places.
+
+    Raises NonAlternating/MonotonicityViolation if a ratio up to the cut
+    or before its certificate is not in (-1, 0), and TailBoundError if the
+    term ratio does not tend to a modulus below 1 or has no certificate.
+    """
+    if mode not in (EXACT, SCALED):
+        raise DomainError(f"unknown mode {mode!r}")
+    if digits < 1:
+        raise DomainError("digits must be at least 1")
+
+    numerator, denominator, tail, count = series.sum_to_cut(Fraction(1, 10 ** (digits + 2)))
+    rounding = Fraction(0)
+    if mode == SCALED:
+        scale = 10 ** (digits + _SCALED_GUARD)
+        numerator, denominator = numerator * scale // denominator, scale
+        rounding = Fraction(1, scale)
+
+    # floor((x ∓ e)·10^c) for the sum x and error e, from c = digits down
+    error = tail + rounding
+    low, high = error_floors(numerator * error.denominator, error.numerator * denominator,
+                             denominator * error.denominator, 10**digits)
+    certified = digits
+    while low != high:
+        if certified == 0:
+            raise TailBoundError("error bounds certify no digits at all")
+        low, high, certified = low // 10, high // 10, certified - 1
+    # e > 0 puts x·10^c strictly inside (low, low + 1): x truncates
+    # toward zero to low, or to low + 1 when it is negative
+    magnitude = -(low + 1) if numerator < 0 else low
+    return EvalReport(
+        series=series.name,
+        mode=mode,
+        decimal_string=_decimal_text(numerator < 0, magnitude, certified),
+        terms_used=count,
+        tail_bound=tail,
+        rounding_bound=rounding,
+        certified_digits=certified,
+    )
+
+
+def error_floors(center: int, spread: int, common: int, scale: int) -> tuple[int, int]:
+    """(floor((center - spread)·scale/common), floor((center + spread)·scale/common))
+    for common > 0, from one full-width division: the second floor is
+    the first plus that of (its remainder + 2·spread·scale)/common."""
+    low, rest = divmod((center - spread) * scale, common)
+    return low, low + (rest + 2 * spread * scale) // common
+
+
+def truncated_decimal(value: Fraction, places: int) -> str:
+    """Decimal string of value truncated (toward zero) to `places`
+    fractional digits."""
+    scaled = abs(value.numerator) * 10**places // value.denominator
+    return _decimal_text(value.numerator < 0, scaled, places)
+
+
+def _decimal_text(negative: bool, scaled: int, places: int) -> str:
+    """The decimal string of ±scaled/10^places, scaled ≥ 0."""
+    sign = "-" if negative else ""
+    if places == 0:
+        return sign + int_text(scaled)
+    digits = int_text(scaled).zfill(places + 1)
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
+def term_texts(series: SeriesSpec, count: int) -> Iterator[tuple[int, str]]:
+    """(n, fraction_text(t(n))) for the first `count` terms, along
+    series.walk, in time linear in each term's length.
+
+    The reduced numerator P and denominator Q of t(n) are carried as
+    Decimal integers and multiplied by each ratio step p/q as Fraction
+    does: with g1 = gcd(P, q) and g2 = gcd(p, Q), P·p/(Q·q) is
+    (P/g1)·(p/g2) / ((Q/g2)·(q/g1)) in lowest terms, and each gcd, division
+    and product has one small operand. Where the walk restarts, P and Q
+    come from the term it gives.
+    """
+    for n, value, evaluated in series.walk(series.start_index, series.start_index + count):
+        if not evaluated:
+            num, den = _to_decimal(value.numerator), _to_decimal(value.denominator)
+        elif not evaluated[0][0]:
+            num, den = decimal.Decimal(0), decimal.Decimal(1)
+        else:
+            p, q = evaluated[0]
+            g1 = math.gcd(int(_EXACT.remainder(num, q)), q)
+            g2 = math.gcd(int(_EXACT.remainder(den, abs(p))), p)
+            if g1 > 1:
+                num = _EXACT.divide_int(num, g1)
+            if g2 > 1:
+                den = _EXACT.divide_int(den, g2)
+            num, den = _EXACT.multiply(num, p // g2), _EXACT.multiply(den, q // g1)
+        yield n, str(num) if den == 1 else f"{num}/{den}"
+
+
+def measure_rate(series: SeriesSpec, n_lo: int, n_hi: int) -> float:
+    """Least-squares slope of -log10|term(n)| over n in [n_lo, n_hi]:
+    decimal digits gained per term. log10|t(n)/t(n_lo)| is summed from
+    the ratio steps in floats, since the slope does not depend on
+    t(n_lo); DomainError at a zero term."""
+    if n_lo < series.start_index or n_hi <= n_lo:
+        raise DomainError(
+            f"need start_index <= n_lo < n_hi, got [{int_text(n_lo)}, {int_text(n_hi)}] "
+            f"with start_index {series.start_index}"
+        )
+    import statistics  # only here: it costs every other command's start-up
+
+    # with every factorial taken as 1, t(n_lo) keeps its zeros and domain errors
+    if not next(series.term.along_k(n_lo, 0, lambda m: 1))[0]:
+        raise DomainError(f"term at n={n_lo} is zero; rate undefined")
+    log_term, ys = 0.0, [-0.0]
+    for n, evaluated in zip(range(n_lo, n_hi), series._stepping(n_lo)):
+        p, q = evaluated[0] if evaluated else (0, 0)
+        if p == 0:
+            if q == 0:  # t(n+1) is zero or undefined, as in _checked_step
+                series.term_at(n + 1)
+            raise DomainError(f"term at n={n + 1} is zero; rate undefined")
+        log_term += math.log10(abs(p)) - math.log10(q)
+        ys.append(-log_term)
+    return statistics.linear_regression(list(range(n_lo, n_hi + 1)), ys).slope

@@ -203,7 +203,7 @@ class HyperTerm(Frozen):
 
         factorial(m) supplies m! for the arguments at k_first only; its
         one use besides math.factorial is factorial=lambda m: 1, with which
-        log_terms checks a point's domain and zero without its factorials
+        measure_rate checks a point's domain and zero without its factorials
         and value_at forms all but them. The first value's factorial part, the
         constant times the factorials and the sign, is reduced once after
         it is yielded (value_at takes only the first value) and kept in

@@ -258,7 +258,7 @@ def two_sided_gap(pair: WZPair, lhs_count: int, accel_count: int) -> tuple[str, 
     of the exact bound left, the domain at the diagonal's cut, evaluates
     the term there once. So every input gives the exact line or raises its
     error."""
-    from .precision import truncated_decimal
+    from .series import truncated_decimal
 
     slow, fast = lhs_series(pair), accelerate(pair)
     slow_sum = slow.partial_sum(lhs_count)
@@ -282,10 +282,10 @@ def two_sided_gap(pair: WZPair, lhs_count: int, accel_count: int) -> tuple[str, 
 
 def _run_bound(series: SeriesSpec, count: int) -> Fraction | None:
     """tail_bound(count), or None where it raises or where the step at
-    the cut is zero or undefined, so that walk, by its one restart rule,
-    restarts past the cut. Past a positive series' certified cut, only
-    that step can be zero; partial_sum would then evaluate each later term
-    on its own, and those may raise."""
+    the cut is zero or undefined, so that SeriesSpec.walk, by its one
+    restart rule, restarts past the cut. Past a positive series' certified
+    cut, only that step can be zero; partial_sum would then evaluate each
+    later term on its own, and those may raise."""
     try:
         bound = series.tail_bound(count)
     except WZetaError:

@@ -7,6 +7,7 @@ slow-to-import standard modules it does not need."""
 import ast
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,49 @@ def test_an_args_assignment_is_caught(tmp_path):
     assert assigns_args(path) == [4, 5]
 
 
+# every command compiles the modules it imports (nothing relies on cached
+# bytecode), and CPython 3.11's parser doubles its token array past 4,096
+# tokens: compile() of `x = 1` lines peaks at 1.48 MB at 4,093 tokens and
+# at 1.70 MB at 4,097 (tracemalloc, Python 3.11.7), which raises a short
+# command's peak RSS. Tokens are counted as 3.11 reads them on every
+# version: from 3.12 on, tokenize (and the parser) split each f-string
+# into its parts, so 3.12's counts run higher
+MAX_TOKENS = 4_096
+UNHELD = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+FSTRING_START = getattr(tokenize, "FSTRING_START", None)  # 3.12 on
+FSTRING_END = getattr(tokenize, "FSTRING_END", None)
+
+
+def parser_tokens(path):
+    """The tokens of path that CPython 3.11's parser holds: none for
+    comments, blank lines and the encoding, and one for each f-string,
+    which 3.11 reads as one string token."""
+    count = depth = 0  # depth: how many f-strings the token is inside
+    with path.open("rb") as source:
+        for token in tokenize.tokenize(source.readline):
+            if token.type == FSTRING_START:
+                count += depth == 0
+                depth += 1
+            elif token.type == FSTRING_END:
+                depth -= 1
+            elif depth == 0 and token.type not in UNHELD:
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_a_module_fits_the_parsers_first_token_array(path):
+    assert parser_tokens(path) <= MAX_TOKENS, f"{path.name}: {parser_tokens(path)} tokens"
+
+
+def test_a_long_module_is_caught(tmp_path):
+    path = tmp_path / "long.py"
+    path.write_text("# a comment\n\n" + "x = 1\n" * 1024 + """y = f"{x!r:>{x}}" f"{f'{x}'}"\n""")
+    # name, =, number or f-string, newline (the two f-strings are two
+    # string tokens); the end marker
+    assert parser_tokens(path) == 4 * 1025 + 2
+
+
 # dataclasses pulls in inspect, and inspect ast, dis and tokenize: about
 # 20 ms of every command's start-up; statistics serves only `rate`
 KEPT_OUT_OF_START_UP = ("dataclasses", "inspect", "ast", "dis", "tokenize", "statistics")
@@ -145,7 +189,7 @@ def test_start_up_leaves_the_slow_modules_unloaded():
 # the summation engine: a pair check runs none of it, and `list` reads
 # each series' rate from its term's factorials, without the engine or the
 # verifier; a sum proves no pair, so `digits` and `rate` never load wz
-ENGINE = ("wzeta.series", "wzeta.precision")
+ENGINE = ("wzeta.series",)
 VERIFIER = ("wzeta.wz",)
 
 
@@ -170,7 +214,7 @@ PUBLIC = {
     "HyperTerm", "IncompatibleTerms", "LinearForm", "MonotonicityViolation", "NonAlternating",
     "POSITIVE", "ParseError", "Polynomial", "RationalFunction", "SeriesSpec", "SingularGrid",
     "StructureError", "TailBoundError", "VerifyReport", "WZPair", "WZetaError", "accelerate",
-    "certificate", "compare_series", "cross_ratio", "lhs_series", "load_catalog",
+    "certificate", "cross_ratio", "lhs_series", "load_catalog",
     "measure_rate", "parse_term", "render_term", "sum_to_digits", "two_sided_gap",
     "truncated_decimal", "verify_grid", "verify_symbolic",
 }

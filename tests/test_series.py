@@ -19,7 +19,7 @@ from wzeta.errors import (
 from wzeta import series as series_module
 from wzeta.series import ALTERNATING, POSITIVE, ProductTree, SeriesSpec
 from wzeta.terms import ratio_limit
-from wzeta import accelerate, precision
+from wzeta import accelerate
 
 
 def alt_series(text, start=0):
@@ -36,8 +36,8 @@ def walk_values(series, first, end):
     """(n, t(n)) rebuilt from series.walk: the entry's value at a restart,
     else the last value times the entry's step."""
     value = None
-    for n, start, step in series.walk(first, end):
-        value = start if step is None else value * Fraction(*step)
+    for n, start, evaluated in series.walk(first, end):
+        value = start if evaluated is None else value * Fraction(*evaluated[0])
         yield n, value
 
 
@@ -61,15 +61,15 @@ def test_walk_restarts_only_where_the_rule_says(text, first, end):
     assert 0 in map(series.term_at, range(8))
     entries = list(series.walk(first, end))
     assert [n for n, _, _ in entries] == list(range(first, end))
-    for n, value, step in entries:
+    for n, value, evaluated in entries:
         # a restart at first, after a zero term, and where the step is
         # undefined; nowhere else
         restart = n == first or series.term_at(n - 1) == 0 or series.ratio_step(n - 1) == (0, 0)
-        assert (step is None) == restart, n
+        assert (evaluated is None) == restart, n
         if restart:
             assert value == series.term_at(n)
         else:
-            assert value is None and step == series.ratio_step(n - 1)
+            assert value is None and evaluated[0] == series.ratio_step(n - 1)
     for n, value in walk_values(series, first, end):
         assert value == series.term_at(n)
 
@@ -161,14 +161,14 @@ def test_cancelled_factor_keeps_the_errors(start, error):
     series = alt_series("(-1)^n * (n-3)*(n-4) / n!", start)
     assert series.term_ratio().den.degree("n") == 2  # (n+1)(n-4)
     with pytest.raises(NonAlternating) as raised:
-        precision.sum_to_digits(series, 30)
+        series_module.sum_to_digits(series, 30)
     assert str(raised.value) == error
 
 
 def test_cancelled_factor_past_the_zero_terms():
     # from n = 5 on the terms are nonzero and the reduced ratio is exact
     series = alt_series("(-1)^n * (n-3)*(n-4) / n!", 5)
-    report = precision.sum_to_digits(series, 30)
+    report = series_module.sum_to_digits(series, 30)
     assert report.decimal_string == "-0.010290617742595889685048366932"
     assert series._certified_from == 5
 
@@ -196,7 +196,8 @@ def test_terms_from_index(cat):
     series = cat.series_by_name("s2")
     gen = series.walk(7, 10)
     assert next(gen) == (7, series.term_at(7), None)
-    assert next(gen) == (8, None, series.ratio_step(7))
+    n, value, evaluated = next(gen)
+    assert (n, value, evaluated[0]) == (8, None, series.ratio_step(7))
     with pytest.raises(DomainError):
         next(series.walk(0, 10))  # below start
 
@@ -309,7 +310,7 @@ def test_product_tree_past_the_gcd_cap(monkeypatch, seed):
 def test_the_catalog_agrees_to_20000_digits_past_the_gcd_cap(cat, monkeypatch):
     # each tree's top merges run past the cap, where nothing is cancelled
     counting = CountingMath(monkeypatch)
-    reports = [precision.sum_to_digits(cat.series_by_name(name), 20000)
+    reports = [series_module.sum_to_digits(cat.series_by_name(name), 20000)
                for name in ("s1", "s2", "s3")]
     cap = series_module._MAX_GCD_BITS
     assert max(counting.merge_bits) > cap and max(counting.gcd_bits) <= cap
@@ -368,7 +369,7 @@ def test_a_weight_with_an_integer_root_restarts_the_walk():
         values = [value for _, value in itertools.islice(terms, 40)]
         for count in range(1, 41):
             assert series.partial_sum(count, first) == sum(values[:count], Fraction(0))
-    report = precision.sum_to_digits(alt_series(text, 8), 50)
+    report = series_module.sum_to_digits(alt_series(text, 8), 50)
     assert report.decimal_string.startswith("0.00000000000308116887624")
     assert report.terms_used == 15
 
@@ -380,7 +381,7 @@ def test_a_cancelled_root_past_the_cut_is_still_refused(digits):
     # sees the root; at 40 digits the tail check does
     series = SeriesSpec("x", parse_term("(-1)^n * (n-50) / (n-50) / n!"), 2)
     with pytest.raises(DomainError) as raised:
-        precision.sum_to_digits(series, digits)
+        series_module.sum_to_digits(series, digits)
     assert str(raised.value) == "denominator polynomial vanishes at (n=50, k=0)"
 
 
@@ -752,8 +753,8 @@ def test_walks_stop_and_restart_where_the_steps_do(text, start, restarts, cut, t
     series = alt_series(text, start)
     seen = []
     try:
-        for n, value, step in series.walk(start, start + 30):
-            if step is None:
+        for n, value, evaluated in series.walk(start, start + 30):
+            if evaluated is None:
                 seen.append(n)
                 assert value == series.term_at(n)
     except DomainError as exc:

@@ -9,8 +9,7 @@ from wzeta.algebra import LinearForm, Polynomial, RationalFunction
 from wzeta.cli import _grid_seconds
 from wzeta.dsl import parse_term
 from wzeta.errors import DomainError, TailBoundError
-from wzeta.precision import EvalReport
-from wzeta.series import SeriesSpec
+from wzeta.series import EvalReport, SeriesSpec
 from wzeta.terms import Domain, HyperTerm
 from wzeta import wz
 
